@@ -20,8 +20,6 @@ from .policy import (
     VirtualQueues,
     assign_weights,
     drift_bound,
-    lyapunov,
-    virtual_update,
 )
 from .routing import (
     PathRoute,

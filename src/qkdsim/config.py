@@ -394,6 +394,17 @@ class ExperimentConfig:
         scheduler = str(doc.get("scheduler", "fifo"))
         if scheduler not in ("fifo", "ento"):
             raise ConfigError(f"config.scheduler: unknown scheduler {scheduler!r}")
+        if scheduler == "ento" and any(p.mode == "backpressure" for p in policies):
+            raise ConfigError(
+                "config.scheduler: backpressure queues hold no hop counts; it runs 'fifo' only"
+            )
+        single_level = [p.mode for p in policies if p.mode != "multilevel"]
+        for i, c in enumerate(classes):
+            if single_level and c.security != "quantum":
+                raise ConfigError(
+                    f"classes[{i}].security: {single_level[0]} carries key-encrypted "
+                    f"traffic only; {c.security!r} classes need the multilevel policy"
+                )
         horizon = int(_require(doc, "horizon", "config"))
         if horizon < 1:
             raise ConfigError("config.horizon: must be >= 1")
@@ -433,14 +444,6 @@ class ExperimentConfig:
     def build_classes(self, scale: float = 1.0) -> list[TrafficClass]:
         return [c.build(scale) for c in self.classes]
 
-    def cells(self) -> list[tuple[PolicyConfig, float, int]]:
-        return [
-            (pol, scale, seed)
-            for pol in self.policies
-            for scale in self.rate_scales
-            for seed in self.seeds
-        ]
-
 
 # ---------------------------------------------------------------------------
 # presets
@@ -473,9 +476,7 @@ def preset_counterexample() -> ExperimentConfig:
     )
 
 
-def _desk_unicast_classes(
-    n: int, count: int, seed: int, security: str = "quantum"
-) -> list[tuple[int, int]]:
+def _desk_unicast_classes(n: int, count: int, seed: int) -> list[tuple[int, int]]:
     rng = np.random.default_rng(seed + 1000)
     pairs: list[tuple[int, int]] = []
     while len(pairs) < count:

@@ -5,7 +5,9 @@ arrivals, key generation, encryption (unencrypted queue -> encrypted
 queue, one key per packet), link transmission, delivery bookkeeping, and
 the virtual-queue update.  A packet may pass straight through an edge
 (arrive, encrypt, transmit) within one slot, but a forwarded packet only
-becomes serviceable at the next hop from the following slot.
+becomes serviceable at the next hop from the following slot.  All four
+policies run this one loop; the baselines skip the phases they do not
+have (see ``_Engine``).
 
 Key banks are debited by the virtual unencrypted demand each slot; debited
 keys are held per link ("escrow") until a physical packet consumes them at
@@ -24,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .keying import KeyBank, KeySpec, make_key_sampler
+from .keying import KeyBank, KeySampler, KeySpec
 from .policy import (
     BackpressureMode,
     MultilevelMode,
@@ -32,12 +34,15 @@ from .policy import (
     SingleQueueMode,
     TandemMode,
     VirtualQueues,
+    assign_weights,
+    backpressure_activations,
     multilevel_select_routes,
     select_routes,
+    single_queue_service,
 )
 from .routing import PathRoute, UnreachableError, anycast_route, min_weight_path
 from .topology import NetworkGraph
-from .traffic import Anycast, Broadcast, Multicast, TrafficClass, Unicast, make_sampler
+from .traffic import Anycast, ArrivalSampler, Broadcast, Multicast, TrafficClass, Unicast
 
 __all__ = ["MetricsRecord", "simulate", "InvariantViolation"]
 
@@ -74,32 +79,26 @@ class Copy:
         self.moved_at = moved_at
 
 
-class FifoQueue:
-    __slots__ = ("items",)
+class FifoQueue(deque):
+    """Serve copies in arrival order."""
 
-    def __init__(self):
-        self.items = deque()
+    __slots__ = ()
 
-    def push(self, copy: Copy) -> None:
-        self.items.append(copy)
+    push = deque.append
 
     def pop_eligible(self, slot: int) -> Copy | None:
-        items = self.items
-        while items:
-            head = items[0]
+        while self:
+            head = self[0]
             if head.record.dead:
-                items.popleft()
+                self.popleft()
                 continue
             if head.moved_at == slot:
                 return None  # everything behind arrived this slot too
-            return items.popleft()
+            return self.popleft()
         return None
 
     def flush_deferred(self) -> None:
         pass
-
-    def __len__(self) -> int:
-        return len(self.items)
 
 
 class EntoQueue:
@@ -135,14 +134,6 @@ class EntoQueue:
 
     def __len__(self) -> int:
         return len(self.heap) + len(self._deferred)
-
-
-def _make_queue(scheduler: str):
-    if scheduler == "fifo":
-        return FifoQueue()
-    if scheduler == "ento":
-        return EntoQueue()
-    raise ValueError(f"unknown scheduler {scheduler!r}; expected 'fifo' or 'ento'")
 
 
 # ---------------------------------------------------------------------------
@@ -247,13 +238,13 @@ class MetricsRecord:
 # ---------------------------------------------------------------------------
 # shared helpers
 
-def _reachable(g: NetworkGraph, s: int, allowed: Sequence[bool] | None) -> set[int]:
+def _reachable(g: NetworkGraph, s: int, allowed: Sequence[bool]) -> set[int]:
     seen = {s}
     stack = [s]
     while stack:
         u = stack.pop()
         for eid in g.out_edges[u]:
-            if allowed is not None and not allowed[eid]:
+            if not allowed[eid]:
                 continue
             v = g.edges[eid].v
             if v not in seen:
@@ -262,10 +253,11 @@ def _reachable(g: NetworkGraph, s: int, allowed: Sequence[bool] | None) -> set[i
     return seen
 
 
-def _check_routability(g: NetworkGraph, classes: Sequence[TrafficClass], quantum_only: bool) -> None:
-    mask = [e.has_qkd for e in g.edges] if quantum_only else None
+def _check_routability(g: NetworkGraph, classes: Sequence[TrafficClass]) -> None:
+    """Key-encrypted classes must reach their destinations over key-equipped links."""
+    mask = [e.has_qkd for e in g.edges]
     for cls in classes:
-        if quantum_only and cls.security != "quantum":
+        if cls.security != "quantum":
             continue
         reach = _reachable(g, cls.source, mask)
         kind = cls.kind
@@ -338,14 +330,53 @@ class _SeriesBuffer:
 
 
 # ---------------------------------------------------------------------------
-# tandem engine (plain and multilevel)
+# the engine
 
-class _TandemEngine:
+_QUEUES = {"fifo": FifoQueue, "ento": EntoQueue}
+_BASELINE_KINDS = {
+    SingleQueueMode: ((Unicast, Anycast), "unicast/anycast"),
+    BackpressureMode: ((Unicast,), "unicast"),
+}
+
+
+def _validate(g: NetworkGraph, classes: Sequence[TrafficClass], mode: PolicyMode, scheduler: str) -> None:
+    if scheduler not in _QUEUES:
+        raise ValueError(f"unknown scheduler {scheduler!r}; expected 'fifo' or 'ento'")
+    if isinstance(mode, BackpressureMode) and scheduler == "ento":
+        raise ValueError("backpressure queues hold no hop counts; it runs the 'fifo' scheduler only")
+    kinds = _BASELINE_KINDS.get(type(mode))
+    if kinds and any(not isinstance(c.kind, kinds[0]) for c in classes):
+        raise ValueError(f"{mode.label} baseline supports {kinds[1]} classes only")
+    if not isinstance(mode, MultilevelMode):
+        if any(not e.has_qkd for e in g.edges):
+            raise ValueError(f"{mode.label} needs key generation on every edge; use multilevel mode")
+        if any(c.security != "quantum" for c in classes):
+            raise ValueError(f"{mode.label} carries key-encrypted traffic only; use multilevel mode")
+    _check_routability(g, classes)
+
+
+class _Engine:
+    """One slot loop for every policy.
+
+    Each slot admits the arrivals, runs the key phase, serves the links,
+    advances the virtual queues and records the slot.  The policy supplies
+    only what differs:
+
+    - route choice: minimum-weight routes over the virtual queues
+      (tandem, multilevel), fixed hop-count routes (single-queue), or none
+      (backpressure keeps per-(node, class) queues instead of edge queues);
+    - the key phase: tandem reserves keys for the virtual demand and
+      encrypts, backpressure caps its banks, single-queue banks nothing;
+    - the service: a link sends up to its capacity (tandem), up to
+      ``single_queue_service`` (single-queue), or what
+      ``backpressure_activations`` picks (backpressure).
+    """
+
     def __init__(
         self,
         g: NetworkGraph,
         classes: Sequence[TrafficClass],
-        mode: TandemMode | MultilevelMode,
+        mode: PolicyMode,
         keys: KeySpec,
         scheduler: str,
         horizon: int,
@@ -357,108 +388,198 @@ class _TandemEngine:
         trace: bool,
         record_drift: bool,
     ):
-        self.g = g
         self.classes = sorted(classes, key=lambda c: c.id)
+        _validate(g, self.classes, mode, scheduler)
+        self.g = g
         self.mode = mode
-        self.multilevel = isinstance(mode, MultilevelMode)
-        self.storage = mode.key_storage
+        self.scheduler = scheduler
         self.horizon = horizon
         self.seed = seed
         self.queue_cap = queue_cap
         self.check = check_invariants
-        self.trace_on = trace
-
-        if not self.multilevel:
-            if any(not e.has_qkd for e in g.edges):
-                raise ValueError("tandem mode needs key generation on every edge; use multilevel mode")
-            if any(c.security != "quantum" for c in self.classes):
-                raise ValueError("tandem mode carries key-encrypted traffic only; use multilevel mode")
-        _check_routability(g, self.classes, quantum_only=True)
+        self.virtual = isinstance(mode, (TandemMode, MultilevelMode))
+        self.fresh_only = isinstance(mode, SingleQueueMode)
+        self.trace_on = trace and self.virtual
 
         m = g.m
-        class_rngs, edge_rngs, self.misc_rng = _spawn_streams(seed, len(self.classes), m)
+        class_rngs, edge_rngs, misc_rng = _spawn_streams(seed, len(self.classes), m)
         self.arr = {
-            cls.id: make_sampler(cls.arrival, class_rngs[i]).sample_batch(horizon).tolist()
+            cls.id: ArrivalSampler(cls.arrival, class_rngs[i]).sample_batch(horizon).tolist()
             for i, cls in enumerate(self.classes)
         }
         self.qkd_ids = list(g.qkd_edge_ids())
         self.keys_fresh = {
-            e: make_key_sampler(keys.process_for_edge(g.edges[e].u, g.edges[e].v, g.edges[e].eta), edge_rngs[e]).sample_batch(horizon).tolist()
+            e: KeySampler(keys.process_for_edge(g.edges[e].u, g.edges[e].v, g.edges[e].eta), edge_rngs[e]).sample_batch(horizon).tolist()
             for e in self.qkd_ids
         }
-        self.banks: list[KeyBank | None] = [KeyBank() if g.edges[e].has_qkd else None for e in range(m)]
-        self.escrow = [0] * m
-        self.reserved_total = [0] * m
-        self.moved_total = [0] * m
-        self.transmitted_total = [0] * m
-        self.transmitted_quantum = [0] * m
-
-        prios = sorted({c.priority for c in self.classes}, reverse=True)
-        self.prio_rank = {p: i for i, p in enumerate(prios)}
-        self.n_prio = len(prios)
-        self.x_q: list[list] = [[deque() for _ in range(self.n_prio)] for _ in range(m)]
-        self.x_len = [0] * m
-        self.y_q = [_make_queue(scheduler) for _ in range(m)]
-        self.scheduler = scheduler
-        self.active_y: set[int] = set()
-
-        self.x_tilde = [0.0] * m
-        self.y_tilde = [0.0] * m
-        self.active_vq: set[int] = set()
+        self.banks: list[KeyBank | None] | None = (
+            None if self.fresh_only else [KeyBank() if e.has_qkd else None for e in g.edges]
+        )
         self.kappa_now = [0] * m
         self.gamma = [e.gamma for e in g.edges]
 
         ids = [c.id for c in self.classes]
+        self.by_id = {c.id: c for c in self.classes}
         self.class_arrivals = dict.fromkeys(ids, 0)
         self.class_delivered = dict.fromkeys(ids, 0)
         self.class_dropped = dict.fromkeys(ids, 0)
         self.class_delay = dict.fromkeys(ids, 0)
         self.live = dict.fromkeys(ids, 0)
-        self.by_id = {c.id: c for c in self.classes}
-        self.security = {c.id: c.security for c in self.classes}
+        self.next_pid = 0
+        self.arrivals_cum = 0
+        self.keys_total = 0  # banked keys (residual + escrow) across edges
+        self.keys_running = 0.0
+        self.backlog_running = 0.0
+        self.lyap = 0.0
+        self.lyap_prev = 0.0
+        self.series = _SeriesBuffer(record_series, series_stride, record_drift and self.virtual)
+
+        self.key_cap = None
+        self.node_q = None
+        if isinstance(mode, BackpressureMode):
+            self.key_cap = mode.key_cap
+            self.misc_rng = misc_rng
+            self.ids = ids
+            self.dest = {c.id: c.kind.destination for c in self.classes}
+            self.node_q = {(v, c): deque() for v in range(g.n) for c in ids}
+            self.lens = [[0] * (max(ids) + 1) for _ in range(g.n)]
+            return
+
+        # edge queues: encryption queue per priority level, then transmission
+        self.encrypted = {c.id: self.virtual and c.security == "quantum" for c in self.classes}
         self.terminal_count = {
             c.id: len(c.destination_nodes(g.n)) if not isinstance(c.kind, (Unicast, Anycast)) else 1
             for c in self.classes
         }
-
-        self.next_pid = 0
-        self.keys_total = 0  # residual + escrow across edges
-        self.keys_running = 0.0
-        self.backlog_running = 0.0
+        prios = sorted({c.priority for c in self.classes}, reverse=True)
+        self.prio_rank = {p: i for i, p in enumerate(prios)}
+        self.x_q: list[list] = [[deque() for _ in prios] for _ in range(m)]
+        self.x_len = [0] * m
+        self.y_q = [_QUEUES[scheduler]() for _ in range(m)]
+        self.active_y: set[int] = set()
         self.x_total = 0
         self.y_total = 0
+        self.transmitted_encrypted = [0] * m
+
+        if self.fresh_only:
+            hop = [1.0] * m
+            self.fixed_routes = {
+                c.id: min_weight_path(g, hop, c.source, c.kind.destination)
+                if isinstance(c.kind, Unicast)
+                else anycast_route(g, hop, c.source, c.kind.candidates)
+                for c in self.classes
+            }
+            return
+
+        self.multilevel = isinstance(mode, MultilevelMode)
+        self.storage = mode.key_storage
+        self.x_tilde = [0.0] * m
+        self.y_tilde = [0.0] * m
+        self.vq = VirtualQueues(self.x_tilde, self.y_tilde)
+        self.active_vq: set[int] = set()
         self.vq_total = 0.0
-        self.lyap = 0.0
-        self.lyap_prev = 0.0
-        self.series = _SeriesBuffer(record_series, series_stride, record_drift)
-        self.record_drift = record_drift
-        if trace:
+        self.a_q: dict[int, int] = {}  # virtual arrivals per edge, encrypted classes
+        self.a_c: dict[int, int] = {}  # virtual arrivals per edge, plain classes
+        self.escrow = [0] * m
+        self.reserved_total = [0] * m
+        self.moved_total = [0] * m
+        self.x_post_enc = [0] * m if check_invariants else None
+        if self.trace_on:
             self.trace_a = np.zeros((horizon, m), dtype=np.int64)
             self.trace_kappa = np.zeros((horizon, m), dtype=np.int64)
             self.trace_x = np.zeros((horizon, m), dtype=np.float64)
             self.trace_y = np.zeros((horizon, m), dtype=np.float64)
 
-    # -- admission ---------------------------------------------------------
+    # -- main loop ----------------------------------------------------------
 
-    def _admit(self, cls: TrafficClass, route, n: int, slot: int) -> None:
-        quantum = self.security[cls.id] == "quantum"
-        for _ in range(n):
-            rec = PacketRecord(self.next_pid, cls.id, slot, self.terminal_count[cls.id])
-            self.next_pid += 1
-            self.live[cls.id] += 1
-            if isinstance(route, PathRoute):
-                first = route.edges[0]
-                copy = Copy(rec, route, 0, 0, -1)
-                self._place(copy, first, quantum, slot)
+    def run(self) -> MetricsRecord:
+        backpressure = self.node_q is not None
+        for t in range(self.horizon):
+            counts = {cid: row[t] for cid, row in self.arr.items() if row[t] > 0}
+            if counts:
+                for cid, n in counts.items():
+                    self.class_arrivals[cid] += n
+                    self.arrivals_cum += n
+                if backpressure:
+                    self._enqueue_at_sources(counts, t)
+                else:
+                    self._route_and_admit(counts, t)
+            if backpressure:
+                self._cap_banks(t)
+                self._serve_nodes(t)
+            elif self.virtual:
+                self._reserve_and_encrypt(t)
+                self._serve_edges(t)
+                self._advance_virtual_queues(t)
             else:
+                self._serve_edges(t)
+            self._record(t)
+        return self._metrics()
+
+    # -- packet bookkeeping ---------------------------------------------------
+
+    def _new_record(self, cid: int, slot: int, remaining: int) -> PacketRecord:
+        rec = PacketRecord(self.next_pid, cid, slot, remaining)
+        self.next_pid += 1
+        self.live[cid] += 1
+        return rec
+
+    def _drop(self, rec: PacketRecord) -> None:
+        if rec.dead or rec.delivered_slot is not None:
+            return
+        rec.dead = True
+        self.class_dropped[rec.cls_id] += 1
+        self.live[rec.cls_id] -= 1
+
+    def _deliver(self, rec: PacketRecord, slot: int) -> None:
+        rec.delivered_slot = slot
+        self.class_delivered[rec.cls_id] += 1
+        self.class_delay[rec.cls_id] += slot - rec.birth
+        self.live[rec.cls_id] -= 1
+
+    # -- admission -------------------------------------------------------------
+
+    def _routes(self, counts: dict[int, int]) -> dict:
+        if self.fresh_only:
+            return self.fixed_routes
+        if self.multilevel:
+            return multilevel_select_routes(self.g, self.vq, counts, self.classes)
+        return select_routes(self.g, assign_weights(self.vq), counts, self.classes)
+
+    def _route_and_admit(self, counts: dict[int, int], slot: int) -> None:
+        routes = self._routes(counts)
+        for cid, n in counts.items():
+            route = routes[cid]
+            encrypted = self.encrypted[cid]
+            if self.virtual:
+                tgt = self.a_q if encrypted else self.a_c
+                for e in route.edges:
+                    tgt[e] = tgt.get(e, 0) + n
+            for _ in range(n):
+                rec = self._new_record(cid, slot, self.terminal_count[cid])
+                if isinstance(route, PathRoute):
+                    self._place(Copy(rec, route, 0, 0, -1), route.edges[0], encrypted)
+                    continue
                 for child in route.children.get(route.root, ()):
-                    copy = Copy(rec, route, child, 0, -1)
-                    if not self._place(copy, child, quantum, slot):
+                    if not self._place(Copy(rec, route, child, 0, -1), child, encrypted):
                         break
 
-    def _place(self, copy: Copy, eid: int, quantum: bool, slot: int) -> bool:
+    def _enqueue_at_sources(self, counts: dict[int, int], slot: int) -> None:
+        for cid, n in counts.items():
+            src = self.by_id[cid].source
+            dq = self.node_q[(src, cid)]
+            lens = self.lens[src]
+            for _ in range(n):
+                rec = self._new_record(cid, slot, 1)
+                if lens[cid] >= self.queue_cap:
+                    self._drop(rec)
+                    continue
+                dq.append(rec)
+                lens[cid] += 1
+
+    def _place(self, copy: Copy, eid: int, encrypted: bool) -> bool:
         """Enqueue a copy at an edge; drops the packet when the queue is full."""
-        if quantum:
+        if encrypted:
             if self.x_len[eid] >= self.queue_cap:
                 self._drop(copy.record)
                 return False
@@ -474,20 +595,63 @@ class _TandemEngine:
             self.active_y.add(eid)
         return True
 
-    def _drop(self, rec: PacketRecord) -> None:
-        if rec.dead or rec.delivered_slot is not None:
-            return
-        rec.dead = True
-        self.class_dropped[rec.cls_id] += 1
-        self.live[rec.cls_id] -= 1
+    # -- keys ---------------------------------------------------------------
 
-    def _deliver(self, rec: PacketRecord, slot: int) -> None:
-        rec.delivered_slot = slot
-        self.class_delivered[rec.cls_id] += 1
-        self.class_delay[rec.cls_id] += slot - rec.birth
-        self.live[rec.cls_id] -= 1
+    def _cap_banks(self, t: int) -> None:
+        """Backpressure's key phase: bank the fresh keys, cap every bank."""
+        banks, fresh_keys, kappa, key_cap = self.banks, self.keys_fresh, self.kappa_now, self.key_cap
+        keys_total = self.keys_total
+        for e in self.qkd_ids:
+            bank = banks[e]
+            fresh = fresh_keys[e][t]
+            bank.deposit(fresh)
+            keys_total += fresh
+            over = bank.residual - key_cap
+            if over > 0:
+                bank.residual -= over
+                bank.discarded_total += over
+                keys_total -= over
+            kappa[e] = bank.residual
+        self.keys_total = keys_total
 
-    # -- phases -------------------------------------------------------------
+    def _reserve_and_encrypt(self, t: int) -> None:
+        """Tandem's key phase: bank the fresh keys and encrypt.
+
+        With storage, keys are reserved for the virtual unencrypted demand
+        and encryption spends the reservation; without storage, encryption
+        spends the slot's keys and the rest is discarded.
+        """
+        banks, fresh_keys, kappa = self.banks, self.keys_fresh, self.kappa_now
+        storage, x_tilde, a_q, escrow, x_len = self.storage, self.x_tilde, self.a_q, self.escrow, self.x_len
+        keys_total = self.keys_total
+        for e in self.qkd_ids:
+            bank = banks[e]
+            fresh = fresh_keys[e][t]
+            bank.deposit(fresh)
+            keys_total += fresh
+            kappa[e] = bank.residual
+            if storage:
+                got = bank.withdraw(int(x_tilde[e]) + a_q.get(e, 0))
+                escrow[e] += got
+                self.reserved_total[e] += got
+                avail = escrow[e]
+            else:
+                avail = bank.residual
+            if avail and x_len[e]:
+                moved = self._encrypt(e, avail)
+                if storage:
+                    escrow[e] -= moved
+                else:
+                    bank.withdraw(moved)
+                self.moved_total[e] += moved
+                keys_total -= moved
+            if self.check:
+                self.x_post_enc[e] = sum(
+                    0 if c.record.dead else 1 for level in self.x_q[e] for c in level
+                )
+            if not storage:
+                keys_total -= bank.discard_residual()
+        self.keys_total = keys_total
 
     def _encrypt(self, eid: int, budget: int) -> int:
         """Move up to ``budget`` waiting copies into the encrypted queue."""
@@ -508,12 +672,35 @@ class _TandemEngine:
             self.active_y.add(eid)
         return moved
 
+    # -- service --------------------------------------------------------------
+
+    def _serve_edges(self, t: int) -> None:
+        """Each link sends up to its budget from its transmission queue."""
+        for e in sorted(self.active_y):
+            q = self.y_q[e]
+            if self.fresh_only:
+                budget = single_queue_service(len(q), self.gamma[e], self.keys_fresh[e][t])
+            else:
+                budget = self.gamma[e]
+            while budget:
+                copy = q.pop_eligible(t)
+                if copy is None:
+                    break
+                budget -= 1
+                self.y_total -= 1
+                if self.encrypted[copy.record.cls_id]:
+                    self.transmitted_encrypted[e] += 1
+                self._arrive(copy, e, t)
+            q.flush_deferred()
+            if not len(q):
+                self.active_y.discard(e)
+
     def _arrive(self, copy: Copy, eid: int, slot: int) -> None:
         rec = copy.record
         v = self.g.edges[eid].v
         copy.hops += 1
         copy.moved_at = slot
-        quantum = self.security[rec.cls_id] == "quantum"
+        encrypted = self.encrypted[rec.cls_id]
         route = copy.route
         if isinstance(route, PathRoute):
             if copy.pos + 1 == len(route.edges):
@@ -522,7 +709,7 @@ class _TandemEngine:
                     self._deliver(rec, slot)
                 return
             copy.pos += 1
-            self._place(copy, route.edges[copy.pos], quantum, slot)
+            self._place(copy, route.edges[copy.pos], encrypted)
             return
         if v in route.terminals:
             rec.remaining -= 1
@@ -530,139 +717,92 @@ class _TandemEngine:
                 self._deliver(rec, slot)
         for child in route.children.get(v, ()):
             fork = Copy(rec, route, child, copy.hops, slot)
-            if not self._place(fork, child, quantum, slot):
+            if not self._place(fork, child, encrypted):
                 break
 
-    # -- main loop ----------------------------------------------------------
-
-    def run(self) -> MetricsRecord:
-        g = self.g
-        horizon = self.horizon
-        a_q: dict[int, int] = {}
-        a_c: dict[int, int] = {}
-        arrivals_cum = 0
-        x_post_enc = [0] * g.m if self.check else None
-
-        for t in range(horizon):
-            a_q.clear()
-            a_c.clear()
-
-            # route assignment for this slot's arrivals
-            counts = {cid: row[t] for cid, row in self.arr.items() if row[t] > 0}
-            if counts:
-                if self.multilevel:
-                    routes = multilevel_select_routes(
-                        g, VirtualQueues(self.x_tilde, self.y_tilde), counts, self.classes
-                    )
+    def _serve_nodes(self, t: int) -> None:
+        """Backpressure's service: links in random order, commodities by differential backlog."""
+        edges, banks, node_q, lens, dest = self.g.edges, self.banks, self.node_q, self.lens, self.dest
+        snapshot = [row[:] for row in lens]
+        order = self.misc_rng.permutation(self.g.m).tolist()
+        for eid, c, n in backpressure_activations(snapshot, self.g, self.kappa_now, self.ids, order, live=lens):
+            e = edges[eid]
+            banks[eid].withdraw(n)
+            self.keys_total -= n
+            src = node_q[(e.u, c)]
+            for _ in range(n):
+                rec = src.popleft()
+                lens[e.u][c] -= 1
+                if e.v == dest[c]:
+                    self._deliver(rec, t)
+                elif lens[e.v][c] >= self.queue_cap:
+                    self._drop(rec)
                 else:
-                    w = [x + y for x, y in zip(self.x_tilde, self.y_tilde)]
-                    routes = select_routes(g, w, counts, self.classes)
-                for cid, n in counts.items():
-                    route = routes[cid]
-                    self.class_arrivals[cid] += n
-                    arrivals_cum += n
-                    tgt = a_q if self.security[cid] == "quantum" else a_c
-                    for e in route.edges:
-                        tgt[e] = tgt.get(e, 0) + n
-                    self._admit(self.by_id[cid], route, n, t)
+                    node_q[(e.v, c)].append(rec)
+                    lens[e.v][c] += 1
 
-            # key generation, reservation, encryption
-            for e in self.qkd_ids:
-                bank = self.banks[e]
-                fresh = self.keys_fresh[e][t]
-                bank.deposit(fresh)
-                self.keys_total += fresh
-                self.kappa_now[e] = bank.residual
-                if self.storage:
-                    demand = int(self.x_tilde[e]) + a_q.get(e, 0)
-                    got = bank.withdraw(demand)
-                    self.escrow[e] += got
-                    self.reserved_total[e] += got
-                    avail = self.escrow[e]
-                else:
-                    avail = bank.residual
-                if avail and self.x_len[e]:
-                    moved = self._encrypt(e, avail)
-                    if self.storage:
-                        self.escrow[e] -= moved
-                    else:
-                        bank.withdraw(moved)
-                    self.moved_total[e] += moved
-                    self.keys_total -= moved
-                if self.check:
-                    x_post_enc[e] = sum(
-                        0 if c.record.dead else 1 for level in self.x_q[e] for c in level
-                    )
-                if not self.storage:
-                    self.keys_total -= bank.discard_residual()
+    # -- virtual queues ---------------------------------------------------------
 
-            # transmission
-            for e in sorted(self.active_y):
-                q = self.y_q[e]
-                budget = self.gamma[e]
-                while budget:
-                    copy = q.pop_eligible(t)
-                    if copy is None:
-                        break
-                    budget -= 1
-                    self.y_total -= 1
-                    self.transmitted_total[e] += 1
-                    if self.security[copy.record.cls_id] == "quantum":
-                        self.transmitted_quantum[e] += 1
-                    self._arrive(copy, e, t)
-                q.flush_deferred()
-                if not len(q):
-                    self.active_y.discard(e)
+    def _advance_virtual_queues(self, t: int) -> None:
+        a_q, a_c = self.a_q, self.a_c
+        touched = self.active_vq | set(a_q) | set(a_c)
+        for e in touched:
+            aq = a_q.get(e, 0)
+            a_all = aq + a_c.get(e, 0)
+            x_old = self.x_tilde[e]
+            y_old = self.y_tilde[e]
+            x_new = max(0.0, x_old + aq - self.kappa_now[e]) if self.banks[e] is not None else x_old
+            y_new = max(0.0, y_old + a_all - self.gamma[e])
+            self.x_tilde[e] = x_new
+            self.y_tilde[e] = y_new
+            self.vq_total += (x_new - x_old) + (y_new - y_old)
+            if self.series.drift:
+                self.lyap += x_new * x_new - x_old * x_old + y_new * y_new - y_old * y_old
+            if x_new or y_new:
+                self.active_vq.add(e)
+            else:
+                self.active_vq.discard(e)
+        if self.trace_on:
+            for e in range(self.g.m):
+                self.trace_a[t, e] = a_q.get(e, 0) + a_c.get(e, 0)
+            self.trace_kappa[t] = self.kappa_now
+            self.trace_x[t] = self.x_tilde
+            self.trace_y[t] = self.y_tilde
+        a_q.clear()
+        a_c.clear()
 
-            # virtual update
-            touched = self.active_vq | set(a_q) | set(a_c)
-            for e in touched:
-                aq = a_q.get(e, 0)
-                a_all = aq + a_c.get(e, 0)
-                x_old = self.x_tilde[e]
-                y_old = self.y_tilde[e]
-                x_new = max(0.0, x_old + aq - self.kappa_now[e]) if self.banks[e] is not None else x_old
-                y_new = max(0.0, y_old + a_all - self.gamma[e])
-                self.x_tilde[e] = x_new
-                self.y_tilde[e] = y_new
-                self.vq_total += (x_new - x_old) + (y_new - y_old)
-                if self.record_drift:
-                    self.lyap += x_new * x_new - x_old * x_old + y_new * y_new - y_old * y_old
-                if x_new or y_new:
-                    self.active_vq.add(e)
-                else:
-                    self.active_vq.discard(e)
+    # -- recording ----------------------------------------------------------------
 
-            if self.trace_on:
-                for e in range(g.m):
-                    self.trace_a[t, e] = a_q.get(e, 0) + a_c.get(e, 0)
-                self.trace_kappa[t] = self.kappa_now
-                self.trace_x[t] = self.x_tilde
-                self.trace_y[t] = self.y_tilde
+    def _record(self, t: int) -> None:
+        # tandem and multilevel report the virtual backlog, the baselines
+        # the packets in flight
+        self.keys_running += self.keys_total
+        if self.virtual:
+            backlog = vq = self.vq_total
+            x, y = self.x_total, self.y_total
+        else:
+            x = sum(self.live.values())
+            backlog, vq, y = float(x), 0.0, 0
+        self.backlog_running += backlog
+        if self.series.enabled:
+            self.series.append(
+                t,
+                self.arrivals_cum,
+                sum(self.class_delivered.values()),
+                sum(self.class_dropped.values()),
+                backlog,
+                vq,
+                x,
+                y,
+                self.keys_total,
+                self.lyap,
+                self.lyap - self.lyap_prev,
+            )
+        self.lyap_prev = self.lyap
+        if self.check:
+            self._check_invariants(t)
 
-            self.keys_running += self.keys_total
-            self.backlog_running += self.vq_total
-            if self.series.enabled:
-                delivered_cum = sum(self.class_delivered.values())
-                dropped_cum = sum(self.class_dropped.values())
-                self.series.append(
-                    t,
-                    arrivals_cum,
-                    delivered_cum,
-                    dropped_cum,
-                    self.vq_total,
-                    self.vq_total,
-                    self.x_total,
-                    self.y_total,
-                    self.keys_total,
-                    self.lyap,
-                    self.lyap - self.lyap_prev,
-                )
-            self.lyap_prev = self.lyap
-            if self.check:
-                self._check_invariants(t, x_post_enc)
-
-        series = self.series.arrays()
+    def _metrics(self) -> MetricsRecord:
         trace = None
         if self.trace_on:
             trace = {
@@ -671,46 +811,50 @@ class _TandemEngine:
                 "x_tilde": self.trace_x,
                 "y_tilde": self.trace_y,
             }
+        in_flight = sum(self.live.values())
         return MetricsRecord(
             policy=self.mode.label,
             scheduler=self.scheduler,
-            horizon=horizon,
+            horizon=self.horizon,
             seed=self.seed,
-            nodes=g.n,
-            edge_count=g.m,
+            nodes=self.g.n,
+            edge_count=self.g.m,
             class_arrivals=self.class_arrivals,
             class_delivered=self.class_delivered,
             class_dropped=self.class_dropped,
             class_delay_sum=self.class_delay,
-            in_flight=sum(self.live.values()),
-            mean_residual_keys=self.keys_running / horizon,
-            mean_backlog=self.backlog_running / horizon,
-            final_backlog=self.vq_total,
-            series=series,
+            in_flight=in_flight,
+            mean_residual_keys=self.keys_running / self.horizon,
+            mean_backlog=self.backlog_running / self.horizon,
+            final_backlog=self.vq_total if self.virtual else float(in_flight),
+            series=self.series.arrays(),
             trace=trace,
         )
 
     # -- invariants ----------------------------------------------------------
 
-    def _check_invariants(self, t: int, x_post_enc) -> None:
-        live_by_class = dict.fromkeys(self.class_arrivals, 0)
-        seen: set[int] = set()
-
-        def visit(copy: Copy):
-            rec = copy.record
-            if rec.dead or rec.delivered_slot is not None or rec.id in seen:
-                return
-            seen.add(rec.id)
-            live_by_class[rec.cls_id] += 1
-
+    def _queued_records(self):
+        if self.node_q is not None:
+            for dq in self.node_q.values():
+                yield from dq
+            return
         for e in range(self.g.m):
             for level in self.x_q[e]:
                 for c in level:
-                    visit(c)
+                    yield c.record
             q = self.y_q[e]
-            entries = q.items if isinstance(q, FifoQueue) else [x[3] for x in q.heap] + [x[3] for x in q._deferred]
+            entries = q if isinstance(q, FifoQueue) else [x[3] for x in q.heap] + [x[3] for x in q._deferred]
             for c in entries:
-                visit(c)
+                yield c.record
+
+    def _check_invariants(self, t: int) -> None:
+        live_by_class = dict.fromkeys(self.class_arrivals, 0)
+        seen: set[int] = set()
+        for rec in self._queued_records():
+            if rec.dead or rec.delivered_slot is not None or rec.id in seen:
+                continue
+            seen.add(rec.id)
+            live_by_class[rec.cls_id] += 1
 
         for cid in self.class_arrivals:
             total = self.class_delivered[cid] + self.class_dropped[cid] + live_by_class[cid]
@@ -722,10 +866,14 @@ class _TandemEngine:
             if live_by_class[cid] != self.live[cid]:
                 raise InvariantViolation(f"slot {t}: class {cid} live-count mismatch")
 
+        if self.banks is None:
+            return
         for e in self.qkd_ids:
             bank = self.banks[e]
             bank.check_ledger()
-            if self.transmitted_quantum[e] > self.moved_total[e]:
+            if not self.virtual:
+                continue
+            if self.transmitted_encrypted[e] > self.moved_total[e]:
                 raise InvariantViolation(f"slot {t}: edge {e} transmitted more than was encrypted")
             if self.storage:
                 if self.escrow[e] != self.reserved_total[e] - self.moved_total[e]:
@@ -735,263 +883,11 @@ class _TandemEngine:
                         f"slot {t}: edge {e} has virtual backlog {self.x_tilde[e]} "
                         f"with {bank.residual} idle banked keys"
                     )
-                if x_post_enc[e] > self.x_tilde[e]:
+                if self.x_post_enc[e] > self.x_tilde[e]:
                     raise InvariantViolation(
-                        f"slot {t}: edge {e} physical backlog {x_post_enc[e]} "
+                        f"slot {t}: edge {e} physical backlog {self.x_post_enc[e]} "
                         f"exceeds virtual {self.x_tilde[e]}"
                     )
-
-
-# ---------------------------------------------------------------------------
-# single-queue baseline
-
-class _SingleQueueEngine:
-    def __init__(self, g, classes, mode, keys, scheduler, horizon, seed, queue_cap,
-                 record_series, series_stride):
-        self.g = g
-        self.classes = sorted(classes, key=lambda c: c.id)
-        for cls in self.classes:
-            if not isinstance(cls.kind, (Unicast, Anycast)):
-                raise ValueError("single-queue baseline supports unicast/anycast classes only")
-        if any(not e.has_qkd for e in g.edges):
-            raise ValueError("single-queue baseline needs key generation on every edge")
-        _check_routability(g, self.classes, quantum_only=True)
-        self.horizon = horizon
-        self.seed = seed
-        self.queue_cap = queue_cap
-        class_rngs, edge_rngs, _ = _spawn_streams(seed, len(self.classes), g.m)
-        self.arr = {
-            cls.id: make_sampler(cls.arrival, class_rngs[i]).sample_batch(horizon).tolist()
-            for i, cls in enumerate(self.classes)
-        }
-        self.keys_fresh = {
-            e: make_key_sampler(keys.process_for_edge(g.edges[e].u, g.edges[e].v, g.edges[e].eta), edge_rngs[e]).sample_batch(horizon).tolist()
-            for e in range(g.m)
-        }
-        hop_w = [1.0] * g.m
-        self.routes = {}
-        for cls in self.classes:
-            if isinstance(cls.kind, Unicast):
-                self.routes[cls.id] = min_weight_path(g, hop_w, cls.source, cls.kind.destination)
-            else:
-                self.routes[cls.id] = anycast_route(g, hop_w, cls.source, cls.kind.candidates)
-        self.queues = [deque() for _ in range(g.m)]
-        ids = [c.id for c in self.classes]
-        self.class_arrivals = dict.fromkeys(ids, 0)
-        self.class_delivered = dict.fromkeys(ids, 0)
-        self.class_dropped = dict.fromkeys(ids, 0)
-        self.class_delay = dict.fromkeys(ids, 0)
-        self.next_pid = 0
-        self.phys_total = 0
-        self.backlog_running = 0.0
-        self.series = _SeriesBuffer(record_series, series_stride, drift=False)
-
-    def run(self) -> MetricsRecord:
-        g = self.g
-        arrivals_cum = 0
-        for t in range(self.horizon):
-            for cls in self.classes:
-                n = self.arr[cls.id][t]
-                if not n:
-                    continue
-                self.class_arrivals[cls.id] += n
-                arrivals_cum += n
-                route = self.routes[cls.id]
-                for _ in range(n):
-                    rec = PacketRecord(self.next_pid, cls.id, t, 1)
-                    self.next_pid += 1
-                    first = route.edges[0]
-                    if len(self.queues[first]) >= self.queue_cap:
-                        self.class_dropped[cls.id] += 1
-                        continue
-                    self.queues[first].append(Copy(rec, route, 0, 0, -1))
-                    self.phys_total += 1
-            # fresh keys only; unused keys evaporate at slot end
-            for e in range(g.m):
-                q = self.queues[e]
-                budget = min(g.edges[e].gamma, self.keys_fresh[e][t])
-                while budget and q:
-                    if q[0].moved_at == t:
-                        break
-                    copy = q.popleft()
-                    self.phys_total -= 1
-                    budget -= 1
-                    copy.moved_at = t
-                    if copy.pos + 1 == len(copy.route.edges):
-                        self.class_delivered[copy.record.cls_id] += 1
-                        self.class_delay[copy.record.cls_id] += t - copy.record.birth
-                    else:
-                        copy.pos += 1
-                        nxt = copy.route.edges[copy.pos]
-                        if len(self.queues[nxt]) >= self.queue_cap:
-                            self.class_dropped[copy.record.cls_id] += 1
-                        else:
-                            self.queues[nxt].append(copy)
-                            self.phys_total += 1
-            self.backlog_running += self.phys_total
-            if self.series.enabled:
-                self.series.append(
-                    t,
-                    arrivals_cum,
-                    sum(self.class_delivered.values()),
-                    sum(self.class_dropped.values()),
-                    float(self.phys_total),
-                    0.0,
-                    self.phys_total,
-                    0,
-                    0,
-                )
-        return MetricsRecord(
-            policy="single-queue",
-            scheduler="fifo",
-            horizon=self.horizon,
-            seed=self.seed,
-            nodes=g.n,
-            edge_count=g.m,
-            class_arrivals=self.class_arrivals,
-            class_delivered=self.class_delivered,
-            class_dropped=self.class_dropped,
-            class_delay_sum=self.class_delay,
-            in_flight=self.phys_total,
-            mean_residual_keys=0.0,
-            mean_backlog=self.backlog_running / self.horizon,
-            final_backlog=float(self.phys_total),
-            series=self.series.arrays(),
-        )
-
-
-# ---------------------------------------------------------------------------
-# backpressure baseline
-
-class _BackpressureEngine:
-    def __init__(self, g, classes, mode: BackpressureMode, keys, scheduler, horizon, seed,
-                 queue_cap, record_series, series_stride):
-        self.g = g
-        self.classes = sorted(classes, key=lambda c: c.id)
-        for cls in self.classes:
-            if not isinstance(cls.kind, Unicast):
-                raise ValueError("backpressure baseline supports unicast classes only")
-        if any(not e.has_qkd for e in g.edges):
-            raise ValueError("backpressure baseline needs key generation on every edge")
-        _check_routability(g, self.classes, quantum_only=True)
-        self.horizon = horizon
-        self.seed = seed
-        self.queue_cap = queue_cap
-        self.key_cap = mode.key_cap
-        class_rngs, edge_rngs, self.misc_rng = _spawn_streams(seed, len(self.classes), g.m)
-        self.arr = {
-            cls.id: make_sampler(cls.arrival, class_rngs[i]).sample_batch(horizon).tolist()
-            for i, cls in enumerate(self.classes)
-        }
-        self.keys_fresh = {
-            e: make_key_sampler(keys.process_for_edge(g.edges[e].u, g.edges[e].v, g.edges[e].eta), edge_rngs[e]).sample_batch(horizon).tolist()
-            for e in range(g.m)
-        }
-        self.banks = [KeyBank() for _ in range(g.m)]
-        self.dest = {c.id: c.kind.destination for c in self.classes}
-        self.ids = [c.id for c in self.classes]
-        self.q = {(v, c): deque() for v in range(g.n) for c in self.ids}
-        self.lens = [[0] * (max(self.ids) + 1) for _ in range(g.n)]
-        self.class_arrivals = dict.fromkeys(self.ids, 0)
-        self.class_delivered = dict.fromkeys(self.ids, 0)
-        self.class_dropped = dict.fromkeys(self.ids, 0)
-        self.class_delay = dict.fromkeys(self.ids, 0)
-        self.phys_total = 0
-        self.keys_total = 0
-        self.keys_running = 0.0
-        self.backlog_running = 0.0
-        self.series = _SeriesBuffer(record_series, series_stride, drift=False)
-
-    def run(self) -> MetricsRecord:
-        g = self.g
-        arrivals_cum = 0
-        for t in range(self.horizon):
-            for cls in self.classes:
-                n = self.arr[cls.id][t]
-                if not n:
-                    continue
-                self.class_arrivals[cls.id] += n
-                arrivals_cum += n
-                dq = self.q[(cls.source, cls.id)]
-                for _ in range(n):
-                    if self.lens[cls.source][cls.id] >= self.queue_cap:
-                        self.class_dropped[cls.id] += 1
-                        continue
-                    dq.append(t)
-                    self.lens[cls.source][cls.id] += 1
-                    self.phys_total += 1
-            for e in range(g.m):
-                bank = self.banks[e]
-                fresh = self.keys_fresh[e][t]
-                bank.deposit(fresh)
-                self.keys_total += fresh
-                over = bank.residual - self.key_cap
-                if over > 0:
-                    bank.residual -= over
-                    bank.discarded_total += over
-                    self.keys_total -= over
-            snapshot = [row[:] for row in self.lens]
-            order = self.misc_rng.permutation(g.m)
-            for eid in order:
-                e = g.edges[eid]
-                best_c, best_diff = -1, 0
-                for c in self.ids:
-                    diff = snapshot[e.u][c] - snapshot[e.v][c]
-                    if diff > best_diff:
-                        best_diff, best_c = diff, c
-                if best_c < 0:
-                    continue
-                bank = self.banks[eid]
-                n = min(e.gamma, bank.residual, self.lens[e.u][best_c])
-                if n <= 0:
-                    continue
-                bank.withdraw(n)
-                self.keys_total -= n
-                src = self.q[(e.u, best_c)]
-                for _ in range(n):
-                    birth = src.popleft()
-                    self.lens[e.u][best_c] -= 1
-                    if e.v == self.dest[best_c]:
-                        self.class_delivered[best_c] += 1
-                        self.class_delay[best_c] += t - birth
-                        self.phys_total -= 1
-                    elif self.lens[e.v][best_c] >= self.queue_cap:
-                        self.class_dropped[best_c] += 1
-                        self.phys_total -= 1
-                    else:
-                        self.q[(e.v, best_c)].append(birth)
-                        self.lens[e.v][best_c] += 1
-            self.keys_running += self.keys_total
-            self.backlog_running += self.phys_total
-            if self.series.enabled:
-                self.series.append(
-                    t,
-                    arrivals_cum,
-                    sum(self.class_delivered.values()),
-                    sum(self.class_dropped.values()),
-                    float(self.phys_total),
-                    0.0,
-                    self.phys_total,
-                    0,
-                    self.keys_total,
-                )
-        return MetricsRecord(
-            policy="backpressure",
-            scheduler="fifo",
-            horizon=self.horizon,
-            seed=self.seed,
-            nodes=g.n,
-            edge_count=g.m,
-            class_arrivals=self.class_arrivals,
-            class_delivered=self.class_delivered,
-            class_dropped=self.class_dropped,
-            class_delay_sum=self.class_delay,
-            in_flight=self.phys_total,
-            mean_residual_keys=self.keys_running / self.horizon,
-            mean_backlog=self.backlog_running / self.horizon,
-            final_backlog=float(self.phys_total),
-            series=self.series.arrays(),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -1022,20 +918,9 @@ def simulate(
         raise ValueError("horizon must be >= 1")
     if not classes:
         raise ValueError("at least one traffic class is required")
-    keys = keys or KeySpec()
-    if isinstance(mode, (TandemMode, MultilevelMode)):
-        return _TandemEngine(
-            g, classes, mode, keys, scheduler, horizon, seed, queue_cap,
-            record_series, series_stride, check_invariants, trace, record_drift,
-        ).run()
-    if isinstance(mode, SingleQueueMode):
-        return _SingleQueueEngine(
-            g, classes, mode, keys, scheduler, horizon, seed, queue_cap,
-            record_series, series_stride,
-        ).run()
-    if isinstance(mode, BackpressureMode):
-        return _BackpressureEngine(
-            g, classes, mode, keys, scheduler, horizon, seed, queue_cap,
-            record_series, series_stride,
-        ).run()
-    raise TypeError(f"unknown policy mode {mode!r}")
+    if not isinstance(mode, (TandemMode, MultilevelMode, SingleQueueMode, BackpressureMode)):
+        raise TypeError(f"unknown policy mode {mode!r}")
+    return _Engine(
+        g, classes, mode, keys or KeySpec(), scheduler, horizon, seed, queue_cap,
+        record_series, series_stride, check_invariants, trace, record_drift,
+    ).run()

@@ -9,11 +9,12 @@ per-slot key counts, not a cryptographic implementation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
+
+from .traffic import TruncatedPoisson
 
 __all__ = [
     "KeyBank",
@@ -23,8 +24,6 @@ __all__ = [
     "KeyProcess",
     "KeySpec",
     "KeySampler",
-    "make_key_sampler",
-    "generate_keys",
     "BB84Round",
     "bb84_round",
     "otp_xor",
@@ -110,15 +109,7 @@ class TruncatedPoissonKeys:
 
     @property
     def mean(self) -> float:
-        lam = self.rate
-        total = 0.0
-        tail = 1.0 - math.exp(-lam)
-        pmf = math.exp(-lam)
-        for k in range(self.cap):
-            total += tail
-            pmf = pmf * lam / (k + 1)
-            tail -= pmf
-        return total
+        return TruncatedPoisson(self.rate, self.cap).mean
 
 
 @dataclass(frozen=True)
@@ -264,15 +255,6 @@ class KeySampler:
         for t in range(nslots):
             out[t] = self.sample()
         return out
-
-
-def make_key_sampler(process: KeyProcess, rng: np.random.Generator) -> KeySampler:
-    return KeySampler(process, rng)
-
-
-def generate_keys(process: KeyProcess, rng: np.random.Generator) -> int:
-    """Draw one slot's worth of fresh keys for a single edge."""
-    return KeySampler(process, rng).sample()
 
 
 def otp_xor(data: bytes, pad: bytes) -> bytes:

@@ -12,7 +12,7 @@ backlog (backpressure) policy with a capped key bank.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .routing import (
     Route,
@@ -32,8 +32,6 @@ __all__ = [
     "MultilevelMode",
     "PolicyMode",
     "assign_weights",
-    "virtual_update",
-    "lyapunov",
     "drift_bound",
     "select_routes",
     "multilevel_select_routes",
@@ -97,34 +95,6 @@ class VirtualQueues:
 def assign_weights(vq: VirtualQueues) -> list[float]:
     """Per-edge weight: sum of both virtual queues."""
     return [x + y for x, y in zip(vq.x_tilde, vq.y_tilde)]
-
-
-def virtual_update(
-    vq: VirtualQueues,
-    arrivals: Mapping[int, int] | Sequence[int],
-    kappa: Sequence[int],
-    gamma: Sequence[int],
-) -> VirtualQueues:
-    """One clamped-recursion step; pure, returns a new state.
-
-    ``arrivals`` holds per-edge virtual arrival counts (a packet counts on
-    every edge of its assigned route), ``kappa`` the keys available this
-    slot, ``gamma`` the link capacities.
-    """
-    m = len(vq.x_tilde)
-    get = arrivals.get if isinstance(arrivals, dict) else lambda e, _d=0: arrivals[e]
-    x_new = [0.0] * m
-    y_new = [0.0] * m
-    for e in range(m):
-        a = get(e, 0)
-        x_new[e] = max(0.0, vq.x_tilde[e] + a - kappa[e])
-        y_new[e] = max(0.0, vq.y_tilde[e] + a - gamma[e])
-    return VirtualQueues(x_new, y_new)
-
-
-def lyapunov(vq: VirtualQueues) -> float:
-    """Sum of squared virtual queue lengths."""
-    return sum(x * x for x in vq.x_tilde) + sum(y * y for y in vq.y_tilde)
 
 
 def drift_bound(g: NetworkGraph, a_max: int, k_max: int) -> float:
@@ -214,30 +184,38 @@ def backpressure_activations(
     g: NetworkGraph,
     kappa: Sequence[int],
     class_ids: Sequence[int],
-    edge_order: Sequence[int] | None = None,
-) -> list[tuple[int, int, int]]:
+    edge_order: Iterable[int] | None = None,
+    live: Sequence[Sequence[int]] | None = None,
+) -> Iterator[tuple[int, int, int]]:
     """Per-link service decisions from differential backlogs.
 
-    ``queue_lens[node][class]`` is a start-of-slot snapshot.  Each link
-    picks the commodity with the largest positive backlog differential
-    (ties to the lower class id) and serves up to min(gamma, kappa) of it.
-    Returns (edge id, class id, count) activations.
+    ``queue_lens[node][class]`` is a start-of-slot snapshot.  Each link, in
+    ``edge_order``, picks the commodity with the largest positive backlog
+    differential on the snapshot (ties to the lower class id) and serves up
+    to min(gamma, kappa) of it, clamped by the source queue in ``live``
+    (default: the snapshot).  Yields (edge id, class id, count).  ``live``
+    is read as each activation is produced, so a caller that applies an
+    activation before asking for the next sees a link drain a source queue
+    that a later link shares.
     """
+    live = queue_lens if live is None else live
     order = range(g.m) if edge_order is None else edge_order
     cids = sorted(class_ids)
-    acts: list[tuple[int, int, int]] = []
+    edges = g.edges
     for eid in order:
-        e = g.edges[eid]
+        e = edges[eid]
+        here, there = queue_lens[e.u], queue_lens[e.v]
+        if not any(here):
+            continue
         best_c = -1
         best_diff = 0
         for c in cids:
-            diff = queue_lens[e.u][c] - queue_lens[e.v][c]
+            diff = here[c] - there[c]
             if diff > best_diff:
                 best_diff = diff
                 best_c = c
         if best_c < 0:
             continue
-        n = min(e.gamma, kappa[eid], queue_lens[e.u][best_c])
+        n = min(e.gamma, kappa[eid], live[e.u][best_c])
         if n > 0:
-            acts.append((eid, best_c, n))
-    return acts
+            yield eid, best_c, n

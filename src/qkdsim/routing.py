@@ -6,7 +6,8 @@ sum of both directions' weights, the tree is chosen on those pair weights
 and then oriented away from the root.  Keeping tree selection symmetric is
 what preserves the metric-closure 2-approximation bound for Steiner trees.
 
-All tie-breaking is deterministic: paths prefer lower total weight, then
+All tie-breaking is deterministic: paths prefer lower total weight (weights
+within a relative 1e-12 count as equal, so rounding cannot split a tie), then
 fewer hops, then the lexicographically smallest node sequence; tree edges
 tie-break on edge id.  Identical inputs always yield identical routes.
 """
@@ -61,6 +62,11 @@ class TreeRoute:
 Route = Union[PathRoute, TreeRoute]
 
 
+# Path weights within this relative distance count as equal, so that a tie
+# stays a tie after the weights are rescaled and the sums round differently.
+_TIE_RTOL = 1e-12
+
+
 def _dijkstra_labels(
     g: NetworkGraph,
     w: Sequence[float],
@@ -68,29 +74,61 @@ def _dijkstra_labels(
     allowed: Sequence[bool] | None = None,
     target: int | None = None,
 ) -> dict[int, tuple[float, int, tuple[int, ...]]]:
-    """Settled labels (weight, hops, node sequence), lexicographic preference.
+    """Labels (weight, hops, node sequence), lexicographic preference.
 
-    All three label components are monotone under edge extension, so the
-    first time a node is popped its label is globally optimal.
+    Dijkstra first settles the minimum weight of every node (up to
+    ``target``, and any node tied with it).  An edge is tight when it lies
+    on a minimum-weight path up to ``_TIE_RTOL``; a breadth-first pass over
+    tight edges, expanding each layer in order of its best node sequence,
+    then picks the fewest hops and the smallest node sequence.
     """
-    labels: dict[int, tuple[float, int, tuple[int, ...]]] = {}
-    heap: list[tuple[float, int, tuple[int, ...]]] = [(0.0, 0, (s,))]
     edges = g.edges
     out = g.out_edges
+    dist: dict[int, float] = {}
+    best = {s: 0.0}
+    heap: list[tuple[float, int]] = [(0.0, s)]
+    stop = None
     while heap:
-        d, h, nodes = heapq.heappop(heap)
-        u = nodes[-1]
-        if u in labels:
-            continue
-        labels[u] = (d, h, nodes)
-        if u == target:
+        d, u = heapq.heappop(heap)
+        if stop is not None and d > stop:
             break
+        if u in dist:
+            continue
+        dist[u] = d
+        if u == target:
+            stop = d + _TIE_RTOL * d
         for eid in out[u]:
             if allowed is not None and not allowed[eid]:
                 continue
             v = edges[eid].v
-            if v not in labels:
-                heapq.heappush(heap, (d + w[eid], h + 1, nodes + (v,)))
+            dv = d + w[eid]
+            if stop is not None and dv > stop:
+                continue
+            if v not in dist and dv < best.get(v, float("inf")):
+                best[v] = dv
+                heapq.heappush(heap, (dv, v))
+
+    labels = {s: (0.0, 0, (s,))}
+    layer = [s]
+    h = 0
+    while layer:
+        h += 1
+        found: list[tuple[int, int]] = []
+        for rank, u in enumerate(layer):
+            du = dist[u]
+            for eid in out[u]:
+                if allowed is not None and not allowed[eid]:
+                    continue
+                v = edges[eid].v
+                dv = dist.get(v)
+                if dv is None or v in labels or du + w[eid] > dv + _TIE_RTOL * dv:
+                    continue
+                labels[v] = (dv, h, labels[u][2] + (v,))
+                if v == target:
+                    return labels
+                found.append((rank, v))
+        found.sort()
+        layer = [v for _, v in found]
     return labels
 
 
@@ -132,14 +170,16 @@ def anycast_route(
     if not cands:
         raise RoutingError("anycast needs at least one candidate destination")
     labels = _dijkstra_labels(g, w, s, allowed)
-    best: tuple[float, int, tuple[int, ...]] | None = None
-    for t in cands:
-        lab = labels.get(t)
-        if lab is not None and (best is None or lab < best):
-            best = lab
-    if best is None:
+    reached = [labels[t] for t in cands if t in labels]
+    if not reached:
         raise UnreachableError(f"no anycast candidate reachable from {s}")
-    return PathRoute(nodes=best[2], edges=_edges_of_node_path(g, best[2]))
+    d_min = min(lab[0] for lab in reached)
+    _, nodes = min(
+        (lab[1], lab[2])
+        for lab in reached
+        if lab[0] <= d_min + _TIE_RTOL * d_min
+    )
+    return PathRoute(nodes=nodes, edges=_edges_of_node_path(g, nodes))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Union
 
 import numpy as np
 
@@ -26,10 +26,7 @@ __all__ = [
     "PPBP",
     "ArrivalProcess",
     "TrafficClass",
-    "ArrivalBatch",
     "ArrivalSampler",
-    "make_sampler",
-    "sample_arrivals",
     "ppbp_state_advance",
     "truncated_pareto_mean",
 ]
@@ -223,16 +220,6 @@ class TrafficClass:
         return self.arrival.cap
 
 
-@dataclass(frozen=True)
-class ArrivalBatch:
-    slot: int
-    counts: Mapping[int, int]
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-
 # ---------------------------------------------------------------------------
 # samplers
 
@@ -307,12 +294,3 @@ class ArrivalSampler:
         for t in range(nslots):
             out[t] = self.sample()
         return out
-
-
-def make_sampler(process: ArrivalProcess, rng: np.random.Generator) -> ArrivalSampler:
-    return ArrivalSampler(process, rng)
-
-
-def sample_arrivals(samplers: Mapping[int, ArrivalSampler], slot: int) -> ArrivalBatch:
-    """Draw one slot of arrivals for every class; counts are per-class capped."""
-    return ArrivalBatch(slot=slot, counts={cid: s.sample() for cid, s in samplers.items()})

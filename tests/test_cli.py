@@ -118,6 +118,33 @@ def test_run_cli_invalid_config_fails_cleanly(tmp_path, capsys):
     assert "line" in capsys.readouterr().err
 
 
+def test_backpressure_with_ento_rejected(tmp_path, capsys):
+    doc = _tiny_config(policies=[{"mode": "tandem"}, {"mode": "backpressure"}])
+    doc["scheduler"] = "ento"
+    with pytest.raises(ConfigError, match=r"config\.scheduler"):
+        ExperimentConfig.from_dict(doc)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", "--config", str(path), "--output", str(tmp_path / "out")]) == 2
+    assert "config.scheduler" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_baselines_reject_classical_classes_at_load(tmp_path, capsys):
+    for mode in ("single_queue", "backpressure"):
+        doc = _tiny_config(policies=[{"mode": mode}])
+        doc["classes"][0]["security"] = "classical"
+        with pytest.raises(ConfigError, match=r"classes\[0\]\.security"):
+            ExperimentConfig.from_dict(doc)
+        path = tmp_path / f"{mode}.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run", "--config", str(path), "--output", str(tmp_path / "out")]) == 2
+        assert "classes[0].security" in capsys.readouterr().err
+    doc = _tiny_config(policies=[{"mode": "multilevel"}])
+    doc["classes"][0]["security"] = "classical"
+    assert ExperimentConfig.from_dict(doc).classes[0].security == "classical"
+
+
 def test_run_parallel_workers_match_serial(tmp_path):
     cfg = ExperimentConfig.from_dict(_tiny_config())
     run_experiment(cfg, tmp_path / "serial", workers=1)

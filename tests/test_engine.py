@@ -162,10 +162,14 @@ def test_instrumented_run_passes_invariants():
     assert r.total_arrivals == r.total_delivered + r.total_dropped + r.in_flight
 
 
-def test_conservation_holds_with_drops():
+@pytest.mark.parametrize(
+    "mode", [TandemMode(), MultilevelMode(), SingleQueueMode(), BackpressureMode()],
+    ids=lambda m: m.label,
+)
+def test_conservation_holds_with_drops(mode):
     g = build_graph(3, [EdgeSpec(0, 1, eta=0.4), EdgeSpec(1, 2, eta=0.4)])
     classes = [TrafficClass(0, 0, Unicast(2), TruncatedPoisson(2.0, cap=8))]
-    r = simulate(g, classes, TandemMode(), horizon=3000, seed=12, queue_cap=5,
+    r = simulate(g, classes, mode, horizon=3000, seed=12, queue_cap=5,
                  check_invariants=True)
     assert r.total_dropped > 0
     assert r.total_arrivals == r.total_delivered + r.total_dropped + r.in_flight
@@ -209,6 +213,20 @@ def test_trace_matches_scalar_replay():
         y = np.maximum(0, y + a[t] - gamma)
         assert (x == r.trace["x_tilde"][t]).all()
         assert (y == r.trace["y_tilde"][t]).all()
+
+
+def test_drift_series_matches_trace():
+    g = erdos_renyi(5, 0.6, seed=4)
+    classes = [
+        TrafficClass(0, 0, Unicast(3), Bernoulli(0.6)),
+        TrafficClass(1, 2, Unicast(0), TruncatedPoisson(0.8, cap=4)),
+    ]
+    r = simulate(g, classes, TandemMode(), keys=KeySpec(kind="deterministic", value=0),
+                 horizon=300, seed=15, trace=True, record_drift=True, series_stride=1)
+    lyap = (r.trace["x_tilde"] ** 2).sum(axis=1) + (r.trace["y_tilde"] ** 2).sum(axis=1)
+    assert lyap[-1] > 0
+    assert (r.series["lyapunov"] == lyap).all()
+    assert (r.series["drift"] == np.diff(lyap, prepend=0.0)).all()
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +305,48 @@ def test_backpressure_delivers_on_two_path_network():
     r = simulate(g, classes, BackpressureMode(), horizon=20_000, seed=19)
     assert r.delivered_rate(0) > 0.25
     assert r.total_arrivals == r.total_delivered + r.total_dropped + r.in_flight
+
+
+def test_baselines_reject_classical_classes():
+    g = _single_link()
+    classes = [TrafficClass(0, 0, Unicast(1), Bernoulli(0.1), security="classical")]
+    for mode in (SingleQueueMode(), BackpressureMode()):
+        with pytest.raises(ValueError, match="key-encrypted traffic only"):
+            simulate(g, classes, mode, horizon=10, seed=0)
+
+
+def test_single_queue_honours_ento():
+    # at 1->2 the one-hop class has crossed no link yet, the two-hop class one
+    g = build_graph(3, [EdgeSpec(0, 1, directed=True), EdgeSpec(1, 2, directed=True)])
+    classes = [
+        TrafficClass(0, 0, Unicast(2), Bernoulli(0.4)),
+        TrafficClass(1, 1, Unicast(2), Bernoulli(0.45)),
+    ]
+    keys = KeySpec(kind="deterministic", value=1)
+    fifo = simulate(g, classes, SingleQueueMode(), keys=keys, horizon=20_000, seed=24)
+    ento = simulate(g, classes, SingleQueueMode(), keys=keys, scheduler="ento",
+                    horizon=20_000, seed=24, check_invariants=True)
+    assert (fifo.scheduler, ento.scheduler) == ("fifo", "ento")
+    assert ento.total_arrivals == fifo.total_arrivals
+    assert ento.mean_delay(1) < fifo.mean_delay(1)
+    assert ento.mean_delay(0) > fifo.mean_delay(0)
+
+
+def test_backpressure_rejects_ento():
+    g = _single_link()
+    with pytest.raises(ValueError, match="fifo"):
+        simulate(g, _counterexample_classes(), BackpressureMode(), scheduler="ento",
+                 horizon=10, seed=0)
+
+
+@pytest.mark.parametrize(
+    "mode", [TandemMode(), MultilevelMode(), SingleQueueMode(), BackpressureMode()],
+    ids=lambda m: m.label,
+)
+def test_unknown_scheduler_rejected_under_every_mode(mode):
+    with pytest.raises(ValueError, match="lifo"):
+        simulate(_single_link(), _counterexample_classes(), mode, scheduler="lifo",
+                 horizon=10, seed=0)
 
 
 def test_single_queue_multi_hop():

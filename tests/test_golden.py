@@ -1,0 +1,127 @@
+"""Golden digests: the exact JSON and CSV bytes of six small cells.
+
+The same-seed tests compare two runs of one build; these digests pin the
+bytes across builds, so a refactor of the engine that changes any output
+shows up here.  A change that means to alter results updates the digests
+and says so.
+"""
+
+import hashlib
+
+import pytest
+
+from qkdsim.config import GraphConfig
+from qkdsim.engine import simulate
+from qkdsim.policy import BackpressureMode, MultilevelMode, SingleQueueMode, TandemMode
+from qkdsim.topology import erdos_renyi
+from qkdsim.traffic import (
+    Anycast,
+    Bernoulli,
+    Broadcast,
+    Multicast,
+    TrafficClass,
+    TruncatedPoisson,
+    Unicast,
+)
+
+
+def _full_graph():
+    return erdos_renyi(10, 0.35, seed=5)
+
+
+def _mixed_graph():
+    # keys on 60% of the links; a key-equipped spanning tree is kept
+    return GraphConfig(kind="erdos_renyi", nodes=10, p=0.4, graph_seed=3, qkd_fraction=0.6).build()
+
+
+def _tandem_classes():
+    return [
+        TrafficClass(0, 0, Unicast(7), Bernoulli(0.35)),
+        TrafficClass(1, 3, Broadcast(), Bernoulli(0.08)),
+        TrafficClass(2, 5, Multicast((1, 8)), Bernoulli(0.12)),
+        TrafficClass(3, 9, Anycast((2, 4)), TruncatedPoisson(0.4, cap=3)),
+    ]
+
+
+def _mixed_classes():
+    return [
+        TrafficClass(0, 0, Unicast(6), Bernoulli(0.3), security="classical"),
+        TrafficClass(1, 0, Unicast(6), Bernoulli(0.2), security="quantum", priority=1),
+        TrafficClass(2, 0, Unicast(6), Bernoulli(0.2), security="quantum", priority=0),
+        TrafficClass(3, 4, Broadcast(), Bernoulli(0.05), security="classical"),
+        TrafficClass(4, 8, Multicast((1, 3)), Bernoulli(0.1), security="quantum"),
+    ]
+
+
+def _baseline_classes():
+    return [
+        TrafficClass(0, 0, Unicast(7), Bernoulli(0.5)),
+        TrafficClass(1, 2, Unicast(9), TruncatedPoisson(0.6, cap=3)),
+        TrafficClass(2, 6, Unicast(1), Bernoulli(0.3)),
+    ]
+
+
+CELLS = {
+    "tandem-store": lambda: simulate(
+        _full_graph(), _tandem_classes(), TandemMode(True),
+        horizon=500, seed=11, series_stride=1, record_drift=True, queue_cap=2,
+    ),
+    "tandem-nostore": lambda: simulate(
+        _full_graph(), _tandem_classes(), TandemMode(False),
+        horizon=500, seed=12, series_stride=1,
+    ),
+    "multilevel-store": lambda: simulate(
+        _mixed_graph(), _mixed_classes(), MultilevelMode(True), scheduler="ento",
+        horizon=500, seed=13, series_stride=1,
+    ),
+    "multilevel-nostore": lambda: simulate(
+        _mixed_graph(), _mixed_classes(), MultilevelMode(False),
+        horizon=500, seed=14, series_stride=1, queue_cap=2,
+    ),
+    "single-queue": lambda: simulate(
+        _full_graph(), _baseline_classes() + [TrafficClass(3, 9, Anycast((2, 4)), Bernoulli(0.3))],
+        SingleQueueMode(), horizon=500, seed=15, series_stride=1, queue_cap=6,
+    ),
+    "backpressure": lambda: simulate(
+        _full_graph(), _baseline_classes(), BackpressureMode(key_cap=5),
+        horizon=500, seed=16, series_stride=1, queue_cap=6,
+    ),
+}
+
+GOLDEN = {
+    "backpressure": (
+        "d2da0aaae1f7aafd6de942489645f88e4bf1f6740c94b51970df232d678ce693",
+        "ebfb508c19ac1da963d98d0e1f7b36a3141795aeda550eeb1b49c6dd2d834408",
+    ),
+    "multilevel-nostore": (
+        "fb0a3511ff12523ef24b7f84cbba292db4b7d709499f6def534bbfd9c787cceb",
+        "dca3bbf924151948f6a6a3c9f45d5ce4d9b1f730fd93033b244bde55f4b7398a",
+    ),
+    "multilevel-store": (
+        "a77a04c297ced8c670cd072588e7b585829f24209e0ddcd13f35205ab5572803",
+        "7b65711ae9ca2d76e0c15d36d244873f4ef6ac642ef94123e4659c0d9460d824",
+    ),
+    "single-queue": (
+        "050ea82af139192fdfb884fcbca4391781108344f8fbe76a6181592ebabecc7f",
+        "cd58783998a4411314d4a6c7adcf6d7db4573495c938d7e01bcedf21c60c2840",
+    ),
+    "tandem-nostore": (
+        "0b96f318e9d1e39c0d7fb9325557d051c3ae6bc093b6e3a4c553c981ed97226c",
+        "6efa4706c86f5ef6985002785940384729c73bbe96ef815518ab275af48c9dd9",
+    ),
+    "tandem-store": (
+        "3c7567d9f666bab06edf55003bd28f5db48553a414ddf18facbb7313b0990b9c",
+        "e565b27c4082d88a5fdfcb652fd393b28f4ed5b37c415a60e246551ef9e8dfa9",
+    ),
+}
+
+
+@pytest.mark.parametrize("label", sorted(CELLS))
+def test_golden_bytes(label):
+    r = CELLS[label]()
+    assert r.policy == label
+    got = (
+        hashlib.sha256(r.to_json_bytes()).hexdigest(),
+        hashlib.sha256(r.to_csv_bytes()).hexdigest(),
+    )
+    assert got == GOLDEN[label]

@@ -9,11 +9,10 @@ from qkdsim.keying import (
     BB84Toy,
     DeterministicKeys,
     KeyBank,
+    KeySampler,
     KeySpec,
     TruncatedPoissonKeys,
     bb84_round,
-    generate_keys,
-    make_key_sampler,
     otp_xor,
 )
 
@@ -79,21 +78,24 @@ def test_bank_rejects_negative_amounts():
 # key processes
 
 def test_deterministic_keys():
-    s = make_key_sampler(DeterministicKeys(2), _rng())
+    s = KeySampler(DeterministicKeys(2), _rng())
     assert all(s.sample() == 2 for _ in range(100))
 
 
 def test_truncated_poisson_mean_near_rate():
     # truncation mass above 20 is ~1e-22 at rate 0.5, so the mean is intact
     proc = TruncatedPoissonKeys(0.5, cap=20)
-    counts = make_key_sampler(proc, _rng(1)).sample_batch(1_000_000)
+    counts = KeySampler(proc, _rng(1)).sample_batch(1_000_000)
     assert abs(counts.mean() - 0.5) < 0.005
     assert abs(proc.mean - 0.5) < 1e-12
     assert counts.max() <= 20
 
 
 def test_generate_keys_functional_form():
-    assert generate_keys(DeterministicKeys(7), _rng()) == 7
+    # one slot's fresh keys for a single edge
+    assert KeySampler(DeterministicKeys(7), _rng()).sample() == 7
+    s = KeySampler(TruncatedPoissonKeys(3.0, cap=4), _rng(3))
+    assert all(0 <= s.sample() <= 4 for _ in range(200))
 
 
 def test_keyspec_dispatch():
@@ -174,7 +176,7 @@ def test_bb84_detection_discards_whole_key():
 
 
 def test_bb84_as_key_process_respects_cap():
-    counts = make_key_sampler(BB84Toy(photons=64, cap=10), _rng(7)).sample_batch(500)
+    counts = KeySampler(BB84Toy(photons=64, cap=10), _rng(7)).sample_batch(500)
     assert counts.max() <= 10
 
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qkdsim.routing import (
@@ -108,6 +108,8 @@ def test_min_weight_path_matches_brute_force_100():
 
 
 @given(seed=st.integers(0, 10_000), scale=st.floats(0.01, 100.0))
+@example(seed=129, scale=1 / 3)  # a 1-hop/2-hop tie that rounding used to split
+@example(seed=969, scale=37.03988904888903)
 @settings(max_examples=40, deadline=None)
 def test_path_invariant_under_positive_scaling(seed, scale):
     rng = np.random.default_rng(seed)

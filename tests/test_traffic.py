@@ -6,15 +6,15 @@ from hypothesis import strategies as st
 from qkdsim.traffic import (
     PPBP,
     Anycast,
+    ArrivalSampler,
     Bernoulli,
     Broadcast,
     Multicast,
     TrafficClass,
     TruncatedPoisson,
+    ArrivalSampler,
     Unicast,
-    make_sampler,
     ppbp_state_advance,
-    sample_arrivals,
     truncated_pareto_mean,
 )
 
@@ -24,12 +24,12 @@ def _rng(seed=0):
 
 
 def test_bernoulli_zero_rate_never_arrives():
-    s = make_sampler(Bernoulli(0.0), _rng())
+    s = ArrivalSampler(Bernoulli(0.0), _rng())
     assert all(s.sample() == 0 for _ in range(1000))
 
 
 def test_bernoulli_empirical_mean():
-    s = make_sampler(Bernoulli(0.45), _rng(1))
+    s = ArrivalSampler(Bernoulli(0.45), _rng(1))
     counts = s.sample_batch(100_000)
     assert abs(counts.mean() - 0.45) < 0.01
 
@@ -37,13 +37,13 @@ def test_bernoulli_empirical_mean():
 def test_iid_mean_convergence_two_percent():
     # law of large numbers at one million slots
     for proc in (Bernoulli(0.45), TruncatedPoisson(0.8, cap=6)):
-        counts = make_sampler(proc, _rng(2)).sample_batch(1_000_000)
+        counts = ArrivalSampler(proc, _rng(2)).sample_batch(1_000_000)
         assert abs(counts.mean() - proc.mean) < 0.02 * proc.mean
 
 
 def test_truncated_poisson_capped():
     proc = TruncatedPoisson(5.0, cap=3)
-    counts = make_sampler(proc, _rng(3)).sample_batch(10_000)
+    counts = ArrivalSampler(proc, _rng(3)).sample_batch(10_000)
     assert counts.max() <= 3
     assert abs(counts.mean() - proc.mean) < 0.05
 
@@ -62,7 +62,7 @@ def test_ppbp_hurst_maps_to_on_shape():
 
 def test_ppbp_zero_active_bursts_emit_nothing():
     proc = PPBP(sources=1)
-    sampler = make_sampler(proc, _rng(5))
+    sampler = ArrivalSampler(proc, _rng(5))
     # force the single source to sleep
     sampler._states[0].on = False
     sampler._states[0].remaining = 100
@@ -72,7 +72,7 @@ def test_ppbp_zero_active_bursts_emit_nothing():
 
 def test_ppbp_burstiness_index_of_dispersion():
     # dispersion of window counts; long ON/OFF memory pushes it well above 1
-    counts = make_sampler(PPBP(sources=4), _rng(6)).sample_batch(100_000)
+    counts = ArrivalSampler(PPBP(sources=4), _rng(6)).sample_batch(100_000)
     windows = counts.reshape(-1, 100).sum(axis=1)
     dispersion = windows.var() / windows.mean()
     assert dispersion > 1.0
@@ -83,13 +83,13 @@ def test_ppbp_burstiness_index_of_dispersion():
 
 def test_ppbp_long_run_mean_within_five_percent():
     proc = PPBP(sources=4)
-    counts = make_sampler(proc, _rng(7)).sample_batch(1_000_000)
+    counts = ArrivalSampler(proc, _rng(7)).sample_batch(1_000_000)
     assert abs(counts.mean() - proc.mean) < 0.05 * proc.mean
 
 
 def test_ppbp_respects_burst_packet_budget():
     proc = PPBP(sources=1, burst_rate=3, max_packets_per_burst=7)
-    counts = make_sampler(proc, _rng(8)).sample_batch(50_000)
+    counts = ArrivalSampler(proc, _rng(8)).sample_batch(50_000)
     assert counts.max() <= 3
     # bursts of 3/slot with budget 7 end on a 1-packet slot
     assert (counts == 1).any()
@@ -98,8 +98,8 @@ def test_ppbp_respects_burst_packet_budget():
 @given(seed=st.integers(0, 10_000), rate=st.floats(0.0, 1.0))
 @settings(max_examples=30, deadline=None)
 def test_seeded_determinism(seed, rate):
-    a = make_sampler(Bernoulli(rate), _rng(seed)).sample_batch(500)
-    b = make_sampler(Bernoulli(rate), _rng(seed)).sample_batch(500)
+    a = ArrivalSampler(Bernoulli(rate), _rng(seed)).sample_batch(500)
+    b = ArrivalSampler(Bernoulli(rate), _rng(seed)).sample_batch(500)
     assert (a == b).all()
 
 
@@ -107,19 +107,19 @@ def test_seeded_determinism(seed, rate):
 @settings(max_examples=20, deadline=None)
 def test_per_slot_cap_always_respected(seed):
     for proc in (TruncatedPoisson(3.0, cap=5), PPBP(sources=3, slot_cap=4)):
-        counts = make_sampler(proc, _rng(seed)).sample_batch(2000)
+        counts = ArrivalSampler(proc, _rng(seed)).sample_batch(2000)
         assert counts.max() <= proc.cap
 
 
 def test_sample_arrivals_batches_all_classes():
+    # one slot for every class, each from its own stream
     classes = [
         TrafficClass(0, 0, Unicast(1), Bernoulli(1.0)),
         TrafficClass(1, 1, Unicast(0), Bernoulli(0.0)),
     ]
-    samplers = {c.id: make_sampler(c.arrival, _rng(c.id)) for c in classes}
-    batch = sample_arrivals(samplers, slot=0)
-    assert batch.counts[0] == 1 and batch.counts[1] == 0
-    assert batch.total == 1
+    samplers = {c.id: ArrivalSampler(c.arrival, _rng(c.id)) for c in classes}
+    counts = {cid: s.sample() for cid, s in samplers.items()}
+    assert counts == {0: 1, 1: 0}
 
 
 def test_traffic_class_validation():
