@@ -20,10 +20,10 @@ def main() -> int:
     out = Path(sys.argv[1]) if len(sys.argv) > 1 else Path("runs/counterexample")
     cfg = preset_config("counterexample")
     run_experiment(cfg, out)
+    g, classes = cfg.graph.build(), cfg.build_classes()
     for pol in cfg.policies:
         record = simulate(
-            cfg.graph.build(), cfg.build_classes(), pol.build(),
-            keys=cfg.keys.build(), horizon=cfg.horizon, seed=cfg.seeds[0], series_stride=1,
+            g, classes, pol, keys=cfg.keys, horizon=cfg.horizon, seed=cfg.seeds[0], series_stride=1,
         )
         verdict = stability_test(record.series["backlog_sum"])
         print(

@@ -11,7 +11,7 @@ from .analysis import (
 )
 from .config import ExperimentConfig, preset_config
 from .engine import MetricsRecord, simulate
-from .keying import BB84Toy, DeterministicKeys, KeyBank, KeySpec, TruncatedPoissonKeys, bb84_round
+from .keying import BB84Toy, DeterministicKeys, KeyBank, KeySpec, bb84_round
 from .policy import (
     BackpressureMode,
     MultilevelMode,
@@ -19,7 +19,6 @@ from .policy import (
     TandemMode,
     VirtualQueues,
     assign_weights,
-    drift_bound,
 )
 from .routing import (
     PathRoute,

@@ -27,7 +27,6 @@ __all__ = [
     "unicast_capacity",
     "StabilityVerdict",
     "stability_test",
-    "envelope_check",
     "constructed_uniform_boundary",
     "RunSummary",
     "summarize",
@@ -171,20 +170,6 @@ def stability_test(
     else:
         verdict = "inconclusive"
     return StabilityVerdict(verdict=verdict, slope=slope, time_average=float(arr.mean()))
-
-
-def envelope_check(series: Sequence[float] | np.ndarray, bound: float, epsilon: float) -> tuple[bool, float]:
-    """Is the running time-average of the series below bound/(2*epsilon)?
-
-    Returns (holds, worst running average).  Used as a sanity envelope on
-    the total virtual backlog when the distance to the boundary is known.
-    """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    arr = np.asarray(series, dtype=float)
-    running = np.cumsum(arr) / np.arange(1, len(arr) + 1)
-    worst = float(running.max())
-    return worst <= bound / (2 * epsilon), worst
 
 
 # ---------------------------------------------------------------------------

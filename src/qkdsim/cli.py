@@ -1,25 +1,28 @@
 """Experiment runner CLI.
 
-``run`` executes every (policy, rate scale, seed) cell of a config or
-preset, writing one CSV time series and one JSON aggregate per cell, a
-summary JSON per (policy, scale) over seeds, and a manifest listing every
-emitted file together with the config hash.  ``compare`` joins summaries
-from several finished run directories into one CSV keyed by rate scale.
-Outputs carry no timestamps: identical config and seed give byte-identical
-files.
+``run`` checks every (policy, rate scale, seed) cell of a config or
+preset, then executes them, writing one CSV time series and one JSON
+aggregate per cell, a summary JSON per (policy, scale) over seeds, and a
+manifest listing every emitted file together with the config hash.
+``compare`` joins summaries from several finished run directories into one
+CSV keyed by rate scale.  Outputs carry no timestamps: identical config and
+seed give byte-identical files.
 """
 
 from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import dataclasses
 import json
 import sys
 from pathlib import Path
 
 from .analysis import summarize
 from .config import ConfigError, ExperimentConfig, PRESETS, preset_config
-from .engine import simulate
+from .engine import MetricsRecord, _validate, simulate
+from .topology import NetworkGraph
+from .traffic import TrafficClass
 
 __all__ = ["main", "run_experiment", "compare_runs"]
 
@@ -28,15 +31,13 @@ def _cell_stem(cfg: ExperimentConfig, label: str, scale: float, seed: int) -> st
     return f"{cfg.name}_{label}_s{scale:g}_seed{seed}_{cfg.config_hash()}"
 
 
-def _run_cell(args: tuple[dict, int, float, int]):
-    doc, pol_idx, scale, seed = args
-    cfg = ExperimentConfig.from_dict(doc)
-    pol = cfg.policies[pol_idx]
-    record = simulate(
-        cfg.graph.build(),
-        cfg.build_classes(scale),
-        pol.build(),
-        keys=cfg.keys.build(),
+def _run_cell(job: tuple) -> MetricsRecord:
+    cfg, g, classes, mode, seed = job
+    return simulate(
+        g,
+        classes,
+        mode,
+        keys=cfg.keys,
         scheduler=cfg.scheduler,
         horizon=cfg.horizon,
         seed=seed,
@@ -45,36 +46,53 @@ def _run_cell(args: tuple[dict, int, float, int]):
         series_stride=cfg.series_stride,
         record_drift=cfg.record_drift,
     )
-    return pol_idx, scale, seed, record
+
+
+def _check_cells(cfg: ExperimentConfig, g: NetworkGraph, classes: list[TrafficClass]) -> None:
+    """Raise the ConfigError any cell would hit, naming the config field."""
+    for i, c in enumerate(cfg.classes):
+        if not 0 <= c.source < g.n:
+            raise ConfigError(f"classes[{i}].source: node {c.source} is not in the {g.n}-node graph")
+        for d in c.destinations:
+            if not 0 <= d < g.n:
+                raise ConfigError(f"classes[{i}].destinations: node {d} is not in the {g.n}-node graph")
+    for i, mode in enumerate(cfg.policies):
+        try:
+            _validate(g, classes, mode, cfg.scheduler)
+        except ValueError as exc:
+            raise ConfigError(f"policies[{i}]: {exc}") from None
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: Path, workers: int = 1) -> dict:
-    """Execute all cells, write outputs, and return the manifest dict."""
+    """Execute all cells, write outputs, and return the manifest dict.
+
+    The graph and each rate scale's classes are built once, and every cell
+    is checked against them before ``out_dir`` is created.
+    """
+    g = cfg.graph.build()
+    classes = {scale: cfg.build_classes(scale) for scale in cfg.rate_scales}
+    # Kinds, security and endpoints, all that the checks read, do not vary with the scale.
+    _check_cells(cfg, g, classes[cfg.rate_scales[0]])
     out_dir.mkdir(parents=True, exist_ok=True)
-    doc = cfg.to_dict()
     jobs = [
-        (doc, pol_idx, scale, seed)
-        for pol_idx in range(len(cfg.policies))
+        (cfg, g, classes[scale], mode, seed)
+        for mode in cfg.policies
         for scale in cfg.rate_scales
         for seed in cfg.seeds
     ]
-    results: dict[tuple[int, float, int], object] = {}
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            for pol_idx, scale, seed, record in pool.map(_run_cell, jobs):
-                results[(pol_idx, scale, seed)] = record
+            records = iter(list(pool.map(_run_cell, jobs)))
     else:
-        for job in jobs:
-            pol_idx, scale, seed, record = _run_cell(job)
-            results[(pol_idx, scale, seed)] = record
+        records = iter([_run_cell(job) for job in jobs])
 
     files: list[str] = []
     summaries: dict[str, dict] = {}
-    for pol_idx, pol in enumerate(cfg.policies):
+    for pol in cfg.policies:
         for scale in cfg.rate_scales:
             cell_records = []
             for seed in cfg.seeds:
-                record = results[(pol_idx, scale, seed)]
+                record = next(records)
                 stem = _cell_stem(cfg, pol.label, scale, seed)
                 if record.series is not None:
                     (out_dir / f"{stem}.csv").write_bytes(record.to_csv_bytes())
@@ -167,7 +185,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "run":
             cfg = ExperimentConfig.from_file(args.config) if args.config else preset_config(args.preset)
             if args.seed is not None:
-                cfg = ExperimentConfig.from_dict({**cfg.to_dict(), "seeds": [args.seed]})
+                cfg = dataclasses.replace(cfg, seeds=(args.seed,))
             out = args.output / cfg.name
             manifest = run_experiment(cfg, out, workers=max(1, args.workers))
             print(f"wrote {len(manifest['files']) + 1} files to {out}")

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+import dataclasses
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
@@ -18,7 +19,14 @@ import numpy as np
 
 from .keying import KeySpec
 from .policy import BackpressureMode, MultilevelMode, PolicyMode, SingleQueueMode, TandemMode
-from .topology import EdgeSpec, NetworkGraph, build_graph, graph_from_dict, load_graph_file
+from .topology import (
+    EdgeSpec,
+    NetworkGraph,
+    _UnionFind,
+    build_graph,
+    graph_from_dict,
+    load_graph_file,
+)
 from .traffic import (
     Anycast,
     Bernoulli,
@@ -35,6 +43,9 @@ __all__ = ["ConfigError", "ExperimentConfig", "PRESETS", "preset_config"]
 
 class ConfigError(ValueError):
     pass
+
+
+_PPBP_FIELDS = {f.name for f in dataclasses.fields(PPBP)}
 
 
 def _require(doc: dict, key: str, ctx: str) -> Any:
@@ -119,21 +130,8 @@ def _strip_qkd(g: NetworkGraph, fraction: float, seed: int) -> NetworkGraph:
     rng = np.random.default_rng(seed + 1)
     n_pairs = len(g.specs)
     order = list(rng.permutation(n_pairs))
-    parent = list(range(g.n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    keep: set[int] = set()
-    for i in order:
-        s = g.specs[i]
-        ra, rb = find(s.u), find(s.v)
-        if ra != rb:
-            parent[ra] = rb
-            keep.add(i)
+    forest = _UnionFind(g.n)
+    keep = {i for i in order if forest.union(g.specs[i].u, g.specs[i].v)}
     target = max(len(keep), int(round(fraction * n_pairs)))
     for i in order:
         if len(keep) >= target:
@@ -192,11 +190,16 @@ class ClassConfig:
             cap = int(arrival.get("cap", 4))
         elif process == "ppbp":
             ppbp = {k: v for k, v in arrival.items() if k != "process"}
+            unknown = sorted(set(ppbp) - _PPBP_FIELDS)
+            if unknown:
+                raise ConfigError(f"{ctx}.arrival.{unknown[0]}: unknown ppbp field")
         else:
             raise ConfigError(f"{ctx}.arrival.process: unknown process {process!r}")
         dests = tuple(int(d) for d in doc.get("destinations", ()))
         if kind != "broadcast" and not dests:
             raise ConfigError(f"{ctx}.destinations: required for {kind} classes")
+        if kind == "unicast" and len(dests) > 1:
+            raise ConfigError(f"{ctx}.destinations: a unicast class has one destination")
         return cls(
             id=int(_require(doc, "id", ctx)),
             source=int(_require(doc, "source", ctx)),
@@ -225,9 +228,7 @@ class ClassConfig:
             arrival = TruncatedPoisson(self.rate * scale, self.cap)
         else:
             if scale != 1.0:
-                raise ConfigError(
-                    f"classes[{self.id}]: rate scaling is not defined for ppbp arrivals"
-                )
+                raise ValueError("rate scaling is not defined for ppbp arrivals")
             arrival = PPBP(**(self.ppbp or {}))
         return TrafficClass(
             id=self.id,
@@ -239,100 +240,64 @@ class ClassConfig:
         )
 
 
-@dataclass(frozen=True)
-class PolicyConfig:
-    mode: str  # "tandem" | "single_queue" | "backpressure" | "multilevel"
-    key_storage: bool = True
-    key_cap: int = 50
+_MODES = {m.mode: m for m in (TandemMode, SingleQueueMode, BackpressureMode, MultilevelMode)}
+_MODE_FIELDS = {"key_storage": bool, "key_cap": int}
 
-    def to_dict(self) -> dict:
-        doc: dict[str, Any] = {"mode": self.mode}
-        if self.mode in ("tandem", "multilevel"):
-            doc["key_storage"] = self.key_storage
-        if self.mode == "backpressure":
-            doc["key_cap"] = self.key_cap
-        return doc
 
-    @classmethod
-    def from_dict(cls, doc: dict, ctx: str) -> "PolicyConfig":
-        mode = str(_require(doc, "mode", ctx))
-        if mode not in ("tandem", "single_queue", "backpressure", "multilevel"):
-            raise ConfigError(f"{ctx}.mode: unknown policy mode {mode!r}")
-        return cls(
-            mode=mode,
-            key_storage=bool(doc.get("key_storage", True)),
-            key_cap=int(doc.get("key_cap", 50)),
+def _policy_to_dict(mode: PolicyMode) -> dict:
+    return {"mode": mode.mode, **dataclasses.asdict(mode)}
+
+
+def _policy_from_dict(doc: dict, ctx: str) -> PolicyMode:
+    name = str(_require(doc, "mode", ctx))
+    if name not in _MODES:
+        raise ConfigError(f"{ctx}.mode: unknown policy mode {name!r}")
+    cls = _MODES[name]
+    return cls(**{
+        f.name: _MODE_FIELDS[f.name](doc[f.name]) for f in dataclasses.fields(cls) if f.name in doc
+    })
+
+
+def _keys_to_dict(spec: KeySpec) -> dict:
+    doc: dict[str, Any] = {"process": spec.kind, "k_max": spec.k_max}
+    if spec.kind == "deterministic":
+        doc["value"] = spec.value
+    if spec.kind == "bb84":
+        doc.update(
+            photons=spec.photons,
+            eavesdrop_prob=spec.eavesdrop_prob,
+            check_fraction=spec.check_fraction,
         )
-
-    def build(self) -> PolicyMode:
-        if self.mode == "tandem":
-            return TandemMode(key_storage=self.key_storage)
-        if self.mode == "single_queue":
-            return SingleQueueMode()
-        if self.mode == "backpressure":
-            return BackpressureMode(key_cap=self.key_cap)
-        return MultilevelMode(key_storage=self.key_storage)
-
-    @property
-    def label(self) -> str:
-        return self.build().label
+    if spec.overrides:
+        doc["overrides"] = [{"u": u, "v": v, **_keys_to_dict(sub)} for (u, v), sub in spec.overrides]
+    return doc
 
 
-@dataclass(frozen=True)
-class KeysConfig:
-    process: str = "truncated_poisson"
-    k_max: int = 20
-    value: int | None = None
-    photons: int = 8
-    eavesdrop_prob: float = 0.0
-    check_fraction: float = 0.0
-    overrides: tuple["tuple[int, int, KeysConfig]", ...] = ()
-
-    def to_dict(self) -> dict:
-        doc: dict[str, Any] = {"process": self.process, "k_max": self.k_max}
-        if self.process == "deterministic":
-            doc["value"] = self.value
-        if self.process == "bb84":
-            doc.update(
-                photons=self.photons,
-                eavesdrop_prob=self.eavesdrop_prob,
-                check_fraction=self.check_fraction,
-            )
-        if self.overrides:
-            doc["overrides"] = [{"u": u, "v": v, **sub.to_dict()} for u, v, sub in self.overrides]
-        return doc
-
-    @classmethod
-    def from_dict(cls, doc: dict, ctx: str = "keys") -> "KeysConfig":
-        process = str(doc.get("process", "truncated_poisson"))
-        if process not in ("truncated_poisson", "deterministic", "bb84"):
-            raise ConfigError(f"{ctx}.process: unknown key process {process!r}")
-        overrides = []
-        for i, sub in enumerate(doc.get("overrides", ())):
-            octx = f"{ctx}.overrides[{i}]"
-            u, v = int(_require(sub, "u", octx)), int(_require(sub, "v", octx))
-            inner = {k: w for k, w in sub.items() if k not in ("u", "v")}
-            overrides.append((u, v, cls.from_dict(inner, octx)))
-        return cls(
-            process=process,
-            k_max=int(doc.get("k_max", 20)),
-            value=None if doc.get("value") is None else int(doc["value"]),
-            photons=int(doc.get("photons", 8)),
-            eavesdrop_prob=float(doc.get("eavesdrop_prob", 0.0)),
-            check_fraction=float(doc.get("check_fraction", 0.0)),
-            overrides=tuple(overrides),
-        )
-
-    def build(self) -> KeySpec:
-        return KeySpec(
-            kind=self.process,
-            k_max=self.k_max,
-            value=self.value,
-            photons=self.photons,
-            eavesdrop_prob=self.eavesdrop_prob,
-            check_fraction=self.check_fraction,
-            overrides=tuple(((u, v), sub.build()) for u, v, sub in self.overrides),
-        )
+def _keys_from_dict(doc: dict, ctx: str = "keys") -> KeySpec:
+    process = str(doc.get("process", "truncated_poisson"))
+    if process not in ("truncated_poisson", "deterministic", "bb84"):
+        raise ConfigError(f"{ctx}.process: unknown key process {process!r}")
+    value = None if doc.get("value") is None else int(doc["value"])
+    if process == "deterministic" and (value is None or value < 0):
+        raise ConfigError(f"{ctx}.value: deterministic keys need a value >= 0")
+    k_max = int(doc.get("k_max", 20))
+    if k_max < 1:
+        raise ConfigError(f"{ctx}.k_max: must be >= 1")
+    overrides = []
+    for i, sub in enumerate(doc.get("overrides", ())):
+        octx = f"{ctx}.overrides[{i}]"
+        u, v = int(_require(sub, "u", octx)), int(_require(sub, "v", octx))
+        inner = {k: w for k, w in sub.items() if k not in ("u", "v")}
+        overrides.append(((u, v), _keys_from_dict(inner, octx)))
+    return KeySpec(
+        kind=process,
+        k_max=k_max,
+        value=value,
+        photons=int(doc.get("photons", 8)),
+        eavesdrop_prob=float(doc.get("eavesdrop_prob", 0.0)),
+        check_fraction=float(doc.get("check_fraction", 0.0)),
+        overrides=tuple(overrides),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -343,8 +308,8 @@ class ExperimentConfig:
     name: str
     graph: GraphConfig
     classes: tuple[ClassConfig, ...]
-    policies: tuple[PolicyConfig, ...]
-    keys: KeysConfig = KeysConfig()
+    policies: tuple[PolicyMode, ...]
+    keys: KeySpec = KeySpec()
     scheduler: str = "fifo"
     horizon: int = 10_000
     seeds: tuple[int, ...] = (1,)
@@ -359,8 +324,8 @@ class ExperimentConfig:
             "name": self.name,
             "graph": self.graph.to_dict(),
             "classes": [c.to_dict() for c in self.classes],
-            "policies": [p.to_dict() for p in self.policies],
-            "keys": self.keys.to_dict(),
+            "policies": [_policy_to_dict(p) for p in self.policies],
+            "keys": _keys_to_dict(self.keys),
             "scheduler": self.scheduler,
             "horizon": self.horizon,
             "seeds": list(self.seeds),
@@ -376,6 +341,9 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
         name = str(_require(doc, "name", "config"))
+        # The name becomes a directory and a file-name prefix under --output.
+        if name in ("", ".", "..") or "/" in name or "\\" in name:
+            raise ConfigError(f"config.name: must be a plain file name, got {name!r}")
         graph = GraphConfig.from_dict(_require(doc, "graph", "config"))
         raw_classes = _require(doc, "classes", "config")
         if not raw_classes:
@@ -388,9 +356,14 @@ class ExperimentConfig:
         raw_pol = _require(doc, "policies", "config")
         if not raw_pol:
             raise ConfigError("config.policies: at least one policy is required")
-        policies = tuple(
-            PolicyConfig.from_dict(p, f"policies[{i}]") for i, p in enumerate(raw_pol)
-        )
+        policies = tuple(_policy_from_dict(p, f"policies[{i}]") for i, p in enumerate(raw_pol))
+        labels = [p.label for p in policies]
+        for i, label in enumerate(labels):
+            if label in labels[:i]:
+                raise ConfigError(
+                    f"policies[{i}]: label {label!r} repeats policies[{labels.index(label)}]; "
+                    f"output files are named by label"
+                )
         scheduler = str(doc.get("scheduler", "fifo"))
         if scheduler not in ("fifo", "ento"):
             raise ConfigError(f"config.scheduler: unknown scheduler {scheduler!r}")
@@ -411,20 +384,33 @@ class ExperimentConfig:
         seeds = tuple(int(s) for s in doc.get("seeds", [1]))
         if not seeds:
             raise ConfigError("config.seeds: must not be empty")
+        if len(set(seeds)) != len(seeds):
+            raise ConfigError("config.seeds: seeds must be distinct")
+        rate_scales = tuple(float(s) for s in doc.get("rate_scales", [1.0]))
+        if not rate_scales:
+            raise ConfigError("config.rate_scales: must not be empty")
+        if len({f"{s:g}" for s in rate_scales}) != len(rate_scales):
+            raise ConfigError("config.rate_scales: scales must differ in their file-name form ('%g')")
+        queue_cap = int(doc.get("queue_cap", 10_000))
+        if queue_cap < 1:
+            raise ConfigError("config.queue_cap: must be >= 1")
         metrics = doc.get("metrics", {})
+        series_stride = int(metrics.get("stride", 1))
+        if series_stride < 1:
+            raise ConfigError("metrics.stride: must be >= 1")
         return cls(
             name=name,
             graph=graph,
             classes=classes,
             policies=policies,
-            keys=KeysConfig.from_dict(doc.get("keys", {})),
+            keys=_keys_from_dict(doc.get("keys", {})),
             scheduler=scheduler,
             horizon=horizon,
             seeds=seeds,
-            queue_cap=int(doc.get("queue_cap", 10_000)),
-            rate_scales=tuple(float(s) for s in doc.get("rate_scales", [1.0])),
+            queue_cap=queue_cap,
+            rate_scales=rate_scales,
             record_series=bool(metrics.get("series", True)),
-            series_stride=int(metrics.get("stride", 1)),
+            series_stride=series_stride,
             record_drift=bool(metrics.get("drift", False)),
         )
 
@@ -442,7 +428,13 @@ class ExperimentConfig:
         return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
     def build_classes(self, scale: float = 1.0) -> list[TrafficClass]:
-        return [c.build(scale) for c in self.classes]
+        built = []
+        for i, c in enumerate(self.classes):
+            try:
+                built.append(c.build(scale))
+            except ValueError as exc:
+                raise ConfigError(f"classes[{i}] at rate scale {scale:g}: {exc}") from None
+        return built
 
 
 # ---------------------------------------------------------------------------
@@ -465,11 +457,7 @@ def preset_counterexample() -> ExperimentConfig:
             ClassConfig(id=0, source=0, kind="unicast", destinations=(1,),
                         process="bernoulli", rate=0.45),
         ),
-        policies=(
-            PolicyConfig(mode="single_queue"),
-            PolicyConfig(mode="tandem", key_storage=True),
-            PolicyConfig(mode="tandem", key_storage=False),
-        ),
+        policies=(SingleQueueMode(), TandemMode(key_storage=True), TandemMode(key_storage=False)),
         horizon=100_000,
         seeds=(1,),
         series_stride=10,
@@ -488,7 +476,7 @@ def _desk_unicast_classes(n: int, count: int, seed: int) -> list[tuple[int, int]
 
 def _sweep_config(
     name: str,
-    policies: tuple[PolicyConfig, ...],
+    policies: tuple[PolicyMode, ...],
     n: int = 20,
     p: float = 0.3,
     graph_seed: int = 7,
@@ -530,9 +518,9 @@ def preset_unicast_sweep() -> ExperimentConfig:
     return _sweep_config(
         "unicast-sweep",
         policies=(
-            PolicyConfig(mode="tandem", key_storage=True),
-            PolicyConfig(mode="tandem", key_storage=False),
-            PolicyConfig(mode="backpressure"),
+            TandemMode(key_storage=True),
+            TandemMode(key_storage=False),
+            BackpressureMode(),
         ),
     )
 
@@ -542,8 +530,8 @@ def preset_residual_keys_sweep() -> ExperimentConfig:
     return _sweep_config(
         "residual-keys-sweep",
         policies=(
-            PolicyConfig(mode="tandem", key_storage=True),
-            PolicyConfig(mode="backpressure"),
+            TandemMode(key_storage=True),
+            BackpressureMode(),
         ),
     )
 
@@ -562,8 +550,8 @@ def preset_broadcast_sweep() -> ExperimentConfig:
         graph=gcfg,
         classes=classes,
         policies=(
-            PolicyConfig(mode="tandem", key_storage=True),
-            PolicyConfig(mode="tandem", key_storage=False),
+            TandemMode(key_storage=True),
+            TandemMode(key_storage=False),
         ),
         horizon=10_000,
         seeds=(1, 2, 3),
@@ -601,7 +589,7 @@ def preset_mixed_security() -> ExperimentConfig:
         name="mixed-security",
         graph=gcfg,
         classes=tuple(classes),
-        policies=(PolicyConfig(mode="multilevel", key_storage=True),),
+        policies=(MultilevelMode(key_storage=True),),
         horizon=10_000,
         seeds=(1, 2, 3, 4, 5),
         rate_scales=(1.0,),
@@ -627,9 +615,9 @@ def preset_unicast_full() -> ExperimentConfig:
         graph=gcfg,
         classes=classes,
         policies=(
-            PolicyConfig(mode="tandem", key_storage=True),
-            PolicyConfig(mode="tandem", key_storage=False),
-            PolicyConfig(mode="backpressure"),
+            TandemMode(key_storage=True),
+            TandemMode(key_storage=False),
+            BackpressureMode(),
         ),
         horizon=100_000,
         seeds=(1,),

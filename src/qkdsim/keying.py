@@ -19,14 +19,12 @@ from .traffic import TruncatedPoisson
 __all__ = [
     "KeyBank",
     "DeterministicKeys",
-    "TruncatedPoissonKeys",
     "BB84Toy",
     "KeyProcess",
     "KeySpec",
     "KeySampler",
     "BB84Round",
     "bb84_round",
-    "otp_xor",
 ]
 
 
@@ -90,29 +88,6 @@ class DeterministicKeys:
 
 
 @dataclass(frozen=True)
-class TruncatedPoissonKeys:
-    """Poisson(rate) key counts clipped at ``cap``.
-
-    With the default cap of 20 and rates <= 1 the clipped probability mass
-    is below 1e-19, so the mean is the Poisson rate for all practical
-    purposes.
-    """
-
-    rate: float
-    cap: int = 20
-
-    def __post_init__(self):
-        if self.rate < 0:
-            raise ValueError("rate must be >= 0")
-        if self.cap < 1:
-            raise ValueError("cap must be >= 1")
-
-    @property
-    def mean(self) -> float:
-        return TruncatedPoisson(self.rate, self.cap).mean
-
-
-@dataclass(frozen=True)
 class BB84Toy:
     """Per-slot key counts from repeated toy BB84 rounds."""
 
@@ -138,7 +113,7 @@ class BB84Toy:
         return 0.5 * self.photons * (1.0 - self.check_fraction) * p_round_clean
 
 
-KeyProcess = Union[DeterministicKeys, TruncatedPoissonKeys, BB84Toy]
+KeyProcess = Union[DeterministicKeys, TruncatedPoisson, BB84Toy]
 
 
 @dataclass(frozen=True)
@@ -161,7 +136,7 @@ class KeySpec:
 
     def process_for(self, eta: float) -> KeyProcess:
         if self.kind == "truncated_poisson":
-            return TruncatedPoissonKeys(rate=eta, cap=self.k_max)
+            return TruncatedPoisson(eta, self.k_max)
         if self.kind == "deterministic":
             if self.value is None:
                 raise ValueError("deterministic key process needs an explicit value")
@@ -240,7 +215,7 @@ class KeySampler:
         p = self.process
         if isinstance(p, DeterministicKeys):
             return p.value
-        if isinstance(p, TruncatedPoissonKeys):
+        if isinstance(p, TruncatedPoisson):
             return min(int(self.rng.poisson(p.rate)), p.cap)
         r = bb84_round(p.photons, p.eavesdrop_prob, p.check_fraction, self.rng)
         return min(r.sifted_keys, p.cap)
@@ -249,16 +224,9 @@ class KeySampler:
         p = self.process
         if isinstance(p, DeterministicKeys):
             return np.full(nslots, p.value, dtype=np.int64)
-        if isinstance(p, TruncatedPoissonKeys):
+        if isinstance(p, TruncatedPoisson):
             return np.minimum(self.rng.poisson(p.rate, nslots), p.cap).astype(np.int64)
         out = np.empty(nslots, dtype=np.int64)
         for t in range(nslots):
             out[t] = self.sample()
         return out
-
-
-def otp_xor(data: bytes, pad: bytes) -> bytes:
-    """Demonstrative one-time-pad XOR; the pad must cover the message."""
-    if len(pad) < len(data):
-        raise ValueError("pad shorter than message")
-    return bytes(a ^ b for a, b in zip(data, pad))

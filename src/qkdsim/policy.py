@@ -32,7 +32,6 @@ __all__ = [
     "MultilevelMode",
     "PolicyMode",
     "assign_weights",
-    "drift_bound",
     "select_routes",
     "multilevel_select_routes",
     "single_queue_service",
@@ -47,6 +46,8 @@ __all__ = [
 class TandemMode:
     key_storage: bool = True
 
+    mode = "tandem"
+
     @property
     def label(self) -> str:
         return "tandem-store" if self.key_storage else "tandem-nostore"
@@ -54,6 +55,7 @@ class TandemMode:
 
 @dataclass(frozen=True)
 class SingleQueueMode:
+    mode = "single_queue"
     label = "single-queue"
 
 
@@ -61,6 +63,7 @@ class SingleQueueMode:
 class BackpressureMode:
     key_cap: int = 50
 
+    mode = "backpressure"
     label = "backpressure"
 
 
@@ -70,6 +73,8 @@ class MultilevelMode:
     classes require key encryption; the rest skip the encryption queue."""
 
     key_storage: bool = True
+
+    mode = "multilevel"
 
     @property
     def label(self) -> str:
@@ -87,20 +92,10 @@ class VirtualQueues:
     x_tilde: list[float]
     y_tilde: list[float]
 
-    @classmethod
-    def zeros(cls, m: int) -> "VirtualQueues":
-        return cls([0.0] * m, [0.0] * m)
-
 
 def assign_weights(vq: VirtualQueues) -> list[float]:
     """Per-edge weight: sum of both virtual queues."""
     return [x + y for x, y in zip(vq.x_tilde, vq.y_tilde)]
-
-
-def drift_bound(g: NetworkGraph, a_max: int, k_max: int) -> float:
-    """Constant upper-bound term of the one-step quadratic drift."""
-    gamma_max = max(e.gamma for e in g.edges)
-    return g.m * (2.0 * a_max**2 + float(k_max) ** 2 + float(gamma_max) ** 2)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
-from .topology import NetworkGraph
+from .topology import NetworkGraph, _UnionFind
 
 __all__ = [
     "RoutingError",
@@ -30,8 +30,6 @@ __all__ = [
     "min_weight_spanning_tree",
     "steiner_tree_approx",
     "anycast_route",
-    "route_weight",
-    "validate_route",
 ]
 
 
@@ -184,24 +182,6 @@ def anycast_route(
 
 # ---------------------------------------------------------------------------
 # trees
-
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[ra] = rb
-        return True
-
 
 def _undirected_pairs(
     g: NetworkGraph, w: Sequence[float], allowed: Sequence[bool] | None
@@ -356,54 +336,3 @@ def steiner_tree_approx(
         links = [link for link in links if link not in removable]
 
     return _orient_tree(g, root, links, frozenset(required))
-
-
-# ---------------------------------------------------------------------------
-# helpers
-
-def route_weight(g: NetworkGraph, w: Sequence[float], route: Route) -> float:
-    """Total weight over the oriented edges a packet on this route crosses."""
-    return sum(w[e] for e in route.edges)
-
-
-def validate_route(g: NetworkGraph, route: Route) -> None:
-    """Structural check; raises RoutingError on any violation."""
-    if isinstance(route, PathRoute):
-        if len(route.nodes) < 2:
-            raise RoutingError("path must have at least two nodes")
-        if len(set(route.nodes)) != len(route.nodes):
-            raise RoutingError("path repeats a node")
-        if len(route.edges) != len(route.nodes) - 1:
-            raise RoutingError("path edge/node count mismatch")
-        for (u, v), eid in zip(zip(route.nodes, route.nodes[1:]), route.edges):
-            e = g.edges[eid]
-            if (e.u, e.v) != (u, v):
-                raise RoutingError(f"edge {eid} does not join {u}->{v}")
-        return
-
-    if len(set(route.edges)) != len(route.edges):
-        raise RoutingError("tree repeats an edge")
-    flat = [eid for kids in route.children.values() for eid in kids]
-    if sorted(flat) != sorted(route.edges):
-        raise RoutingError("children map inconsistent with edge set")
-    seen = {route.root}
-    queue = [route.root]
-    while queue:
-        u = queue.pop()
-        for eid in route.children.get(u, ()):
-            e = g.edges[eid]
-            if e.u != u:
-                raise RoutingError(f"edge {eid} not oriented away from {u}")
-            if e.v in seen:
-                raise RoutingError(f"tree revisits node {e.v}")
-            seen.add(e.v)
-            queue.append(e.v)
-    if len(seen) != len(route.edges) + 1:
-        raise RoutingError("tree edges unreachable from root")
-    if not route.terminals <= seen:
-        raise RoutingError("tree does not cover all terminals")
-    # every leaf should serve a terminal, otherwise the tree carries waste
-    child_nodes = {g.edges[e].v for e in route.edges}
-    leaves = {v for v in child_nodes if v not in route.children}
-    if not leaves <= route.terminals:
-        raise RoutingError("tree has a leaf that is not a terminal")

@@ -24,10 +24,8 @@ __all__ = [
     "build_graph",
     "erdos_renyi",
     "capacitated_transform",
-    "graph_to_dict",
     "graph_from_dict",
     "load_graph_file",
-    "save_graph_file",
 ]
 
 
@@ -78,7 +76,6 @@ class NetworkGraph:
             index[(e.u, e.v)] = e.id
         self.out_edges: tuple[tuple[int, ...], ...] = tuple(tuple(o) for o in out)
         self._index = index
-        self.pair_count = 1 + max((e.pair for e in self.edges), default=-1)
 
     @property
     def m(self) -> int:
@@ -123,6 +120,26 @@ class NetworkGraph:
                     seen.add(v)
                     stack.append(v)
         return len(seen) == self.n
+
+
+class _UnionFind:
+    """Disjoint node sets with path halving; ``union`` says whether it merged."""
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+
+    def find(self, x: int) -> int:
+        while self.parent[x] != x:
+            self.parent[x] = self.parent[self.parent[x]]
+            x = self.parent[x]
+        return x
+
+    def union(self, a: int, b: int) -> bool:
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        self.parent[ra] = rb
+        return True
 
 
 def build_graph(n: int, specs: list[EdgeSpec] | tuple[EdgeSpec, ...]) -> NetworkGraph:
@@ -193,23 +210,6 @@ def capacitated_transform(g: NetworkGraph) -> list[float]:
     return [min(float(e.gamma), e.eta) if e.has_qkd else float(e.gamma) for e in g.edges]
 
 
-def graph_to_dict(g: NetworkGraph) -> dict:
-    return {
-        "nodes": g.n,
-        "edges": [
-            {
-                "u": s.u,
-                "v": s.v,
-                "gamma": s.gamma,
-                "eta": s.eta,
-                "has_qkd": s.has_qkd,
-                "directed": s.directed,
-            }
-            for s in g.specs
-        ],
-    }
-
-
 def graph_from_dict(doc: dict) -> NetworkGraph:
     try:
         n = int(doc["nodes"])
@@ -237,9 +237,3 @@ def graph_from_dict(doc: dict) -> NetworkGraph:
 def load_graph_file(path: str | Path) -> NetworkGraph:
     with open(path, encoding="utf-8") as fh:
         return graph_from_dict(json.load(fh))
-
-
-def save_graph_file(g: NetworkGraph, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(graph_to_dict(g), fh, indent=2, sort_keys=True)
-        fh.write("\n")

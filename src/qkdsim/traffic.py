@@ -215,10 +215,6 @@ class TrafficClass:
             return None
         return frozenset(range(n)) - {self.source}
 
-    @property
-    def a_max(self) -> int:
-        return self.arrival.cap
-
 
 # ---------------------------------------------------------------------------
 # samplers

@@ -12,6 +12,10 @@ from __future__ import annotations
 import itertools
 from typing import Sequence
 
+import numpy as np
+
+from qkdsim.routing import PathRoute, RoutingError
+
 
 def simple_paths(g, s: int, t: int) -> list[tuple[int, ...]]:
     """All simple s-t node sequences, via DFS over the directed edges."""
@@ -151,3 +155,71 @@ def path_flow_max(g, omega: Sequence[float], s: int, t: int, resolution: float =
 
     dfs(0, 0)
     return best * unit
+
+
+def route_weight(g, w: Sequence[float], route) -> float:
+    """Total weight over the oriented edges a packet on this route crosses."""
+    return sum(w[e] for e in route.edges)
+
+
+def validate_route(g, route) -> None:
+    """Structural check; raises RoutingError on any violation."""
+    if isinstance(route, PathRoute):
+        if len(route.nodes) < 2:
+            raise RoutingError("path must have at least two nodes")
+        if len(set(route.nodes)) != len(route.nodes):
+            raise RoutingError("path repeats a node")
+        if len(route.edges) != len(route.nodes) - 1:
+            raise RoutingError("path edge/node count mismatch")
+        for (u, v), eid in zip(zip(route.nodes, route.nodes[1:]), route.edges):
+            e = g.edges[eid]
+            if (e.u, e.v) != (u, v):
+                raise RoutingError(f"edge {eid} does not join {u}->{v}")
+        return
+
+    if len(set(route.edges)) != len(route.edges):
+        raise RoutingError("tree repeats an edge")
+    flat = [eid for kids in route.children.values() for eid in kids]
+    if sorted(flat) != sorted(route.edges):
+        raise RoutingError("children map inconsistent with edge set")
+    seen = {route.root}
+    queue = [route.root]
+    while queue:
+        u = queue.pop()
+        for eid in route.children.get(u, ()):
+            e = g.edges[eid]
+            if e.u != u:
+                raise RoutingError(f"edge {eid} not oriented away from {u}")
+            if e.v in seen:
+                raise RoutingError(f"tree revisits node {e.v}")
+            seen.add(e.v)
+            queue.append(e.v)
+    if len(seen) != len(route.edges) + 1:
+        raise RoutingError("tree edges unreachable from root")
+    if not route.terminals <= seen:
+        raise RoutingError("tree does not cover all terminals")
+    # every leaf should serve a terminal, otherwise the tree carries waste
+    child_nodes = {g.edges[e].v for e in route.edges}
+    leaves = {v for v in child_nodes if v not in route.children}
+    if not leaves <= route.terminals:
+        raise RoutingError("tree has a leaf that is not a terminal")
+
+
+def drift_bound(g, a_max: int, k_max: int) -> float:
+    """Constant upper-bound term of the one-step quadratic drift."""
+    gamma_max = max(e.gamma for e in g.edges)
+    return g.m * (2.0 * a_max**2 + float(k_max) ** 2 + float(gamma_max) ** 2)
+
+
+def envelope_check(series, bound: float, epsilon: float) -> tuple[bool, float]:
+    """Is the running time-average of the series below bound/(2*epsilon)?
+
+    Returns (holds, worst running average).  Used as a sanity envelope on
+    the total virtual backlog when the distance to the boundary is known.
+    """
+    if epsilon <= 0:
+        raise ValueError("epsilon must be positive")
+    arr = np.asarray(series, dtype=float)
+    running = np.cumsum(arr) / np.arange(1, len(arr) + 1)
+    worst = float(running.max())
+    return worst <= bound / (2 * epsilon), worst

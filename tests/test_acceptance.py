@@ -14,9 +14,7 @@ from qkdsim.policy import BackpressureMode, MultilevelMode, SingleQueueMode, Tan
 from qkdsim.routing import (
     min_weight_path,
     min_weight_spanning_tree,
-    route_weight,
     steiner_tree_approx,
-    validate_route,
 )
 from qkdsim.topology import EdgeSpec, build_graph, capacitated_transform, erdos_renyi
 from qkdsim.traffic import Bernoulli, Broadcast, TrafficClass, TruncatedPoisson, Unicast
@@ -25,7 +23,9 @@ from .oracles import (
     best_path_label,
     min_spanning_tree_weight,
     path_flow_max,
+    route_weight,
     steiner_optimum_weight,
+    validate_route,
 )
 
 

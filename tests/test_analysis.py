@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from qkdsim.analysis import (
     constructed_uniform_boundary,
-    envelope_check,
     stability_test,
     summarize,
     unicast_capacity,
@@ -17,7 +16,7 @@ from qkdsim.policy import TandemMode
 from qkdsim.topology import EdgeSpec, build_graph, erdos_renyi
 from qkdsim.traffic import Bernoulli, TrafficClass, Unicast
 
-from .oracles import path_flow_max
+from .oracles import drift_bound, envelope_check, path_flow_max
 
 
 def _two_path_network():
@@ -156,8 +155,6 @@ def test_envelope_check():
 def test_interior_run_sits_under_drift_envelope():
     # at a known distance from the boundary, the time-averaged virtual
     # backlog must stay under bound/(2 eps) for the whole run
-    from qkdsim.policy import drift_bound
-
     g = _two_path_network()
     lam = unicast_capacity(g, 0, 3).lambda_star
     rate = 0.9 * lam

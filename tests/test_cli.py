@@ -3,7 +3,7 @@ import json
 import pytest
 
 from qkdsim.cli import compare_runs, main, run_experiment
-from qkdsim.config import ConfigError, ExperimentConfig, preset_config
+from qkdsim.config import ConfigError, ExperimentConfig, GraphConfig, preset_config
 
 
 def _tiny_config(name="tiny", policies=None, rate_scales=(0.5, 1.0)):
@@ -143,6 +143,59 @@ def test_baselines_reject_classical_classes_at_load(tmp_path, capsys):
     doc = _tiny_config(policies=[{"mode": "multilevel"}])
     doc["classes"][0]["security"] = "classical"
     assert ExperimentConfig.from_dict(doc).classes[0].security == "classical"
+
+
+# A graph with one link that generates no keys: only multilevel runs on it.
+_KEYLESS_LINK = {
+    "kind": "inline",
+    "nodes": 3,
+    "edges": [{"u": 0, "v": 1, "eta": 0.6}, {"u": 1, "v": 2, "eta": 0.6},
+              {"u": 0, "v": 2, "has_qkd": False}],
+}
+
+# id -> (top-level fields, fields of classes[0], field the error names)
+_REJECTED = {
+    "name-escapes-output": ({"name": "../../escape"}, {}, "config.name"),
+    "no-rate-scales": ({"rate_scales": []}, {}, "config.rate_scales"),
+    "duplicate-seeds": ({"seeds": [1, 1]}, {}, "config.seeds"),
+    "duplicate-labels": ({"policies": [{"mode": "tandem"}, {"mode": "tandem"}]}, {}, "policies[1]"),
+    "queue-cap-0": ({"queue_cap": 0}, {}, "config.queue_cap"),
+    "negative-stride": ({"metrics": {"stride": -5}}, {}, "metrics.stride"),
+    "unicast-two-destinations": ({}, {"destinations": [1, 2]}, "classes[0].destinations"),
+    "deterministic-keys-no-value": ({"keys": {"process": "deterministic"}}, {}, "keys.value"),
+    "unknown-ppbp-key": ({"rate_scales": [1.0]}, {"arrival": {"process": "ppbp", "bursts": 2}},
+                         "classes[0].arrival.bursts"),
+    "tandem-on-keyless-link": (
+        {"graph": _KEYLESS_LINK, "policies": [{"mode": "multilevel"}, {"mode": "tandem"}]},
+        {"destinations": [2]}, "policies[1]"),
+    "single-queue-broadcast": ({"policies": [{"mode": "single_queue"}]},
+                               {"kind": "broadcast", "destinations": []}, "policies[0]"),
+    "source-out-of-range": ({}, {"source": 5}, "classes[0].source"),
+    "destination-out-of-range": ({}, {"destinations": [7]}, "classes[0].destinations"),
+}
+
+
+@pytest.mark.parametrize("top, cls, field", _REJECTED.values(), ids=_REJECTED.keys())
+def test_rejected_config_exits_2_naming_the_field_and_writes_nothing(tmp_path, capsys, top, cls, field):
+    doc = _tiny_config()
+    doc.update(top)
+    doc["classes"][0].update(cls)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", "--config", str(path), "--output", str(tmp_path / "out" / "runs")]) == 2
+    assert field in capsys.readouterr().err
+    assert [p.name for p in tmp_path.rglob("*")] == ["cfg.json"]
+
+
+def test_run_builds_the_graph_once(tmp_path, monkeypatch):
+    calls = []
+    build = GraphConfig.build
+    monkeypatch.setattr(GraphConfig, "build", lambda self: calls.append(self) or build(self))
+    cfg = ExperimentConfig.from_dict(_tiny_config(policies=[{"mode": "tandem"}, {"mode": "backpressure"}]))
+    manifest = run_experiment(cfg, tmp_path / "out")
+    # 2 policies x 2 scales x 2 seeds: 8 csv + 8 json + 4 summaries
+    assert len(manifest["files"]) == 20
+    assert len(calls) == 1
 
 
 def test_run_parallel_workers_match_serial(tmp_path):

@@ -11,10 +11,9 @@ from qkdsim.keying import (
     KeyBank,
     KeySampler,
     KeySpec,
-    TruncatedPoissonKeys,
     bb84_round,
-    otp_xor,
 )
+from qkdsim.traffic import TruncatedPoisson
 
 
 def _rng(seed=0):
@@ -84,7 +83,7 @@ def test_deterministic_keys():
 
 def test_truncated_poisson_mean_near_rate():
     # truncation mass above 20 is ~1e-22 at rate 0.5, so the mean is intact
-    proc = TruncatedPoissonKeys(0.5, cap=20)
+    proc = TruncatedPoisson(0.5, cap=20)
     counts = KeySampler(proc, _rng(1)).sample_batch(1_000_000)
     assert abs(counts.mean() - 0.5) < 0.005
     assert abs(proc.mean - 0.5) < 1e-12
@@ -94,12 +93,12 @@ def test_truncated_poisson_mean_near_rate():
 def test_generate_keys_functional_form():
     # one slot's fresh keys for a single edge
     assert KeySampler(DeterministicKeys(7), _rng()).sample() == 7
-    s = KeySampler(TruncatedPoissonKeys(3.0, cap=4), _rng(3))
+    s = KeySampler(TruncatedPoisson(3.0, cap=4), _rng(3))
     assert all(0 <= s.sample() <= 4 for _ in range(200))
 
 
 def test_keyspec_dispatch():
-    assert isinstance(KeySpec().process_for(0.5), TruncatedPoissonKeys)
+    assert isinstance(KeySpec().process_for(0.5), TruncatedPoisson)
     assert KeySpec(kind="deterministic", value=3).process_for(0.5).value == 3
     assert isinstance(KeySpec(kind="bb84").process_for(0.5), BB84Toy)
     with pytest.raises(ValueError):
@@ -112,7 +111,7 @@ def test_keyspec_per_edge_override():
     spec = KeySpec(overrides=(((0, 1), KeySpec(kind="deterministic", value=9)),))
     assert spec.process_for_edge(0, 1, 0.5).value == 9
     assert spec.process_for_edge(1, 0, 0.5).value == 9  # either direction
-    assert isinstance(spec.process_for_edge(1, 2, 0.5), TruncatedPoissonKeys)
+    assert isinstance(spec.process_for_edge(1, 2, 0.5), TruncatedPoisson)
 
 
 # ---------------------------------------------------------------------------
@@ -178,18 +177,3 @@ def test_bb84_detection_discards_whole_key():
 def test_bb84_as_key_process_respects_cap():
     counts = KeySampler(BB84Toy(photons=64, cap=10), _rng(7)).sample_batch(500)
     assert counts.max() <= 10
-
-
-# ---------------------------------------------------------------------------
-# OTP demo
-
-@given(st.binary(max_size=64), st.integers(0, 2**32 - 1))
-@settings(max_examples=50, deadline=None)
-def test_otp_xor_involution(message, seed):
-    pad = bytes(_rng(seed).integers(0, 256, len(message), dtype=np.uint8))
-    assert otp_xor(otp_xor(message, pad), pad) == message
-
-
-def test_otp_xor_requires_full_pad():
-    with pytest.raises(ValueError):
-        otp_xor(b"abc", b"a")

@@ -12,7 +12,6 @@ from qkdsim.policy import (
     VirtualQueues,
     assign_weights,
     backpressure_activations,
-    drift_bound,
     multilevel_select_routes,
     select_routes,
     single_queue_service,
@@ -21,12 +20,14 @@ from qkdsim.routing import TreeRoute, UnreachableError
 from qkdsim.topology import EdgeSpec, build_graph, erdos_renyi
 from qkdsim.traffic import Bernoulli, Broadcast, TrafficClass, TruncatedPoisson, Unicast
 
+from .oracles import drift_bound
+
 
 # ---------------------------------------------------------------------------
 # weights
 
 def test_assign_weights_zero():
-    assert assign_weights(VirtualQueues.zeros(3)) == [0.0, 0.0, 0.0]
+    assert assign_weights(VirtualQueues([0.0] * 3, [0.0] * 3)) == [0.0, 0.0, 0.0]
 
 
 def test_assign_weights_sum():
@@ -256,14 +257,14 @@ def test_multilevel_reduces_to_plain_selection_on_full_qkd():
 def test_multilevel_quantum_confined_to_qkd_subgraph():
     g = _mixed_graph()
     classes = [TrafficClass(0, 0, Unicast(2), Bernoulli(0.5), security="quantum")]
-    routes = multilevel_select_routes(g, VirtualQueues.zeros(g.m), {0: 1}, classes)
+    routes = multilevel_select_routes(g, VirtualQueues([0.0] * g.m, [0.0] * g.m), {0: 1}, classes)
     assert routes[0].nodes == (0, 1, 2)  # may not use the plain shortcut
 
 
 def test_multilevel_classical_ignores_encryption_backlog():
     g = _mixed_graph()
     classes = [TrafficClass(0, 0, Unicast(2), Bernoulli(0.5), security="classical")]
-    vq = VirtualQueues.zeros(g.m)
+    vq = VirtualQueues([0.0] * g.m, [0.0] * g.m)
     # huge encryption backlog on the shortcut must not deter a plain class
     vq.x_tilde[g.edge_between(0, 2)] = 1000.0
     routes = multilevel_select_routes(g, vq, {0: 1}, classes)
@@ -278,4 +279,4 @@ def test_multilevel_quantum_unreachable_inside_qkd_subgraph():
     g = build_graph(3, [EdgeSpec(0, 1, eta=0.5), EdgeSpec(1, 2, eta=1.0, has_qkd=False)])
     classes = [TrafficClass(0, 0, Unicast(2), Bernoulli(0.5), security="quantum")]
     with pytest.raises(UnreachableError):
-        multilevel_select_routes(g, VirtualQueues.zeros(g.m), {0: 1}, classes)
+        multilevel_select_routes(g, VirtualQueues([0.0] * g.m, [0.0] * g.m), {0: 1}, classes)

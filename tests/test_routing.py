@@ -11,13 +11,17 @@ from qkdsim.routing import (
     anycast_route,
     min_weight_path,
     min_weight_spanning_tree,
-    route_weight,
     steiner_tree_approx,
-    validate_route,
 )
 from qkdsim.topology import EdgeSpec, build_graph, erdos_renyi
 
-from .oracles import best_path_label, min_spanning_tree_weight, steiner_optimum_weight
+from .oracles import (
+    best_path_label,
+    min_spanning_tree_weight,
+    route_weight,
+    steiner_optimum_weight,
+    validate_route,
+)
 
 
 def _random_graph(rng, n=None, p=0.55):

@@ -11,10 +11,31 @@ from qkdsim.topology import (
     capacitated_transform,
     erdos_renyi,
     graph_from_dict,
-    graph_to_dict,
     load_graph_file,
-    save_graph_file,
 )
+
+
+def graph_to_dict(g) -> dict:
+    return {
+        "nodes": g.n,
+        "edges": [
+            {
+                "u": s.u,
+                "v": s.v,
+                "gamma": s.gamma,
+                "eta": s.eta,
+                "has_qkd": s.has_qkd,
+                "directed": s.directed,
+            }
+            for s in g.specs
+        ],
+    }
+
+
+def save_graph_file(g, path) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(graph_to_dict(g), fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def test_single_directed_edge():
