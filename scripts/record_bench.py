@@ -1,0 +1,112 @@
+#!/usr/bin/env python3
+"""Record benchmark medians in BENCH_<n>.json at the repository root.
+
+    python scripts/record_bench.py --out BENCH_7.json --checkout parent=../parent --checkout change=.
+
+Runs ``bench/run.py`` of each checkout for every workload and seed, one
+process per run, and stores the median of each end-to-end metric per
+workload under the checkout's label.  Runs of several checkouts are
+interleaved (seed by seed, workload by workload), so that a busy spell of
+the machine falls on all of them alike.  ``--trace`` adds one traced run
+per workload and checkout (the first seed) and stores its per-layer split.
+An existing output file is updated: labels not run this time are kept.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = ("full-unicast", "desk-unicast", "desk-multiclass")
+
+
+def _bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    cmd = [sys.executable, str(checkout / "bench" / "run.py"), "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
+    done = subprocess.run(cmd, capture_output=True, text=True, cwd=checkout)
+    if done.returncode != 0:
+        raise SystemExit(f"{' '.join(cmd)} failed:\n{done.stderr}")
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def _commit(checkout: Path) -> str | None:
+    """The checkout's commit, with "-dirty" when its tree has changes; None outside git."""
+    done = subprocess.run(["git", "describe", "--always", "--dirty"], capture_output=True,
+                          text=True, cwd=checkout)
+    return done.stdout.strip() if done.returncode == 0 else None
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--out", required=True, help="file name at the repo root, e.g. BENCH_7.json")
+    parser.add_argument("--checkout", action="append", default=[], metavar="LABEL=DIR",
+                        help="a checkout to benchmark (default: change=<this repo>)")
+    parser.add_argument("--seeds", type=int, nargs="+", default=[101, 102, 103])
+    parser.add_argument("--seconds", type=float, default=35.0)
+    parser.add_argument("--trace", action="store_true", help="also record one traced run per workload")
+    args = parser.parse_args(argv)
+
+    checkouts = {}
+    for item in args.checkout or [f"change={ROOT}"]:
+        label, _, path = item.partition("=")
+        if not label or not path:
+            parser.error(f"--checkout wants LABEL=DIR, got {item!r}")
+        checkouts[label] = Path(path).resolve()
+    results: dict[str, dict[str, list[dict]]] = {label: {w: [] for w in WORKLOADS} for label in checkouts}
+    for seed in args.seeds:
+        for w in WORKLOADS:
+            for label, checkout in checkouts.items():
+                run = _bench(checkout, w, seed, args.seconds, 0)
+                results[label][w].append(run)
+                value = run["metrics"]["slots_per_s"]["value"]
+                print(f"{label} {w} seed {seed}: {value:.1f} slots/s, failed {run['failed']}", file=sys.stderr)
+
+    out_path = ROOT / args.out
+    doc = json.loads(out_path.read_text()) if out_path.exists() else {}
+    doc.update({
+        "bench": "bench/run.py --trace 0",
+        "seeds": args.seeds,
+        "seconds": args.seconds,
+        "machine": {
+            "python": platform.python_version(),
+            "numpy": numpy.__version__,
+            "cpus": os.cpu_count(),
+            "platform": platform.platform(),
+        },
+    })
+    doc.setdefault("checkouts", {})
+    for label, checkout in checkouts.items():
+        entry = {"commit": _commit(checkout), "workloads": {}}
+        for w, runs in results[label].items():
+            metrics = {
+                name: {"median": statistics.median(r["metrics"][name]["value"] for r in runs),
+                       "unit": runs[0]["metrics"][name]["unit"],
+                       "runs": [r["metrics"][name]["value"] for r in runs]}
+                for name in runs[0]["metrics"]
+            }
+            entry["workloads"][w] = {
+                "metrics": metrics,
+                "attempted": sum(r["attempted"] for r in runs),
+                "failed": sum(r["failed"] for r in runs),
+                "correct": all(r["correct"] for r in runs),
+            }
+            if args.trace:
+                traced = _bench(checkout, w, args.seeds[0], args.seconds, 1)
+                entry["workloads"][w]["layers"] = {k: v["value"] for k, v in traced["metrics"].items()}
+        doc["checkouts"][label] = entry
+    out_path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {out_path}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

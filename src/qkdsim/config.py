@@ -45,13 +45,41 @@ class ConfigError(ValueError):
     pass
 
 
-_PPBP_FIELDS = {f.name for f in dataclasses.fields(PPBP)}
+_PPBP_FIELDS = {f.name: f.type for f in dataclasses.fields(PPBP)}  # name -> "int" | "float"
 
 
 def _require(doc: dict, key: str, ctx: str) -> Any:
     if key not in doc:
         raise ConfigError(f"{ctx}.{key}: required field is missing")
     return doc[key]
+
+
+# JSON values are type-checked, not converted: "false" is not a boolean and
+# 1.7 is not a seed.
+
+
+def _int(value: Any, field: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{field}: expected an integer, got {value!r}")
+    return value
+
+
+def _num(value: Any, field: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{field}: expected a number, got {value!r}")
+    return float(value)
+
+
+def _bool(value: Any, field: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{field}: expected true or false, got {value!r}")
+    return value
+
+
+def _list(value: Any, field: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{field}: expected a list, got {value!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -90,21 +118,23 @@ class GraphConfig:
         if kind == "inline":
             return cls(
                 kind="inline",
-                nodes=int(_require(doc, "nodes", ctx)),
-                edges=tuple(_require(doc, "edges", ctx)),
+                nodes=_int(_require(doc, "nodes", ctx), f"{ctx}.nodes"),
+                edges=tuple(_list(_require(doc, "edges", ctx), f"{ctx}.edges")),
             )
         if kind == "file":
             return cls(kind="file", path=str(_require(doc, "path", ctx)))
         if kind == "erdos_renyi":
-            eta = doc.get("eta_range", [0.2, 1.0])
+            eta = _list(doc.get("eta_range", [0.2, 1.0]), f"{ctx}.eta_range")
+            if len(eta) != 2:
+                raise ConfigError(f"{ctx}.eta_range: expected [low, high], got {eta!r}")
             return cls(
                 kind="erdos_renyi",
-                nodes=int(_require(doc, "nodes", ctx)),
-                p=float(_require(doc, "p", ctx)),
-                gamma=int(doc.get("gamma", 1)),
-                eta_range=(float(eta[0]), float(eta[1])),
-                graph_seed=int(doc.get("graph_seed", 0)),
-                qkd_fraction=float(doc.get("qkd_fraction", 1.0)),
+                nodes=_int(_require(doc, "nodes", ctx), f"{ctx}.nodes"),
+                p=_num(_require(doc, "p", ctx), f"{ctx}.p"),
+                gamma=_int(doc.get("gamma", 1), f"{ctx}.gamma"),
+                eta_range=(_num(eta[0], f"{ctx}.eta_range"), _num(eta[1], f"{ctx}.eta_range")),
+                graph_seed=_int(doc.get("graph_seed", 0), f"{ctx}.graph_seed"),
+                qkd_fraction=_num(doc.get("qkd_fraction", 1.0), f"{ctx}.qkd_fraction"),
             )
         raise ConfigError(f"{ctx}.kind: unknown graph kind {kind!r}")
 
@@ -184,25 +214,30 @@ class ClassConfig:
         process = str(_require(arrival, "process", f"{ctx}.arrival"))
         rate, cap, ppbp = 0.0, 4, None
         if process == "bernoulli":
-            rate = float(_require(arrival, "rate", f"{ctx}.arrival"))
+            rate = _num(_require(arrival, "rate", f"{ctx}.arrival"), f"{ctx}.arrival.rate")
         elif process == "truncated_poisson":
-            rate = float(_require(arrival, "rate", f"{ctx}.arrival"))
-            cap = int(arrival.get("cap", 4))
+            rate = _num(_require(arrival, "rate", f"{ctx}.arrival"), f"{ctx}.arrival.rate")
+            cap = _int(arrival.get("cap", 4), f"{ctx}.arrival.cap")
         elif process == "ppbp":
             ppbp = {k: v for k, v in arrival.items() if k != "process"}
-            unknown = sorted(set(ppbp) - _PPBP_FIELDS)
+            unknown = sorted(set(ppbp) - set(_PPBP_FIELDS))
             if unknown:
                 raise ConfigError(f"{ctx}.arrival.{unknown[0]}: unknown ppbp field")
+            for k, v in ppbp.items():
+                (_int if _PPBP_FIELDS[k] == "int" else _num)(v, f"{ctx}.arrival.{k}")
         else:
             raise ConfigError(f"{ctx}.arrival.process: unknown process {process!r}")
-        dests = tuple(int(d) for d in doc.get("destinations", ()))
+        dests = tuple(
+            _int(d, f"{ctx}.destinations")
+            for d in _list(doc.get("destinations", []), f"{ctx}.destinations")
+        )
         if kind != "broadcast" and not dests:
             raise ConfigError(f"{ctx}.destinations: required for {kind} classes")
         if kind == "unicast" and len(dests) > 1:
             raise ConfigError(f"{ctx}.destinations: a unicast class has one destination")
         return cls(
-            id=int(_require(doc, "id", ctx)),
-            source=int(_require(doc, "source", ctx)),
+            id=_int(_require(doc, "id", ctx), f"{ctx}.id"),
+            source=_int(_require(doc, "source", ctx), f"{ctx}.source"),
             kind=kind,
             destinations=dests,
             process=process,
@@ -210,7 +245,7 @@ class ClassConfig:
             cap=cap,
             ppbp=ppbp,
             security=str(doc.get("security", "quantum")),
-            priority=int(doc.get("priority", 0)),
+            priority=_int(doc.get("priority", 0), f"{ctx}.priority"),
         )
 
     def build(self, scale: float) -> TrafficClass:
@@ -241,7 +276,7 @@ class ClassConfig:
 
 
 _MODES = {m.mode: m for m in (TandemMode, SingleQueueMode, BackpressureMode, MultilevelMode)}
-_MODE_FIELDS = {"key_storage": bool, "key_cap": int}
+_MODE_FIELDS = {"key_storage": _bool, "key_cap": _int}
 
 
 def _policy_to_dict(mode: PolicyMode) -> dict:
@@ -253,9 +288,14 @@ def _policy_from_dict(doc: dict, ctx: str) -> PolicyMode:
     if name not in _MODES:
         raise ConfigError(f"{ctx}.mode: unknown policy mode {name!r}")
     cls = _MODES[name]
-    return cls(**{
-        f.name: _MODE_FIELDS[f.name](doc[f.name]) for f in dataclasses.fields(cls) if f.name in doc
+    mode = cls(**{
+        f.name: _MODE_FIELDS[f.name](doc[f.name], f"{ctx}.{f.name}")
+        for f in dataclasses.fields(cls)
+        if f.name in doc
     })
+    if isinstance(mode, BackpressureMode) and mode.key_cap < 0:
+        raise ConfigError(f"{ctx}.key_cap: must be >= 0")
+    return mode
 
 
 def _keys_to_dict(spec: KeySpec) -> dict:
@@ -277,25 +317,25 @@ def _keys_from_dict(doc: dict, ctx: str = "keys") -> KeySpec:
     process = str(doc.get("process", "truncated_poisson"))
     if process not in ("truncated_poisson", "deterministic", "bb84"):
         raise ConfigError(f"{ctx}.process: unknown key process {process!r}")
-    value = None if doc.get("value") is None else int(doc["value"])
+    value = None if doc.get("value") is None else _int(doc["value"], f"{ctx}.value")
     if process == "deterministic" and (value is None or value < 0):
         raise ConfigError(f"{ctx}.value: deterministic keys need a value >= 0")
-    k_max = int(doc.get("k_max", 20))
+    k_max = _int(doc.get("k_max", 20), f"{ctx}.k_max")
     if k_max < 1:
         raise ConfigError(f"{ctx}.k_max: must be >= 1")
     overrides = []
-    for i, sub in enumerate(doc.get("overrides", ())):
+    for i, sub in enumerate(_list(doc.get("overrides", []), f"{ctx}.overrides")):
         octx = f"{ctx}.overrides[{i}]"
-        u, v = int(_require(sub, "u", octx)), int(_require(sub, "v", octx))
+        u, v = (_int(_require(sub, k, octx), f"{octx}.{k}") for k in ("u", "v"))
         inner = {k: w for k, w in sub.items() if k not in ("u", "v")}
         overrides.append(((u, v), _keys_from_dict(inner, octx)))
     return KeySpec(
         kind=process,
         k_max=k_max,
         value=value,
-        photons=int(doc.get("photons", 8)),
-        eavesdrop_prob=float(doc.get("eavesdrop_prob", 0.0)),
-        check_fraction=float(doc.get("check_fraction", 0.0)),
+        photons=_int(doc.get("photons", 8), f"{ctx}.photons"),
+        eavesdrop_prob=_num(doc.get("eavesdrop_prob", 0.0), f"{ctx}.eavesdrop_prob"),
+        check_fraction=_num(doc.get("check_fraction", 0.0), f"{ctx}.check_fraction"),
         overrides=tuple(overrides),
     )
 
@@ -378,24 +418,26 @@ class ExperimentConfig:
                     f"classes[{i}].security: {single_level[0]} carries key-encrypted "
                     f"traffic only; {c.security!r} classes need the multilevel policy"
                 )
-        horizon = int(_require(doc, "horizon", "config"))
+        horizon = _int(_require(doc, "horizon", "config"), "config.horizon")
         if horizon < 1:
             raise ConfigError("config.horizon: must be >= 1")
-        seeds = tuple(int(s) for s in doc.get("seeds", [1]))
+        seeds = tuple(_int(s, "config.seeds") for s in _list(doc.get("seeds", [1]), "config.seeds"))
         if not seeds:
             raise ConfigError("config.seeds: must not be empty")
         if len(set(seeds)) != len(seeds):
             raise ConfigError("config.seeds: seeds must be distinct")
-        rate_scales = tuple(float(s) for s in doc.get("rate_scales", [1.0]))
+        rate_scales = tuple(
+            _num(s, "config.rate_scales") for s in _list(doc.get("rate_scales", [1.0]), "config.rate_scales")
+        )
         if not rate_scales:
             raise ConfigError("config.rate_scales: must not be empty")
         if len({f"{s:g}" for s in rate_scales}) != len(rate_scales):
             raise ConfigError("config.rate_scales: scales must differ in their file-name form ('%g')")
-        queue_cap = int(doc.get("queue_cap", 10_000))
+        queue_cap = _int(doc.get("queue_cap", 10_000), "config.queue_cap")
         if queue_cap < 1:
             raise ConfigError("config.queue_cap: must be >= 1")
         metrics = doc.get("metrics", {})
-        series_stride = int(metrics.get("stride", 1))
+        series_stride = _int(metrics.get("stride", 1), "metrics.stride")
         if series_stride < 1:
             raise ConfigError("metrics.stride: must be >= 1")
         return cls(
@@ -409,9 +451,9 @@ class ExperimentConfig:
             seeds=seeds,
             queue_cap=queue_cap,
             rate_scales=rate_scales,
-            record_series=bool(metrics.get("series", True)),
+            record_series=_bool(metrics.get("series", True), "metrics.series"),
             series_stride=series_stride,
-            record_drift=bool(metrics.get("drift", False)),
+            record_drift=_bool(metrics.get("drift", False), "metrics.drift"),
         )
 
     @classmethod
@@ -598,7 +640,7 @@ def preset_mixed_security() -> ExperimentConfig:
 
 
 def preset_unicast_full() -> ExperimentConfig:
-    """Full-scale run (N=150, bursty arrivals); expect minutes, not seconds."""
+    """Full-scale run: N=150, bursty arrivals, 1e5 slots per cell."""
     gcfg = GraphConfig(kind="erdos_renyi", nodes=150, p=0.3, graph_seed=42)
     pairs = _desk_unicast_classes(150, 15, 42)
     classes = tuple(

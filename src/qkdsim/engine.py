@@ -9,10 +9,19 @@ becomes serviceable at the next hop from the following slot.  All four
 policies run this one loop; the baselines skip the phases they do not
 have (see ``_Engine``).
 
-Key banks are debited by the virtual unencrypted demand each slot; debited
-keys are held per link ("escrow") until a physical packet consumes them at
-encryption.  This is what keeps the bank residual and the virtual backlog
-from being positive at the same time, exactly, slot by slot.
+One key ledger (``KeyBank``) holds every link's keys as arrays.  With key
+storage, a link's keys are debited by its virtual unencrypted demand each
+slot; debited keys are held per link ("escrow") until a physical packet
+consumes them at encryption.  This is what keeps the residual and the
+virtual backlog from being positive at the same time, exactly, slot by
+slot.
+
+A slot costs what its traffic costs.  Arrivals and keys are drawn in blocks
+of slots (at most ``_BLOCK_CELLS`` key counts at a time), so memory does not
+grow with the horizon; a slot's deposit is one vector step, and Python work
+is done only on the links that hold packets, virtual backlog or this slot's
+arrivals.  A unicast or anycast class whose fewest-hop route weighs exactly
+zero takes that route without running the router (see ``_Engine._routes``).
 """
 
 from __future__ import annotations
@@ -40,7 +49,7 @@ from .policy import (
     select_routes,
     single_queue_service,
 )
-from .routing import PathRoute, UnreachableError, anycast_route, min_weight_path
+from .routing import PathRoute, Route, UnreachableError, anycast_route, min_weight_path
 from .topology import NetworkGraph
 from .traffic import Anycast, ArrivalSampler, Broadcast, Multicast, TrafficClass, Unicast
 
@@ -333,6 +342,10 @@ class _SeriesBuffer:
 # the engine
 
 _QUEUES = {"fifo": FifoQueue, "ento": EntoQueue}
+# Key counts drawn per block: 4 MiB as int32.  A block holds
+# _BLOCK_CELLS // m slots (at least one); every stream is its own
+# Generator, so the block size never changes a draw.
+_BLOCK_CELLS = 1 << 20
 _BASELINE_KINDS = {
     SingleQueueMode: ((Unicast, Anycast), "unicast/anycast"),
     BackpressureMode: ((Unicast,), "unicast"),
@@ -366,7 +379,8 @@ class _Engine:
       (tandem, multilevel), fixed hop-count routes (single-queue), or none
       (backpressure keeps per-(node, class) queues instead of edge queues);
     - the key phase: tandem reserves keys for the virtual demand and
-      encrypts, backpressure caps its banks, single-queue banks nothing;
+      encrypts, backpressure caps each link's keys, single-queue banks
+      nothing;
     - the service: a link sends up to its capacity (tandem), up to
       ``single_queue_service`` (single-queue), or what
       ``backpressure_activations`` picks (backpressure).
@@ -403,18 +417,19 @@ class _Engine:
 
         m = g.m
         class_rngs, edge_rngs, misc_rng = _spawn_streams(seed, len(self.classes), m)
-        self.arr = {
-            cls.id: ArrivalSampler(cls.arrival, class_rngs[i]).sample_batch(horizon).tolist()
-            for i, cls in enumerate(self.classes)
+        self.arrival_samplers = {
+            cls.id: ArrivalSampler(cls.arrival, class_rngs[i]) for i, cls in enumerate(self.classes)
         }
         self.qkd_ids = list(g.qkd_edge_ids())
-        self.keys_fresh = {
-            e: KeySampler(keys.process_for_edge(g.edges[e].u, g.edges[e].v, g.edges[e].eta), edge_rngs[e]).sample_batch(horizon).tolist()
+        self.key_samplers = [
+            KeySampler(keys.process_for_edge(g.edges[e].u, g.edges[e].v, g.edges[e].eta), edge_rngs[e])
             for e in self.qkd_ids
-        }
-        self.banks: list[KeyBank | None] | None = (
-            None if self.fresh_only else [KeyBank() if e.has_qkd else None for e in g.edges]
-        )
+        ]
+        self.block_slots = min(horizon, max(1, _BLOCK_CELLS // max(1, m)))
+        # a slot's count never exceeds its process's cap; int32 holds every cap but absurd ones
+        cap = max((s.process.cap for s in self.key_samplers), default=0)
+        self.fresh_block = np.zeros((self.block_slots, m), dtype=np.int32 if cap < 2**31 else np.int64)
+        self.bank = None if self.fresh_only else KeyBank(m)
         self.kappa_now = [0] * m
         self.gamma = [e.gamma for e in g.edges]
 
@@ -427,6 +442,8 @@ class _Engine:
         self.live = dict.fromkeys(ids, 0)
         self.next_pid = 0
         self.arrivals_cum = 0
+        self.delivered_cum = 0
+        self.dropped_cum = 0
         self.keys_total = 0  # banked keys (residual + escrow) across edges
         self.keys_running = 0.0
         self.backlog_running = 0.0
@@ -455,23 +472,21 @@ class _Engine:
         self.prio_rank = {p: i for i, p in enumerate(prios)}
         self.x_q: list[list] = [[deque() for _ in prios] for _ in range(m)]
         self.x_len = [0] * m
+        self.active_x: set[int] = set()
         self.y_q = [_QUEUES[scheduler]() for _ in range(m)]
         self.active_y: set[int] = set()
         self.x_total = 0
         self.y_total = 0
         self.transmitted_encrypted = [0] * m
-
+        self.multilevel = isinstance(mode, MultilevelMode)
+        # each class's fewest-hop route on the links it may use, found when first needed
+        self.qkd_mask = [e.has_qkd for e in g.edges] if self.multilevel else None
+        self.hop_routes: dict[int, PathRoute | None] = {}
         if self.fresh_only:
-            hop = [1.0] * m
-            self.fixed_routes = {
-                c.id: min_weight_path(g, hop, c.source, c.kind.destination)
-                if isinstance(c.kind, Unicast)
-                else anycast_route(g, hop, c.source, c.kind.candidates)
-                for c in self.classes
-            }
+            for c in self.classes:
+                self._hop_route(c)
             return
 
-        self.multilevel = isinstance(mode, MultilevelMode)
         self.storage = mode.key_storage
         self.x_tilde = [0.0] * m
         self.y_tilde = [0.0] * m
@@ -480,10 +495,12 @@ class _Engine:
         self.vq_total = 0.0
         self.a_q: dict[int, int] = {}  # virtual arrivals per edge, encrypted classes
         self.a_c: dict[int, int] = {}  # virtual arrivals per edge, plain classes
+        self.touched: set[int] = set()  # edges with virtual backlog or arrivals this slot
         self.escrow = [0] * m
+        self.unbooked_moves: dict[int, int] = {}  # without storage: keys spent this block, per edge
         self.reserved_total = [0] * m
         self.moved_total = [0] * m
-        self.x_post_enc = [0] * m if check_invariants else None
+        self.x_post_enc: dict[int, int] = {}
         if self.trace_on:
             self.trace_a = np.zeros((horizon, m), dtype=np.int64)
             self.trace_kappa = np.zeros((horizon, m), dtype=np.int64)
@@ -494,27 +511,42 @@ class _Engine:
 
     def run(self) -> MetricsRecord:
         backpressure = self.node_q is not None
-        for t in range(self.horizon):
-            counts = {cid: row[t] for cid, row in self.arr.items() if row[t] > 0}
-            if counts:
-                for cid, n in counts.items():
-                    self.class_arrivals[cid] += n
-                    self.arrivals_cum += n
+        for t0 in range(0, self.horizon, self.block_slots):
+            arr, fresh_block, fresh_sums = self._draw_block(min(self.block_slots, self.horizon - t0))
+            for i, fresh_sum in enumerate(fresh_sums):
+                t = t0 + i
+                fresh = fresh_block[i]
+                counts = {cid: row[i] for cid, row in arr.items() if row[i] > 0}
+                if counts:
+                    for cid, n in counts.items():
+                        self.class_arrivals[cid] += n
+                        self.arrivals_cum += n
+                    if backpressure:
+                        self._enqueue_at_sources(counts, t)
+                    else:
+                        self._route_and_admit(counts, t)
                 if backpressure:
-                    self._enqueue_at_sources(counts, t)
+                    self._cap_banks(fresh)
+                    self._serve_nodes(t)
+                elif self.virtual:
+                    self._reserve_and_encrypt(t, fresh, fresh_sum)
+                    self._serve_edges(t)
+                    self._advance_virtual_queues(t)
                 else:
-                    self._route_and_admit(counts, t)
-            if backpressure:
-                self._cap_banks(t)
-                self._serve_nodes(t)
-            elif self.virtual:
-                self._reserve_and_encrypt(t)
-                self._serve_edges(t)
-                self._advance_virtual_queues(t)
-            else:
-                self._serve_edges(t)
-            self._record(t)
+                    self._serve_edges(t, fresh)
+                self._record(t)
+            if self.virtual and not self.storage:
+                self._book_block(fresh_block)
         return self._metrics()
+
+    def _draw_block(self, nslots: int) -> tuple[dict[int, list[int]], np.ndarray, list[int]]:
+        """The next ``nslots`` slots of every stream: arrivals per class, the
+        fresh keys as an (nslots, m) array, and each slot's key total."""
+        arr = {cid: s.sample_batch(nslots).tolist() for cid, s in self.arrival_samplers.items()}
+        fresh = self.fresh_block[:nslots]
+        for e, sampler in zip(self.qkd_ids, self.key_samplers):
+            fresh[:, e] = sampler.sample_batch(nslots)
+        return arr, fresh, fresh.sum(axis=1).tolist()
 
     # -- packet bookkeeping ---------------------------------------------------
 
@@ -529,22 +561,67 @@ class _Engine:
             return
         rec.dead = True
         self.class_dropped[rec.cls_id] += 1
+        self.dropped_cum += 1
         self.live[rec.cls_id] -= 1
 
     def _deliver(self, rec: PacketRecord, slot: int) -> None:
         rec.delivered_slot = slot
         self.class_delivered[rec.cls_id] += 1
+        self.delivered_cum += 1
         self.class_delay[rec.cls_id] += slot - rec.birth
         self.live[rec.cls_id] -= 1
 
     # -- admission -------------------------------------------------------------
 
-    def _routes(self, counts: dict[int, int]) -> dict:
+    def _hop_route(self, cls: TrafficClass) -> PathRoute | None:
+        """Fewest-hop route of a unicast or anycast class (None for trees).
+
+        Route weights are never negative, so whenever this route weighs
+        exactly 0 it is also the minimum-weight route: it has the fewest hops
+        of all paths and the smallest node sequence among those, which are
+        ``min_weight_path``'s and ``anycast_route``'s tie-breaks, and a tie
+        with weight 0 is only an exact 0.
+        """
+        cid, kind = cls.id, cls.kind
+        if cid not in self.hop_routes:
+            allowed = self.qkd_mask if cls.security == "quantum" else None
+            hop = [1.0] * self.g.m
+            if isinstance(kind, Unicast):
+                self.hop_routes[cid] = min_weight_path(self.g, hop, cls.source, kind.destination, allowed)
+            elif isinstance(kind, Anycast):
+                self.hop_routes[cid] = anycast_route(self.g, hop, cls.source, kind.candidates, allowed)
+            else:
+                self.hop_routes[cid] = None
+        return self.hop_routes[cid]
+
+    def _routes(self, counts: dict[int, int]) -> dict[int, Route]:
+        """Each arriving class's route.
+
+        Single-queue always takes the fewest-hop route.  Otherwise a path
+        class takes it when it weighs exactly 0: no edge on it carries
+        virtual backlog (x̃ + ỹ for encrypted classes, ỹ for plain ones).
+        The router sees only the other classes.
+        """
         if self.fresh_only:
-            return self.fixed_routes
-        if self.multilevel:
-            return multilevel_select_routes(self.g, self.vq, counts, self.classes)
-        return select_routes(self.g, assign_weights(self.vq), counts, self.classes)
+            return self.hop_routes
+        by_id = self.by_id
+        routes: dict[int, Route] = {}
+        routed: dict[int, int] = {}
+        busy, y_tilde = self.active_vq, self.y_tilde
+        for cid, n in counts.items():
+            hop = self._hop_route(by_id[cid])
+            if hop is not None and (
+                busy.isdisjoint(hop.edges) if self.encrypted[cid] else not any(y_tilde[e] for e in hop.edges)
+            ):
+                routes[cid] = hop
+            else:
+                routed[cid] = n
+        if routed:
+            if self.multilevel:
+                routes.update(multilevel_select_routes(self.g, self.vq, routed, self.classes))
+            else:
+                routes.update(select_routes(self.g, assign_weights(self.vq), routed, self.classes))
+        return routes
 
     def _route_and_admit(self, counts: dict[int, int], slot: int) -> None:
         routes = self._routes(counts)
@@ -586,6 +663,7 @@ class _Engine:
             self.x_q[eid][self.prio_rank[self.by_id[copy.record.cls_id].priority]].append(copy)
             self.x_len[eid] += 1
             self.x_total += 1
+            self.active_x.add(eid)
         else:
             if len(self.y_q[eid]) >= self.queue_cap:
                 self._drop(copy.record)
@@ -597,61 +675,71 @@ class _Engine:
 
     # -- keys ---------------------------------------------------------------
 
-    def _cap_banks(self, t: int) -> None:
-        """Backpressure's key phase: bank the fresh keys, cap every bank."""
-        banks, fresh_keys, kappa, key_cap = self.banks, self.keys_fresh, self.kappa_now, self.key_cap
-        keys_total = self.keys_total
-        for e in self.qkd_ids:
-            bank = banks[e]
-            fresh = fresh_keys[e][t]
-            bank.deposit(fresh)
-            keys_total += fresh
-            over = bank.residual - key_cap
-            if over > 0:
-                bank.residual -= over
-                bank.discarded_total += over
-                keys_total -= over
-            kappa[e] = bank.residual
-        self.keys_total = keys_total
+    def _cap_banks(self, fresh: np.ndarray) -> None:
+        """Backpressure's key phase: bank the fresh keys, cap every link's keys."""
+        bank = self.bank
+        bank.deposit(fresh)
+        bank.discard_residual(self.key_cap)
+        self.keys_total = int(bank.residual.sum())
 
-    def _reserve_and_encrypt(self, t: int) -> None:
+    def _reserve_and_encrypt(self, t: int, fresh: np.ndarray, fresh_sum: int) -> None:
         """Tandem's key phase: bank the fresh keys and encrypt.
 
         With storage, keys are reserved for the virtual unencrypted demand
         and encryption spends the reservation; without storage, encryption
-        spends the slot's keys and the rest is discarded.
+        spends the slot's keys and the rest is discarded.  Only edges with
+        virtual backlog or arrivals (``touched``) can have demand, and only
+        edges with a non-empty encryption queue can encrypt.
         """
-        banks, fresh_keys, kappa = self.banks, self.keys_fresh, self.kappa_now
-        storage, x_tilde, a_q, escrow, x_len = self.storage, self.x_tilde, self.a_q, self.escrow, self.x_len
-        keys_total = self.keys_total
-        for e in self.qkd_ids:
-            bank = banks[e]
-            fresh = fresh_keys[e][t]
+        bank, kappa, storage = self.bank, self.kappa_now, self.storage
+        x_tilde, a_q, escrow = self.x_tilde, self.a_q, self.escrow
+        if storage:
             bank.deposit(fresh)
-            keys_total += fresh
-            kappa[e] = bank.residual
+            self.keys_total += fresh_sum
+            keys = bank.residual
+        else:
+            keys = fresh  # booked by _book_block; keys_total stays 0
+        if self.trace_on:
+            self.trace_kappa[t] = keys
+        touched = self.touched = self.active_vq.union(a_q, self.a_c)
+        for e in touched:
+            kappa[e] = keys.item(e)
             if storage:
-                got = bank.withdraw(int(x_tilde[e]) + a_q.get(e, 0))
-                escrow[e] += got
-                self.reserved_total[e] += got
-                avail = escrow[e]
+                demand = int(x_tilde[e]) + a_q.get(e, 0)
+                if demand:
+                    got = bank.withdraw(e, demand)
+                    escrow[e] += got
+                    self.reserved_total[e] += got
+        for e in list(self.active_x):
+            avail = escrow[e] if storage else fresh.item(e)
+            if not avail:
+                continue
+            moved = self._encrypt(e, avail)
+            if storage:
+                escrow[e] -= moved
+                self.keys_total -= moved
             else:
-                avail = bank.residual
-            if avail and x_len[e]:
-                moved = self._encrypt(e, avail)
-                if storage:
-                    escrow[e] -= moved
-                else:
-                    bank.withdraw(moved)
-                self.moved_total[e] += moved
-                keys_total -= moved
-            if self.check:
-                self.x_post_enc[e] = sum(
-                    0 if c.record.dead else 1 for level in self.x_q[e] for c in level
-                )
-            if not storage:
-                keys_total -= bank.discard_residual()
-        self.keys_total = keys_total
+                self.unbooked_moves[e] = self.unbooked_moves.get(e, 0) + moved
+            self.moved_total[e] += moved
+        if self.check:
+            self.x_post_enc = {
+                e: sum(0 if c.record.dead else 1 for level in self.x_q[e] for c in level)
+                for e in self.active_x
+            }
+
+    def _book_block(self, fresh: np.ndarray) -> None:
+        """Book a block's keys without storage.
+
+        Nothing is carried from one slot to the next, so booking the block
+        at its end gives the per-slot totals: the keys are deposited, the
+        moved ones withdrawn and the rest discarded.
+        """
+        bank = self.bank
+        bank.deposit(fresh.sum(axis=0))
+        for e, moved in self.unbooked_moves.items():
+            bank.withdraw(e, moved)
+        self.unbooked_moves.clear()
+        bank.discard_residual()
 
     def _encrypt(self, eid: int, budget: int) -> int:
         """Move up to ``budget`` waiting copies into the encrypted queue."""
@@ -668,18 +756,21 @@ class _Engine:
                 moved += 1
             if moved >= budget:
                 break
+        if not self.x_len[eid]:
+            self.active_x.discard(eid)
         if moved and len(self.y_q[eid]):
             self.active_y.add(eid)
         return moved
 
     # -- service --------------------------------------------------------------
 
-    def _serve_edges(self, t: int) -> None:
-        """Each link sends up to its budget from its transmission queue."""
+    def _serve_edges(self, t: int, fresh: np.ndarray | None = None) -> None:
+        """Each link sends up to its budget from its transmission queue;
+        single-queue passes the slot's ``fresh`` keys."""
         for e in sorted(self.active_y):
             q = self.y_q[e]
             if self.fresh_only:
-                budget = single_queue_service(len(q), self.gamma[e], self.keys_fresh[e][t])
+                budget = single_queue_service(len(q), self.gamma[e], fresh.item(e))
             else:
                 budget = self.gamma[e]
             while budget:
@@ -722,12 +813,13 @@ class _Engine:
 
     def _serve_nodes(self, t: int) -> None:
         """Backpressure's service: links in random order, commodities by differential backlog."""
-        edges, banks, node_q, lens, dest = self.g.edges, self.banks, self.node_q, self.lens, self.dest
+        edges, bank, node_q, lens, dest = self.g.edges, self.bank, self.node_q, self.lens, self.dest
         snapshot = [row[:] for row in lens]
         order = self.misc_rng.permutation(self.g.m).tolist()
-        for eid, c, n in backpressure_activations(snapshot, self.g, self.kappa_now, self.ids, order, live=lens):
+        # kappa is the capped residual: each link reads it before its own withdrawal
+        for eid, c, n in backpressure_activations(snapshot, self.g, bank.residual, self.ids, order, live=lens):
             e = edges[eid]
-            banks[eid].withdraw(n)
+            n = bank.withdraw(eid, n)
             self.keys_total -= n
             src = node_q[(e.u, c)]
             for _ in range(n):
@@ -745,13 +837,13 @@ class _Engine:
 
     def _advance_virtual_queues(self, t: int) -> None:
         a_q, a_c = self.a_q, self.a_c
-        touched = self.active_vq | set(a_q) | set(a_c)
-        for e in touched:
+        for e in self.touched:
             aq = a_q.get(e, 0)
             a_all = aq + a_c.get(e, 0)
             x_old = self.x_tilde[e]
             y_old = self.y_tilde[e]
-            x_new = max(0.0, x_old + aq - self.kappa_now[e]) if self.banks[e] is not None else x_old
+            # a keyless link has kappa 0 and no encrypted arrivals, so its x̃ stays 0
+            x_new = max(0.0, x_old + aq - self.kappa_now[e])
             y_new = max(0.0, y_old + a_all - self.gamma[e])
             self.x_tilde[e] = x_new
             self.y_tilde[e] = y_new
@@ -765,7 +857,6 @@ class _Engine:
         if self.trace_on:
             for e in range(self.g.m):
                 self.trace_a[t, e] = a_q.get(e, 0) + a_c.get(e, 0)
-            self.trace_kappa[t] = self.kappa_now
             self.trace_x[t] = self.x_tilde
             self.trace_y[t] = self.y_tilde
         a_q.clear()
@@ -788,8 +879,8 @@ class _Engine:
             self.series.append(
                 t,
                 self.arrivals_cum,
-                sum(self.class_delivered.values()),
-                sum(self.class_dropped.values()),
+                self.delivered_cum,
+                self.dropped_cum,
                 backlog,
                 vq,
                 x,
@@ -866,26 +957,28 @@ class _Engine:
             if live_by_class[cid] != self.live[cid]:
                 raise InvariantViolation(f"slot {t}: class {cid} live-count mismatch")
 
-        if self.banks is None:
+        bank = self.bank
+        if bank is None:
+            return
+        bank.check_ledger()
+        if not self.virtual:
             return
         for e in self.qkd_ids:
-            bank = self.banks[e]
-            bank.check_ledger()
-            if not self.virtual:
-                continue
             if self.transmitted_encrypted[e] > self.moved_total[e]:
                 raise InvariantViolation(f"slot {t}: edge {e} transmitted more than was encrypted")
             if self.storage:
+                residual = bank.residual.item(e)
                 if self.escrow[e] != self.reserved_total[e] - self.moved_total[e]:
                     raise InvariantViolation(f"slot {t}: edge {e} escrow ledger broke")
-                if self.x_tilde[e] > 0 and bank.residual > 0:
+                if self.x_tilde[e] > 0 and residual > 0:
                     raise InvariantViolation(
                         f"slot {t}: edge {e} has virtual backlog {self.x_tilde[e]} "
-                        f"with {bank.residual} idle banked keys"
+                        f"with {residual} idle banked keys"
                     )
-                if self.x_post_enc[e] > self.x_tilde[e]:
+                x_post = self.x_post_enc.get(e, 0)
+                if x_post > self.x_tilde[e]:
                     raise InvariantViolation(
-                        f"slot {t}: edge {e} physical backlog {self.x_post_enc[e]} "
+                        f"slot {t}: edge {e} physical backlog {x_post} "
                         f"exceeds virtual {self.x_tilde[e]}"
                     )
 

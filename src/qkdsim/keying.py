@@ -1,8 +1,9 @@
-"""Key generation processes, per-edge key banks, and a toy BB84 sampler.
+"""Key generation processes, the key ledger, and a toy BB84 sampler.
 
-Keys are fungible counters: one key unit encrypts exactly one packet.  The
-bank tracks a full ledger (generated / consumed / discarded) so conservation
-can be checked after every operation.  The BB84 backend models only basis
+Keys are fungible counters: one key unit encrypts exactly one packet.  One
+``KeyBank`` holds the ledger of every edge (residual / generated / consumed
+/ discarded) as arrays, so conservation can be checked after every
+operation.  The BB84 backend models only basis
 sifting and intercept-resend detection; it is an alternative source of
 per-slot key counts, not a cryptographic implementation.
 """
@@ -29,42 +30,58 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# key bank
+# key ledger
 
-@dataclass
 class KeyBank:
-    """Counter-based store of unconsumed symmetric keys for one edge."""
+    """Counter-based store of unconsumed symmetric keys, for every edge at once.
 
-    residual: int = 0
-    generated_total: int = 0
-    consumed_total: int = 0
-    discarded_total: int = 0
+    ``residual[e]`` holds edge e's banked keys; ``generated_total``,
+    ``consumed_total`` and ``discarded_total`` count what went in and out,
+    so residual = generated - consumed - discarded on every edge.  All four
+    are int64 arrays over the edges.  Deposits and discards act on the
+    whole vector in a fixed number of numpy steps; a withdrawal names its
+    edge, so per-edge work is paid only where keys are spent.
+    """
 
-    def deposit(self, count: int) -> None:
-        if count < 0:
-            raise ValueError(f"deposit count must be >= 0, got {count}")
-        self.residual += count
-        self.generated_total += count
+    def __init__(self, m: int):
+        ledger = np.zeros((4, m), dtype=np.int64)
+        self.residual, self.generated_total, self.consumed_total, self.discarded_total = ledger
+        self._banked = ledger[:2]  # residual and generated grow together on a deposit
 
-    def withdraw(self, requested: int) -> int:
-        """Grant min(requested, residual); never overdraws."""
+    def deposit(self, counts: np.ndarray) -> None:
+        """Add ``counts[e]`` fresh keys to every edge e."""
+        if counts.min() < 0:
+            raise ValueError("deposit counts must be >= 0")
+        self._banked += counts
+
+    def withdraw(self, edge: int, requested: int) -> int:
+        """Grant min(requested, residual) at one edge; never overdraws."""
         if requested < 0:
             raise ValueError(f"withdraw count must be >= 0, got {requested}")
-        granted = min(requested, self.residual)
-        self.residual -= granted
-        self.consumed_total += granted
+        granted = min(int(requested), self.residual.item(edge))
+        if granted:
+            self.residual[edge] -= granted
+            self.consumed_total[edge] += granted
         return granted
 
-    def discard_residual(self) -> int:
-        """Throw away everything left in the bank (no-storage operation)."""
-        dropped = self.residual
-        self.residual = 0
-        self.discarded_total += dropped
-        return dropped
+    def discard_residual(self, keep: int = 0) -> None:
+        """Throw away every edge's keys above ``keep`` (0: the no-storage
+        operation; a positive ``keep`` caps each bank)."""
+        if keep < 0:
+            raise ValueError(f"keep must be >= 0, got {keep}")
+        if keep:
+            kept = np.minimum(self.residual, keep)
+            self.discarded_total += self.residual - kept
+            self.residual[:] = kept
+        else:
+            self.discarded_total += self.residual
+            self.residual.fill(0)
 
     def check_ledger(self) -> None:
-        assert self.residual == self.generated_total - self.consumed_total - self.discarded_total
-        assert self.residual >= 0
+        assert np.array_equal(
+            self.residual, self.generated_total - self.consumed_total - self.discarded_total
+        )
+        assert self.residual.min(initial=0) >= 0
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +223,8 @@ def bb84_round(
 
 class KeySampler:
     """Stateful per-edge key stream bound to one seeded generator."""
+
+    __slots__ = ("process", "rng")
 
     def __init__(self, process: KeyProcess, rng: np.random.Generator):
         self.process = process

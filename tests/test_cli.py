@@ -172,6 +172,15 @@ _REJECTED = {
                                {"kind": "broadcast", "destinations": []}, "policies[0]"),
     "source-out-of-range": ({}, {"source": 5}, "classes[0].source"),
     "destination-out-of-range": ({}, {"destinations": [7]}, "classes[0].destinations"),
+    "key-storage-string": ({"policies": [{"mode": "tandem", "key_storage": "false"}]}, {},
+                           "policies[0].key_storage"),
+    "series-string": ({"metrics": {"series": "false"}}, {}, "metrics.series"),
+    "fractional-seed": ({"seeds": [1.7]}, {}, "config.seeds"),
+    "stride-string": ({"metrics": {"stride": "x"}}, {}, "metrics.stride"),
+    "negative-key-cap": ({"policies": [{"mode": "backpressure", "key_cap": -1}]}, {},
+                         "policies[0].key_cap"),
+    "fractional-ppbp-sources": ({"rate_scales": [1.0]}, {"arrival": {"process": "ppbp", "sources": 2.5}},
+                                "classes[0].arrival.sources"),
 }
 
 

@@ -364,3 +364,54 @@ def test_engine_argument_validation():
         simulate(g, [], TandemMode(), horizon=10, seed=0)
     with pytest.raises(ValueError):
         simulate(g, _counterexample_classes(), TandemMode(), scheduler="lifo", horizon=10, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# streamed draws: the block size never changes a run
+
+def _streaming_cell(mode):
+    from qkdsim.config import GraphConfig
+    from qkdsim.traffic import PPBP
+
+    if isinstance(mode, MultilevelMode):
+        g = GraphConfig(kind="erdos_renyi", nodes=7, p=0.6, graph_seed=4, qkd_fraction=0.6).build()
+        plain = "classical"
+    else:
+        g = erdos_renyi(7, 0.6, seed=4)
+        plain = "quantum"
+    classes = [
+        TrafficClass(0, 0, Unicast(5), PPBP(sources=3, hurst=0.7, mean_burst_slots=3.0, mean_sleep_slots=6.0)),
+        TrafficClass(1, 2, Unicast(6), TruncatedPoisson(0.5, cap=2), security=plain),
+        TrafficClass(2, 4, Unicast(1), Bernoulli(0.3)),
+    ]
+    e0, e1 = g.edges[0], g.edges[3]
+    key_specs = (
+        KeySpec(kind="bb84", photons=6, eavesdrop_prob=0.2, check_fraction=0.3,
+                overrides=(((e0.u, e0.v), KeySpec(kind="deterministic", value=1)),)),
+        KeySpec(k_max=3, overrides=(((e1.u, e1.v), KeySpec(kind="deterministic", value=0)),
+                                    ((e0.u, e0.v), KeySpec(kind="bb84", photons=4)))),
+    )
+    return g, classes, key_specs
+
+
+@pytest.mark.parametrize("mode", [TandemMode(True), TandemMode(False), SingleQueueMode(), BackpressureMode(key_cap=4),
+                                  MultilevelMode(True), MultilevelMode(False)], ids=lambda m: m.label)
+def test_block_size_never_changes_a_run(mode, monkeypatch):
+    import hashlib
+
+    import qkdsim.engine as engine
+
+    g, classes, key_specs = _streaming_cell(mode)
+    horizon = 80
+    digests = set()
+    for slots in (1, 3, horizon, 2 * horizon):
+        monkeypatch.setattr(engine, "_BLOCK_CELLS", slots * g.m)
+        h = hashlib.sha256()
+        for keys in key_specs:
+            r = simulate(g, classes, mode, keys=keys, horizon=horizon, seed=7, queue_cap=6,
+                         check_invariants=True, trace=True, record_drift=True)
+            h.update(r.to_json_bytes() + r.to_csv_bytes())
+            for name in sorted(r.trace or {}):
+                h.update(r.trace[name].tobytes())
+        digests.add(h.hexdigest())
+    assert len(digests) == 1

@@ -21,56 +21,121 @@ def _rng(seed=0):
 
 
 # ---------------------------------------------------------------------------
-# key bank
+# key ledger (one KeyBank holds every edge)
+
+def _vec(*counts):
+    return np.array(counts, dtype=np.int64)
+
 
 def test_bank_cannot_overdraw():
-    bank = KeyBank()
-    bank.deposit(3)
-    assert bank.withdraw(5) == 3
-    assert bank.residual == 0
-    assert bank.withdraw(0) == 0
+    bank = KeyBank(3)
+    bank.deposit(_vec(3, 0, 1))
+    assert bank.withdraw(0, 5) == 3
+    assert bank.withdraw(2, 4) == 1
+    assert bank.residual.tolist() == [0, 0, 0]
+    assert bank.withdraw(1, 0) == 0
+    assert bank.withdraw(1, 2) == 0
 
 
 def test_bank_withdraw_zero_is_identity():
-    bank = KeyBank(residual=2, generated_total=2)
-    assert bank.withdraw(0) == 0
-    assert bank.residual == 2
+    bank = KeyBank(2)
+    bank.deposit(_vec(2, 2))
+    assert bank.withdraw(0, 0) == 0
+    assert bank.residual.tolist() == [2, 2]
+    assert bank.consumed_total.tolist() == [0, 0]
 
 
-@given(st.lists(st.tuples(st.sampled_from(["d", "w"]), st.integers(0, 50)), max_size=200))
+_OPS = st.one_of(
+    st.tuples(st.just("d"), st.lists(st.integers(0, 50), min_size=4, max_size=4)),
+    st.tuples(st.just("w"), st.integers(0, 3), st.integers(0, 50)),
+    st.tuples(st.just("x"), st.integers(0, 30)),
+)
+
+
+@given(st.integers(2, 4), st.lists(_OPS, max_size=200))
 @settings(max_examples=200, deadline=None)
-def test_bank_ledger_replay(ops):
-    # independent replay: track our own generated/consumed totals
-    bank = KeyBank()
-    gen = con = 0
-    for op, count in ops:
-        if op == "d":
-            bank.deposit(count)
-            gen += count
+def test_bank_ledger_replay(m, ops):
+    # independent replay: one scalar ledger per edge
+    bank = KeyBank(m)
+    res, gen, con, dis = ([0] * m for _ in range(4))
+    for op in ops:
+        if op[0] == "d":
+            counts = op[1][:m]
+            bank.deposit(np.array(counts, dtype=np.int64))
+            for e, c in enumerate(counts):
+                res[e] += c
+                gen[e] += c
+        elif op[0] == "w":
+            e, want = op[1] % m, op[2]
+            got = bank.withdraw(e, want)
+            assert got == min(want, res[e])
+            res[e] -= got
+            con[e] += got
         else:
-            con += bank.withdraw(count)
-        assert bank.residual == gen - con >= 0
-        assert bank.generated_total == gen
-        assert bank.consumed_total == con
+            keep = op[1]
+            bank.discard_residual(keep)
+            for e in range(m):
+                over = max(0, res[e] - keep)
+                res[e] -= over
+                dis[e] += over
+        assert bank.residual.tolist() == res
+        assert bank.generated_total.tolist() == gen
+        assert bank.consumed_total.tolist() == con
+        assert bank.discarded_total.tolist() == dis
         bank.check_ledger()
 
 
 def test_bank_discard_tracks_separately():
-    bank = KeyBank()
-    bank.deposit(5)
-    bank.withdraw(2)
-    assert bank.discard_residual() == 3
-    assert bank.residual == 0
-    assert bank.discarded_total == 3
+    bank = KeyBank(2)
+    bank.deposit(_vec(5, 1))
+    bank.withdraw(0, 2)
+    bank.discard_residual()
+    assert bank.residual.tolist() == [0, 0]
+    assert bank.discarded_total.tolist() == [3, 1]
+    assert bank.consumed_total.tolist() == [2, 0]
+    bank.check_ledger()
+
+
+def test_bank_discard_above_a_cap():
+    bank = KeyBank(3)
+    bank.deposit(_vec(5, 1, 2))
+    bank.discard_residual(2)
+    assert bank.residual.tolist() == [2, 1, 2]
+    assert bank.discarded_total.tolist() == [3, 0, 0]
     bank.check_ledger()
 
 
 def test_bank_rejects_negative_amounts():
-    bank = KeyBank()
+    bank = KeyBank(2)
     with pytest.raises(ValueError):
-        bank.deposit(-1)
+        bank.deposit(_vec(1, -1))
     with pytest.raises(ValueError):
-        bank.withdraw(-1)
+        bank.withdraw(0, -1)
+    with pytest.raises(ValueError):
+        bank.discard_residual(-1)
+    assert bank.generated_total.tolist() == [0, 0]
+
+
+@given(st.integers(2, 5), st.integers(0, 4), st.integers(0, 40), st.integers(0, 40), st.integers(0, 1000))
+@settings(max_examples=100, deadline=None)
+def test_bank_operations_on_one_edge_leave_the_others_alone(m, e, put, take, seed):
+    e %= m
+    bank = KeyBank(m)
+    bank.deposit(np.random.default_rng(seed).integers(0, 20, m))
+    bank.withdraw((e + 1) % m, 3)
+
+    def others():
+        return [np.delete(a, e).tolist() for a in
+                (bank.residual, bank.generated_total, bank.consumed_total, bank.discarded_total)]
+
+    before = others()
+    only_e = np.zeros(m, dtype=np.int64)
+    only_e[e] = put
+    bank.deposit(only_e)
+    assert others() == before
+    bank.withdraw(e, take)
+    assert others() == before
+    bank.check_ledger()
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qkdsim.engine import simulate
+from qkdsim.config import GraphConfig
+from qkdsim.engine import _Engine, simulate
 from qkdsim.keying import KeySpec
 from qkdsim.policy import (
+    MultilevelMode,
     TandemMode,
     VirtualQueues,
     assign_weights,
@@ -16,9 +18,9 @@ from qkdsim.policy import (
     select_routes,
     single_queue_service,
 )
-from qkdsim.routing import TreeRoute, UnreachableError
+from qkdsim.routing import TreeRoute, UnreachableError, anycast_route, min_weight_path
 from qkdsim.topology import EdgeSpec, build_graph, erdos_renyi
-from qkdsim.traffic import Bernoulli, Broadcast, TrafficClass, TruncatedPoisson, Unicast
+from qkdsim.traffic import Anycast, Bernoulli, Broadcast, TrafficClass, TruncatedPoisson, Unicast
 
 from .oracles import drift_bound
 
@@ -280,3 +282,61 @@ def test_multilevel_quantum_unreachable_inside_qkd_subgraph():
     classes = [TrafficClass(0, 0, Unicast(2), Bernoulli(0.5), security="quantum")]
     with pytest.raises(UnreachableError):
         multilevel_select_routes(g, VirtualQueues([0.0] * g.m, [0.0] * g.m), {0: 1}, classes)
+
+
+# ---------------------------------------------------------------------------
+# zero-weight shortcut: a path class whose fewest-hop route weighs exactly 0
+# takes it without the router; the router would have picked the same route
+
+def _mostly_zero(rng, m):
+    return np.where(rng.random(m) < 0.75, 0.0, rng.integers(1, 41, m) / 8).tolist()
+
+
+@given(seed=st.integers(0, 10**6), masked=st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_zero_weight_shortcut_matches_the_router(seed, masked):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, 10))
+    g = GraphConfig(kind="erdos_renyi", nodes=n, p=0.5, graph_seed=seed,
+                    qkd_fraction=0.6 if masked else 1.0).build()
+    if not g.connected():
+        return
+    s, d, c1, c2 = (int(v) for v in rng.choice(n, size=4, replace=False))
+    levels = ("quantum", "classical") if masked else ("quantum",)
+    classes = []
+    for sec in levels:
+        classes.append(TrafficClass(len(classes), s, Unicast(d), Bernoulli(0.1), security=sec))
+        classes.append(TrafficClass(len(classes), s, Anycast((c1, c2)), Bernoulli(0.1), security=sec))
+    mode = MultilevelMode() if masked else TandemMode()
+    eng = _Engine(g, classes, mode, KeySpec(), "fifo", 1, 0, 10_000, False, 1, False, False, False)
+    # a keyless link never holds encryption backlog
+    x = [w if e.has_qkd else 0.0 for w, e in zip(_mostly_zero(rng, g.m), g.edges)]
+    y = _mostly_zero(rng, g.m)
+    eng.x_tilde[:] = x
+    eng.y_tilde[:] = y
+    eng.active_vq.update(e for e in range(g.m) if x[e] or y[e])
+    mask = [e.has_qkd for e in g.edges]
+    for cls in classes:
+        if cls.security == "quantum":
+            w, allowed = [a + b for a, b in zip(x, y)], (mask if masked else None)
+        else:
+            w, allowed = y, None
+        if isinstance(cls.kind, Unicast):
+            want = min_weight_path(g, w, s, d, allowed)
+        else:
+            want = anycast_route(g, w, s, (c1, c2), allowed)
+        got = eng._routes({cls.id: 1})[cls.id]
+        assert got == want
+        hop = eng.hop_routes[cls.id]
+        # the shortcut hands out the cached route itself, the router a new one
+        assert (got is hop) == (not any(w[e] for e in hop.edges))
+
+
+def test_zero_weight_shortcut_skips_the_router_when_idle():
+    g = erdos_renyi(8, 0.5, seed=3)
+    classes = [TrafficClass(0, 0, Unicast(5), Bernoulli(0.1)), TrafficClass(1, 2, Anycast((6, 7)), Bernoulli(0.1))]
+    eng = _Engine(g, classes, TandemMode(), KeySpec(), "fifo", 1, 0, 10_000, False, 1, False, False, False)
+    routes = eng._routes({0: 1, 1: 2})
+    assert routes[0] is eng.hop_routes[0] and routes[1] is eng.hop_routes[1]
+    assert routes[0] == min_weight_path(g, [0.0] * g.m, 0, 5)
+    assert routes[1] == anycast_route(g, [0.0] * g.m, 2, (6, 7))
