@@ -45,6 +45,7 @@ def _run_cell(job: tuple) -> MetricsRecord:
         record_series=cfg.record_series,
         series_stride=cfg.series_stride,
         record_drift=cfg.record_drift,
+        _checked=True,  # run_experiment has run _check_cells on every cell
     )
 
 

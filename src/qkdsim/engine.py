@@ -20,8 +20,10 @@ A slot costs what its traffic costs.  Arrivals and keys are drawn in blocks
 of slots (at most ``_BLOCK_CELLS`` key counts at a time), so memory does not
 grow with the horizon; a slot's deposit is one vector step, and Python work
 is done only on the links that hold packets, virtual backlog or this slot's
-arrivals.  A unicast or anycast class whose fewest-hop route weighs exactly
-zero takes that route without running the router (see ``_Engine._routes``).
+arrivals.  Backpressure picks every link's commodity in one vector step per
+class and walks only the links that can send (see ``_Engine._serve_nodes``).
+A unicast or anycast class whose fewest-hop route weighs exactly zero takes
+that route without running the router (see ``_Engine._routes``).
 """
 
 from __future__ import annotations
@@ -403,7 +405,6 @@ class _Engine:
         record_drift: bool,
     ):
         self.classes = sorted(classes, key=lambda c: c.id)
-        _validate(g, self.classes, mode, scheduler)
         self.g = g
         self.mode = mode
         self.scheduler = scheduler
@@ -460,6 +461,9 @@ class _Engine:
             self.dest = {c.id: c.kind.destination for c in self.classes}
             self.node_q = {(v, c): deque() for v in range(g.n) for c in ids}
             self.lens = [[0] * (max(ids) + 1) for _ in range(g.n)]
+            self.tails = np.array([e.u for e in g.edges])
+            self.heads = np.array([e.v for e in g.edges])
+            self.gammas = np.array(self.gamma)
             return
 
         # edge queues: encryption queue per priority level, then transmission
@@ -736,8 +740,7 @@ class _Engine:
         """
         bank = self.bank
         bank.deposit(fresh.sum(axis=0))
-        for e, moved in self.unbooked_moves.items():
-            bank.withdraw(e, moved)
+        bank.withdraw_many(list(self.unbooked_moves), list(self.unbooked_moves.values()))
         self.unbooked_moves.clear()
         bank.discard_residual()
 
@@ -812,26 +815,45 @@ class _Engine:
                 break
 
     def _serve_nodes(self, t: int) -> None:
-        """Backpressure's service: links in random order, commodities by differential backlog."""
-        edges, bank, node_q, lens, dest = self.g.edges, self.bank, self.node_q, self.lens, self.dest
-        snapshot = [row[:] for row in lens]
-        order = self.misc_rng.permutation(self.g.m).tolist()
-        # kappa is the capped residual: each link reads it before its own withdrawal
-        for eid, c, n in backpressure_activations(snapshot, self.g, bank.residual, self.ids, order, live=lens):
+        """Backpressure's service: links in random order, commodities by differential backlog.
+
+        ``backpressure_activations`` picks every link's commodity on the
+        start-of-slot queue table in one vector step per class, and walks
+        only the links that can send.  Each link appears once in the order
+        and spends only its own keys, so its cap min(gamma, residual) is
+        read before the walk, and the slot's withdrawals are booked at its
+        end in one vector step.
+        """
+        edges, node_q, lens, dest = self.g.edges, self.node_q, self.lens, self.dest
+        # unnamed here, so the kernel can free the table, caps and order before its walk
+        acts = backpressure_activations(
+            np.array(lens, dtype=np.int64), self.tails, self.heads,
+            np.minimum(self.gammas, self.bank.residual), self.ids, self.misc_rng.permutation(self.g.m), lens,
+        )
+        sent_edges, sent = [], []
+        for eid, c, n in acts:
+            sent_edges.append(eid)
+            sent.append(n)
             e = edges[eid]
-            n = bank.withdraw(eid, n)
-            self.keys_total -= n
-            src = node_q[(e.u, c)]
-            for _ in range(n):
+            u, v = e.u, e.v
+            src = node_q[(u, c)]
+            lens[u][c] -= n
+            if v == dest[c]:
+                for _ in range(n):
+                    self._deliver(src.popleft(), t)
+                continue
+            # the queue at v only grows during the loop: the first packets fit, the rest drop
+            kept = min(n, self.queue_cap - lens[v][c])
+            lens[v][c] += kept
+            dst = node_q[(v, c)]
+            for i in range(n):
                 rec = src.popleft()
-                lens[e.u][c] -= 1
-                if e.v == dest[c]:
-                    self._deliver(rec, t)
-                elif lens[e.v][c] >= self.queue_cap:
-                    self._drop(rec)
+                if i < kept:
+                    dst.append(rec)
                 else:
-                    node_q[(e.v, c)].append(rec)
-                    lens[e.v][c] += 1
+                    self._drop(rec)
+        if sent_edges:
+            self.keys_total -= self.bank.withdraw_many(sent_edges, sent)
 
     # -- virtual queues ---------------------------------------------------------
 
@@ -1001,11 +1023,14 @@ def simulate(
     check_invariants: bool = False,
     trace: bool = False,
     record_drift: bool = False,
+    _checked: bool = False,
 ) -> MetricsRecord:
     """Run one seeded simulation and return its metrics.
 
     Runs are deterministic: identical arguments yield identical records,
-    including series bytes.
+    including series bytes.  ``_checked`` skips ``_validate`` for a caller
+    that has already run it on the same graph, classes, mode and scheduler
+    (the CLI checks every cell before it runs one).
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -1013,6 +1038,8 @@ def simulate(
         raise ValueError("at least one traffic class is required")
     if not isinstance(mode, (TandemMode, MultilevelMode, SingleQueueMode, BackpressureMode)):
         raise TypeError(f"unknown policy mode {mode!r}")
+    if not _checked:
+        _validate(g, sorted(classes, key=lambda c: c.id), mode, scheduler)
     return _Engine(
         g, classes, mode, keys or KeySpec(), scheduler, horizon, seed, queue_cap,
         record_series, series_stride, check_invariants, trace, record_drift,

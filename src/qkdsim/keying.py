@@ -39,8 +39,11 @@ class KeyBank:
     ``consumed_total`` and ``discarded_total`` count what went in and out,
     so residual = generated - consumed - discarded on every edge.  All four
     are int64 arrays over the edges.  Deposits and discards act on the
-    whole vector in a fixed number of numpy steps; a withdrawal names its
-    edge, so per-edge work is paid only where keys are spent.
+    whole vector in a fixed number of numpy steps.  ``withdraw`` names one
+    edge, so per-edge work is paid only where keys are spent;
+    ``withdraw_many`` books the withdrawals of many distinct edges (a
+    slot's backpressure sends, a block's no-storage encryptions) as one
+    vector step.
     """
 
     def __init__(self, m: int):
@@ -63,6 +66,18 @@ class KeyBank:
             self.residual[edge] -= granted
             self.consumed_total[edge] += granted
         return granted
+
+    def withdraw_many(self, edges, requested) -> int:
+        """Grant min(requested[i], residual) at each of the distinct ``edges``
+        in one vector step; returns the total granted."""
+        edges = np.asarray(edges, dtype=np.intp)
+        requested = np.asarray(requested, dtype=np.int64)
+        if requested.min(initial=0) < 0:
+            raise ValueError("withdraw counts must be >= 0")
+        granted = np.minimum(requested, self.residual[edges])
+        self.residual[edges] -= granted
+        self.consumed_total[edges] += granted
+        return int(granted.sum())
 
     def discard_residual(self, keep: int = 0) -> None:
         """Throw away every edge's keys above ``keep`` (0: the no-storage

@@ -12,7 +12,9 @@ backlog (backpressure) policy with a capped key bank.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterator, Mapping, Sequence, Union
+
+import numpy as np
 
 from .routing import (
     Route,
@@ -175,42 +177,43 @@ def single_queue_service(queue_len: int, gamma: int, fresh_keys: int) -> int:
 
 
 def backpressure_activations(
-    queue_lens: Sequence[Sequence[int]],
-    g: NetworkGraph,
-    kappa: Sequence[int],
+    queue_lens: np.ndarray,
+    tails: np.ndarray,
+    heads: np.ndarray,
+    cap: np.ndarray,
     class_ids: Sequence[int],
-    edge_order: Iterable[int] | None = None,
-    live: Sequence[Sequence[int]] | None = None,
+    edge_order: np.ndarray,
+    live: Sequence[Sequence[int]],
 ) -> Iterator[tuple[int, int, int]]:
     """Per-link service decisions from differential backlogs.
 
-    ``queue_lens[node][class]`` is a start-of-slot snapshot.  Each link, in
-    ``edge_order``, picks the commodity with the largest positive backlog
-    differential on the snapshot (ties to the lower class id) and serves up
-    to min(gamma, kappa) of it, clamped by the source queue in ``live``
-    (default: the snapshot).  Yields (edge id, class id, count).  ``live``
-    is read as each activation is produced, so a caller that applies an
-    activation before asking for the next sees a link drain a source queue
-    that a later link shares.
+    ``queue_lens`` is the start-of-slot (node, class) queue table, and edge
+    e runs from ``tails[e]`` to ``heads[e]`` with ``cap[e]`` sendable
+    packets (min(gamma, kappa)).  Every link picks, on the table, the
+    commodity with the largest positive backlog differential (ties to the
+    lower class id); this is one vector step per class over all links.
+    Then only the links with a commodity and a positive cap are walked, in
+    ``edge_order`` (a permutation of the edge ids): each serves up to its
+    cap of its commodity, clamped by the source queue in ``live``.  Yields
+    (edge id, class id, count).  ``live`` is read as each activation is
+    produced, so a caller that applies an activation before asking for the
+    next sees a link drain or refill a source queue that a later link reads.
     """
-    live = queue_lens if live is None else live
-    order = range(g.m) if edge_order is None else edge_order
-    cids = sorted(class_ids)
-    edges = g.edges
-    for eid in order:
-        e = edges[eid]
-        here, there = queue_lens[e.u], queue_lens[e.v]
-        if not any(here):
-            continue
-        best_c = -1
-        best_diff = 0
-        for c in cids:
-            diff = here[c] - there[c]
-            if diff > best_diff:
-                best_diff = diff
-                best_c = c
-        if best_c < 0:
-            continue
-        n = min(e.gamma, kappa[eid], live[e.u][best_c])
-        if n > 0:
-            yield eid, best_c, n
+    best_c = np.full(len(tails), -1)
+    best_diff = np.zeros(len(tails), dtype=queue_lens.dtype)
+    diff = np.empty_like(best_diff)
+    for c in sorted(class_ids):  # a later class wins only with a strictly larger differential
+        col = queue_lens[:, c]
+        np.subtract(col[tails], col[heads], out=diff)
+        np.putmask(best_c, diff > best_diff, c)
+        np.maximum(best_diff, diff, out=best_diff)
+    walk = edge_order[((best_c >= 0) & (cap > 0))[edge_order]]
+    walk = zip(walk.tolist(), tails[walk].tolist(), best_c[walk].tolist(), cap[walk].tolist())
+    # Free the edge-sized arrays before the walk: the caller's queue growth
+    # during the walk would otherwise pin their heap space (with glibc
+    # malloc, a 1,000-slot unicast-full cell's peak RSS grew by 4 MB).
+    del best_c, best_diff, diff, cap, edge_order, queue_lens
+    for eid, u, c, k in walk:
+        n = live[u][c]  # never negative; a test is cheaper than a min() call
+        if n:
+            yield eid, c, k if k < n else n

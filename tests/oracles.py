@@ -223,3 +223,32 @@ def envelope_check(series, bound: float, epsilon: float) -> tuple[bool, float]:
     running = np.cumsum(arr) / np.arange(1, len(arr) + 1)
     worst = float(running.max())
     return worst <= bound / (2 * epsilon), worst
+
+
+def backpressure_scan(queue_lens, g, kappa, class_ids, edge_order, live):
+    """Backpressure's link-by-link scan, one edge and one class at a time.
+
+    ``queue_lens[node][class]`` is the start-of-slot table.  Each link, in
+    ``edge_order``, picks the class with the largest positive differential
+    on the table (ties to the lower class id) and serves up to
+    min(gamma, kappa) of it, clamped by ``live[node][class]``, which is read
+    as each activation is produced.  Yields (edge id, class id, count).
+    """
+    cids = sorted(class_ids)
+    for eid in edge_order:
+        e = g.edges[eid]
+        here, there = queue_lens[e.u], queue_lens[e.v]
+        if not any(here):
+            continue
+        best_c = -1
+        best_diff = 0
+        for c in cids:
+            diff = here[c] - there[c]
+            if diff > best_diff:
+                best_diff = diff
+                best_c = c
+        if best_c < 0:
+            continue
+        n = min(e.gamma, kappa[eid], live[e.u][best_c])
+        if n > 0:
+            yield eid, best_c, n

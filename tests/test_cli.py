@@ -207,6 +207,24 @@ def test_run_builds_the_graph_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def test_run_validates_each_policy_once(tmp_path, monkeypatch):
+    import qkdsim.cli as cli
+    import qkdsim.engine as engine
+
+    calls = []
+    for module in (cli, engine):
+        check = module._validate
+        monkeypatch.setattr(module, "_validate", lambda *a, _check=check, _m=module.__name__: calls.append(_m) or _check(*a))
+    cfg = ExperimentConfig.from_dict(_tiny_config(policies=[{"mode": "tandem"}, {"mode": "backpressure"}]))
+    run_experiment(cfg, tmp_path / "out")
+    # one check per policy before the run, none again in its 4 cells
+    assert calls == ["qkdsim.cli"] * 2
+    # simulate called directly still checks its arguments
+    g = cfg.graph.build()
+    engine.simulate(g, cfg.build_classes(1.0), cfg.policies[0], horizon=5, seed=0)
+    assert calls[2:] == ["qkdsim.engine"]
+
+
 def test_run_parallel_workers_match_serial(tmp_path):
     cfg = ExperimentConfig.from_dict(_tiny_config())
     run_experiment(cfg, tmp_path / "serial", workers=1)

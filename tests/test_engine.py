@@ -415,3 +415,45 @@ def test_block_size_never_changes_a_run(mode, monkeypatch):
                 h.update(r.trace[name].tobytes())
         digests.add(h.hexdigest())
     assert len(digests) == 1
+
+
+# ---------------------------------------------------------------------------
+# backpressure: the service phase's outputs, pinned across builds
+
+def _backpressure_cell(key_cap):
+    # gamma 2 and key rates up to 3 let a link send two packets a slot, so one
+    # link can drain or refill a source queue that a later link reads; class
+    # ids 1 and 2 are unused columns of the queue table
+    g = erdos_renyi(9, 0.4, gamma=2, eta_range=(0.5, 3.0), seed=21)
+    classes = [
+        TrafficClass(0, 0, Unicast(8), TruncatedPoisson(1.2, cap=4)),
+        TrafficClass(3, 5, Unicast(1), Bernoulli(0.8)),
+        TrafficClass(4, 0, Unicast(5), Bernoulli(0.6)),
+    ]
+    return simulate(g, classes, BackpressureMode(key_cap=key_cap), horizon=400, seed=30 + key_cap,
+                    queue_cap=4, check_invariants=True)
+
+
+BACKPRESSURE_DIGESTS = {
+    0: (
+        "5084fbae49adeebf2fe4dad1a0833ba95601a15170b4c355ec1bdb1190e8104e",
+        "99baa74b483e433341ea50216794b7c70e9f4e0efd78287f809070677d640799",
+    ),
+    1: (
+        "07a0f0832c7fb20478e54aefbb09535d8ea74e9342385fec8a54dfe47b61d7e6",
+        "120bef1a1f4e7b5b4aecc47708767a4e59e5ecca608f53d7553c1abc5356fa0f",
+    ),
+    50: (
+        "8e39a8a39cb12816518aa03556e1c355915e196728d22d7deb2e6e51009c0aa6",
+        "9f02d845ec9fafad8bcdaef7748bb20015bd23bc78931067b9a363668a5b6c3d",
+    ),
+}
+
+
+@pytest.mark.parametrize("key_cap", sorted(BACKPRESSURE_DIGESTS))
+def test_backpressure_bytes_pinned(key_cap):
+    import hashlib
+
+    r = _backpressure_cell(key_cap)
+    got = (hashlib.sha256(r.to_json_bytes()).hexdigest(), hashlib.sha256(r.to_csv_bytes()).hexdigest())
+    assert got == BACKPRESSURE_DIGESTS[key_cap]

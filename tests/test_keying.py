@@ -49,6 +49,7 @@ _OPS = st.one_of(
     st.tuples(st.just("d"), st.lists(st.integers(0, 50), min_size=4, max_size=4)),
     st.tuples(st.just("w"), st.integers(0, 3), st.integers(0, 50)),
     st.tuples(st.just("x"), st.integers(0, 30)),
+    st.tuples(st.just("m"), st.dictionaries(st.integers(0, 3), st.integers(0, 50), max_size=4)),
 )
 
 
@@ -71,6 +72,14 @@ def test_bank_ledger_replay(m, ops):
             assert got == min(want, res[e])
             res[e] -= got
             con[e] += got
+        elif op[0] == "m":
+            wants = {e % m: want for e, want in op[1].items()}  # distinct edges
+            got = bank.withdraw_many(list(wants), list(wants.values()))
+            assert got == sum(min(want, res[e]) for e, want in wants.items())
+            for e, want in wants.items():
+                granted = min(want, res[e])
+                res[e] -= granted
+                con[e] += granted
         else:
             keep = op[1]
             bank.discard_residual(keep)
@@ -111,6 +120,8 @@ def test_bank_rejects_negative_amounts():
         bank.deposit(_vec(1, -1))
     with pytest.raises(ValueError):
         bank.withdraw(0, -1)
+    with pytest.raises(ValueError):
+        bank.withdraw_many([0, 1], [1, -1])
     with pytest.raises(ValueError):
         bank.discard_residual(-1)
     assert bank.generated_total.tolist() == [0, 0]

@@ -22,7 +22,7 @@ from qkdsim.routing import TreeRoute, UnreachableError, anycast_route, min_weigh
 from qkdsim.topology import EdgeSpec, build_graph, erdos_renyi
 from qkdsim.traffic import Anycast, Bernoulli, Broadcast, TrafficClass, TruncatedPoisson, Unicast
 
-from .oracles import drift_bound
+from .oracles import backpressure_scan, drift_bound
 
 
 # ---------------------------------------------------------------------------
@@ -133,24 +133,32 @@ def _line_graph():
     return build_graph(3, [EdgeSpec(0, 1), EdgeSpec(1, 2)])
 
 
+def _activations(lens, g, kappa, class_ids, order=None, live=None):
+    """The kernel on a list-of-lists queue table, called as ``_serve_nodes`` calls it."""
+    tails, heads, gamma = (np.array([getattr(e, f) for e in g.edges]) for f in ("u", "v", "gamma"))
+    order = np.arange(g.m) if order is None else np.asarray(order)
+    return backpressure_activations(np.array(lens), tails, heads, np.minimum(gamma, kappa),
+                                    class_ids, order, lens if live is None else live)
+
+
 def test_backpressure_no_transmission_on_equal_backlog():
     g = _line_graph()
     lens = [[5], [5], [0]]
-    acts = list(backpressure_activations(lens, g, kappa=[9] * g.m, class_ids=[0]))
+    acts = list(_activations(lens, g, kappa=[9] * g.m, class_ids=[0]))
     assert all(g.edges[e].u != 0 or g.edges[e].v != 1 for e, _, _ in acts)
 
 
 def test_backpressure_forwards_downhill():
     g = _line_graph()
     lens = [[10], [0], [0]]
-    acts = list(backpressure_activations(lens, g, kappa=[9] * g.m, class_ids=[0]))
+    acts = list(_activations(lens, g, kappa=[9] * g.m, class_ids=[0]))
     assert (g.edge_between(0, 1), 0, 1) in acts
 
 
 def test_backpressure_respects_gamma_and_keys():
     g = build_graph(2, [EdgeSpec(0, 1, gamma=3)])
     lens = [[10], [0]]
-    acts = list(backpressure_activations(lens, g, kappa=[2, 2], class_ids=[0]))
+    acts = list(_activations(lens, g, kappa=[2, 2], class_ids=[0]))
     assert acts == [(g.edge_between(0, 1), 0, 2)]
 
 
@@ -160,7 +168,7 @@ def test_backpressure_commodity_choice_exhaustive():
     for q0 in range(4):
         for q1 in range(4):
             lens = [[q0, q1], [0, 0]]
-            acts = list(backpressure_activations(lens, g, kappa=[5], class_ids=[0, 1]))
+            acts = list(_activations(lens, g, kappa=[5], class_ids=[0, 1]))
             expect_cls = None
             if q0 or q1:
                 expect_cls = 0 if q0 >= q1 else 1
@@ -177,11 +185,75 @@ def test_backpressure_picks_on_snapshot_and_clamps_by_live_queue():
     snapshot = [[3, 0], [0, 0], [0, 0]]
     live = [row[:] for row in snapshot]
     acts = []
-    for eid, c, n in backpressure_activations(snapshot, g, kappa=[5, 5], class_ids=[0, 1], live=live):
+    for eid, c, n in _activations(snapshot, g, kappa=[5, 5], class_ids=[0, 1], live=live):
         acts.append((eid, c, n))
         live[g.edges[eid].u][c] -= n
         live[0][1] += 1  # a live change the commodity choice must not see
     assert acts == [(0, 0, 2), (1, 0, 1)]
+
+
+def _serve(activations, g, live, dest, queue_cap):
+    """Apply each activation to ``live`` before asking for the next, as
+    ``_serve_nodes`` does: the source loses what the link sends, and the
+    head gains what fits unless it is the class's destination."""
+    out = []
+    for eid, c, n in activations:
+        out.append((eid, c, n))
+        e = g.edges[eid]
+        live[e.u][c] -= n
+        if e.v != dest[c]:
+            live[e.v][c] += min(n, queue_cap - live[e.v][c])
+    return out
+
+
+def _both_scans(g, class_ids, lens, kappa, order, dest, queue_cap):
+    """(activations, final live table) of the scalar oracle, then of the kernel."""
+    runs = []
+    for vector in (False, True):
+        live = [row[:] for row in lens]
+        if vector:
+            acts = _activations(lens, g, kappa, class_ids, order, live)
+        else:
+            acts = backpressure_scan(lens, g, kappa, class_ids, order, live)
+        runs.append((_serve(acts, g, live, dest, queue_cap), live))
+    return runs
+
+
+def test_backpressure_refilled_source_sends_more_than_its_snapshot():
+    # 0->1 runs first and refills node 1, so 1->2 sends three packets
+    # although node 1 held one at the start of the slot
+    g = build_graph(3, [EdgeSpec(0, 1, gamma=2, directed=True), EdgeSpec(1, 2, gamma=3, directed=True)])
+    oracle, vector = _both_scans(g, [0], [[3], [1], [0]], [5, 5], [0, 1], {0: 2}, queue_cap=5)
+    assert oracle == vector
+    assert vector[0] == [(0, 0, 2), (1, 0, 3)]
+
+
+@st.composite
+def _backpressure_slots(draw):
+    """A random directed graph and one slot's queue table, key counts, link
+    order and destinations.  Class ids leave gaps; small queues make tied
+    differentials and shared, drained and refilled source queues common."""
+    n = draw(st.integers(2, 6))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    links = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=14, unique=True))
+    g = build_graph(n, [EdgeSpec(u, v, gamma=draw(st.integers(1, 3)), directed=True) for u, v in links])
+    class_ids = draw(st.lists(st.integers(0, 5), min_size=1, max_size=4, unique=True))
+    queue_cap = draw(st.integers(1, 5))
+    lens = [
+        [draw(st.integers(0, queue_cap)) if c in class_ids else 0 for c in range(max(class_ids) + 1)]
+        for _ in range(n)
+    ]
+    kappa = draw(st.lists(st.integers(0, 3), min_size=g.m, max_size=g.m))
+    order = draw(st.permutations(range(g.m)))
+    dest = {c: draw(st.integers(0, n - 1)) for c in class_ids}
+    return g, class_ids, lens, kappa, order, dest, queue_cap
+
+
+@given(_backpressure_slots())
+@settings(max_examples=400, deadline=None)
+def test_backpressure_kernel_matches_scalar_scan(slot):
+    oracle, vector = _both_scans(*slot)
+    assert vector == oracle
 
 
 # ---------------------------------------------------------------------------
