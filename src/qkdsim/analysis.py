@@ -104,8 +104,8 @@ def constructed_uniform_boundary(
     for cls in classes:
         if not isinstance(cls.kind, Unicast):
             raise ValueError("constructed boundary supports unicast classes only")
-        mask = [e.has_qkd for e in g.edges] if cls.security == "quantum" else None
-        paths[cls.id] = list(min_weight_path(g, hop_w, cls.source, cls.kind.destination, mask).edges)
+        allowed = g.key_mask if cls.security == "quantum" else None
+        paths[cls.id] = list(min_weight_path(g, hop_w, cls.source, cls.kind.destination, allowed).edges)
     q_load = [0] * g.m
     all_load = [0] * g.m
     for cls in classes:

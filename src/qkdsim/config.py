@@ -13,20 +13,13 @@ import json
 import dataclasses
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, Container
 
 import numpy as np
 
 from .keying import KeySpec
 from .policy import BackpressureMode, MultilevelMode, PolicyMode, SingleQueueMode, TandemMode
-from .topology import (
-    EdgeSpec,
-    NetworkGraph,
-    _UnionFind,
-    build_graph,
-    graph_from_dict,
-    load_graph_file,
-)
+from .topology import NetworkGraph, erdos_renyi, graph_from_dict, load_graph_file
 from .traffic import (
     Anycast,
     Bernoulli,
@@ -45,7 +38,36 @@ class ConfigError(ValueError):
     pass
 
 
+# The fields each JSON object may name; anything else is rejected.
+_CONFIG_FIELDS = (
+    "name", "graph", "classes", "policies", "keys", "scheduler", "horizon", "seeds",
+    "queue_cap", "rate_scales", "metrics",
+)
+_GRAPH_FIELDS = {
+    "inline": ("kind", "nodes", "edges"),
+    "file": ("kind", "path"),
+    "erdos_renyi": ("kind", "nodes", "p", "gamma", "eta_range", "graph_seed", "qkd_fraction"),
+}
+_CLASS_FIELDS = ("id", "source", "kind", "destinations", "arrival", "security", "priority")
 _PPBP_FIELDS = {f.name: f.type for f in dataclasses.fields(PPBP)}  # name -> "int" | "float"
+_ARRIVAL_FIELDS = {
+    "bernoulli": ("process", "rate"),
+    "truncated_poisson": ("process", "rate", "cap"),
+    "ppbp": ("process", *_PPBP_FIELDS),
+}
+_KEY_FIELDS = ("process", "k_max", "value", "photons", "eavesdrop_prob", "check_fraction", "overrides")
+_OVERRIDE_FIELDS = ("u", "v", *_KEY_FIELDS[:-1])  # an override holds no overrides
+_METRICS_FIELDS = ("series", "stride", "drift")
+
+
+def _known(doc: Any, fields: Container[str], ctx: str) -> dict:
+    """Return ``doc`` once it is an object that names only ``fields``."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{ctx}: expected an object, got {doc!r}")
+    for key in doc:
+        if key not in fields:
+            raise ConfigError(f"{ctx}.{key}: unknown field")
+    return doc
 
 
 def _require(doc: dict, key: str, ctx: str) -> Any:
@@ -114,7 +136,10 @@ class GraphConfig:
 
     @classmethod
     def from_dict(cls, doc: dict, ctx: str = "graph") -> "GraphConfig":
-        kind = _require(doc, "kind", ctx)
+        kind = str(_require(doc, "kind", ctx))
+        if kind not in _GRAPH_FIELDS:
+            raise ConfigError(f"{ctx}.kind: unknown graph kind {kind!r}")
+        _known(doc, _GRAPH_FIELDS[kind], ctx)
         if kind == "inline":
             return cls(
                 kind="inline",
@@ -123,55 +148,27 @@ class GraphConfig:
             )
         if kind == "file":
             return cls(kind="file", path=str(_require(doc, "path", ctx)))
-        if kind == "erdos_renyi":
-            eta = _list(doc.get("eta_range", [0.2, 1.0]), f"{ctx}.eta_range")
-            if len(eta) != 2:
-                raise ConfigError(f"{ctx}.eta_range: expected [low, high], got {eta!r}")
-            return cls(
-                kind="erdos_renyi",
-                nodes=_int(_require(doc, "nodes", ctx), f"{ctx}.nodes"),
-                p=_num(_require(doc, "p", ctx), f"{ctx}.p"),
-                gamma=_int(doc.get("gamma", 1), f"{ctx}.gamma"),
-                eta_range=(_num(eta[0], f"{ctx}.eta_range"), _num(eta[1], f"{ctx}.eta_range")),
-                graph_seed=_int(doc.get("graph_seed", 0), f"{ctx}.graph_seed"),
-                qkd_fraction=_num(doc.get("qkd_fraction", 1.0), f"{ctx}.qkd_fraction"),
-            )
-        raise ConfigError(f"{ctx}.kind: unknown graph kind {kind!r}")
+        eta = _list(doc.get("eta_range", [0.2, 1.0]), f"{ctx}.eta_range")
+        if len(eta) != 2:
+            raise ConfigError(f"{ctx}.eta_range: expected [low, high], got {eta!r}")
+        return cls(
+            kind="erdos_renyi",
+            nodes=_int(_require(doc, "nodes", ctx), f"{ctx}.nodes"),
+            p=_num(_require(doc, "p", ctx), f"{ctx}.p"),
+            gamma=_int(doc.get("gamma", 1), f"{ctx}.gamma"),
+            eta_range=(_num(eta[0], f"{ctx}.eta_range"), _num(eta[1], f"{ctx}.eta_range")),
+            graph_seed=_int(doc.get("graph_seed", 0), f"{ctx}.graph_seed"),
+            qkd_fraction=_num(doc.get("qkd_fraction", 1.0), f"{ctx}.qkd_fraction"),
+        )
 
     def build(self) -> NetworkGraph:
         if self.kind == "inline":
             return graph_from_dict({"nodes": self.nodes, "edges": list(self.edges)})
         if self.kind == "file":
             return load_graph_file(self.path)
-        from .topology import erdos_renyi
-
-        g = erdos_renyi(self.nodes, self.p, self.gamma, self.eta_range, self.graph_seed)
-        if self.qkd_fraction >= 1.0:
-            return g
-        return _strip_qkd(g, self.qkd_fraction, self.graph_seed)
-
-
-def _strip_qkd(g: NetworkGraph, fraction: float, seed: int) -> NetworkGraph:
-    """Keep key generation on a connected fraction of the links.
-
-    A random spanning tree stays key-equipped so encrypted traffic remains
-    routable end to end; extra links are added up to the target fraction.
-    """
-    rng = np.random.default_rng(seed + 1)
-    n_pairs = len(g.specs)
-    order = list(rng.permutation(n_pairs))
-    forest = _UnionFind(g.n)
-    keep = {i for i in order if forest.union(g.specs[i].u, g.specs[i].v)}
-    target = max(len(keep), int(round(fraction * n_pairs)))
-    for i in order:
-        if len(keep) >= target:
-            break
-        keep.add(i)
-    specs = [
-        EdgeSpec(s.u, s.v, s.gamma, s.eta, has_qkd=(i in keep), directed=s.directed)
-        for i, s in enumerate(g.specs)
-    ]
-    return build_graph(g.n, specs)
+        return erdos_renyi(
+            self.nodes, self.p, self.gamma, self.eta_range, self.graph_seed, self.qkd_fraction
+        )
 
 
 @dataclass(frozen=True)
@@ -207,26 +204,23 @@ class ClassConfig:
 
     @classmethod
     def from_dict(cls, doc: dict, ctx: str) -> "ClassConfig":
-        kind = str(_require(doc, "kind", ctx))
+        kind = str(_require(_known(doc, _CLASS_FIELDS, ctx), "kind", ctx))
         if kind not in ("unicast", "broadcast", "multicast", "anycast"):
             raise ConfigError(f"{ctx}.kind: unknown traffic kind {kind!r}")
+        actx = f"{ctx}.arrival"
         arrival = _require(doc, "arrival", ctx)
-        process = str(_require(arrival, "process", f"{ctx}.arrival"))
+        process = str(_require(arrival, "process", actx))
+        if process not in _ARRIVAL_FIELDS:
+            raise ConfigError(f"{actx}.process: unknown process {process!r}")
+        _known(arrival, _ARRIVAL_FIELDS[process], actx)
         rate, cap, ppbp = 0.0, 4, None
-        if process == "bernoulli":
-            rate = _num(_require(arrival, "rate", f"{ctx}.arrival"), f"{ctx}.arrival.rate")
-        elif process == "truncated_poisson":
-            rate = _num(_require(arrival, "rate", f"{ctx}.arrival"), f"{ctx}.arrival.rate")
-            cap = _int(arrival.get("cap", 4), f"{ctx}.arrival.cap")
-        elif process == "ppbp":
+        if process == "ppbp":
             ppbp = {k: v for k, v in arrival.items() if k != "process"}
-            unknown = sorted(set(ppbp) - set(_PPBP_FIELDS))
-            if unknown:
-                raise ConfigError(f"{ctx}.arrival.{unknown[0]}: unknown ppbp field")
             for k, v in ppbp.items():
-                (_int if _PPBP_FIELDS[k] == "int" else _num)(v, f"{ctx}.arrival.{k}")
+                (_int if _PPBP_FIELDS[k] == "int" else _num)(v, f"{actx}.{k}")
         else:
-            raise ConfigError(f"{ctx}.arrival.process: unknown process {process!r}")
+            rate = _num(_require(arrival, "rate", actx), f"{actx}.rate")
+            cap = _int(arrival.get("cap", 4), f"{actx}.cap")
         dests = tuple(
             _int(d, f"{ctx}.destinations")
             for d in _list(doc.get("destinations", []), f"{ctx}.destinations")
@@ -288,11 +282,9 @@ def _policy_from_dict(doc: dict, ctx: str) -> PolicyMode:
     if name not in _MODES:
         raise ConfigError(f"{ctx}.mode: unknown policy mode {name!r}")
     cls = _MODES[name]
-    mode = cls(**{
-        f.name: _MODE_FIELDS[f.name](doc[f.name], f"{ctx}.{f.name}")
-        for f in dataclasses.fields(cls)
-        if f.name in doc
-    })
+    fields = [f.name for f in dataclasses.fields(cls)]
+    _known(doc, ["mode", *fields], ctx)
+    mode = cls(**{f: _MODE_FIELDS[f](doc[f], f"{ctx}.{f}") for f in fields if f in doc})
     if isinstance(mode, BackpressureMode) and mode.key_cap < 0:
         raise ConfigError(f"{ctx}.key_cap: must be >= 0")
     return mode
@@ -314,7 +306,7 @@ def _keys_to_dict(spec: KeySpec) -> dict:
 
 
 def _keys_from_dict(doc: dict, ctx: str = "keys") -> KeySpec:
-    process = str(doc.get("process", "truncated_poisson"))
+    process = str(_known(doc, _KEY_FIELDS, ctx).get("process", "truncated_poisson"))
     if process not in ("truncated_poisson", "deterministic", "bb84"):
         raise ConfigError(f"{ctx}.process: unknown key process {process!r}")
     value = None if doc.get("value") is None else _int(doc["value"], f"{ctx}.value")
@@ -326,6 +318,7 @@ def _keys_from_dict(doc: dict, ctx: str = "keys") -> KeySpec:
     overrides = []
     for i, sub in enumerate(_list(doc.get("overrides", []), f"{ctx}.overrides")):
         octx = f"{ctx}.overrides[{i}]"
+        _known(sub, _OVERRIDE_FIELDS, octx)
         u, v = (_int(_require(sub, k, octx), f"{octx}.{k}") for k in ("u", "v"))
         inner = {k: w for k, w in sub.items() if k not in ("u", "v")}
         overrides.append(((u, v), _keys_from_dict(inner, octx)))
@@ -380,7 +373,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        name = str(_require(doc, "name", "config"))
+        name = str(_require(_known(doc, _CONFIG_FIELDS, "config"), "name", "config"))
         # The name becomes a directory and a file-name prefix under --output.
         if name in ("", ".", "..") or "/" in name or "\\" in name:
             raise ConfigError(f"config.name: must be a plain file name, got {name!r}")
@@ -436,7 +429,7 @@ class ExperimentConfig:
         queue_cap = _int(doc.get("queue_cap", 10_000), "config.queue_cap")
         if queue_cap < 1:
             raise ConfigError("config.queue_cap: must be >= 1")
-        metrics = doc.get("metrics", {})
+        metrics = _known(doc.get("metrics", {}), _METRICS_FIELDS, "metrics")
         series_stride = _int(metrics.get("stride", 1), "metrics.stride")
         if series_stride < 1:
             raise ConfigError("metrics.stride: must be >= 1")
@@ -610,7 +603,7 @@ def preset_mixed_security() -> ExperimentConfig:
     """
     gcfg = GraphConfig(kind="erdos_renyi", nodes=16, p=0.35, graph_seed=14, qkd_fraction=0.7)
     g = gcfg.build()
-    if not g.connected(set(g.qkd_edge_ids())):
+    if not g.connected(g.key_mask):
         raise ConfigError("mixed-security preset graph lost key-level connectivity")
     rng = np.random.default_rng(99)
     ods: list[tuple[int, int]] = []

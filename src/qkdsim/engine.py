@@ -5,9 +5,11 @@ arrivals, key generation, encryption (unencrypted queue -> encrypted
 queue, one key per packet), link transmission, delivery bookkeeping, and
 the virtual-queue update.  A packet may pass straight through an edge
 (arrive, encrypt, transmit) within one slot, but a forwarded packet only
-becomes serviceable at the next hop from the following slot.  All four
-policies run this one loop; the baselines skip the phases they do not
-have (see ``_Engine``).
+becomes serviceable at the next hop from the following slot.  Every policy
+runs this one loop; the baselines skip the phases they do not have (see
+``_Engine``).  Multilevel is tandem under another name: the engine never
+asks which of the two it runs, it reads the graph's ``key_mask`` and the
+classes' security levels.
 
 One key ledger (``KeyBank``) holds every link's keys as arrays.  With key
 storage, a link's keys are debited by its virtual unencrypted demand each
@@ -249,28 +251,12 @@ class MetricsRecord:
 # ---------------------------------------------------------------------------
 # shared helpers
 
-def _reachable(g: NetworkGraph, s: int, allowed: Sequence[bool]) -> set[int]:
-    seen = {s}
-    stack = [s]
-    while stack:
-        u = stack.pop()
-        for eid in g.out_edges[u]:
-            if not allowed[eid]:
-                continue
-            v = g.edges[eid].v
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return seen
-
-
 def _check_routability(g: NetworkGraph, classes: Sequence[TrafficClass]) -> None:
     """Key-encrypted classes must reach their destinations over key-equipped links."""
-    mask = [e.has_qkd for e in g.edges]
     for cls in classes:
         if cls.security != "quantum":
             continue
-        reach = _reachable(g, cls.source, mask)
+        reach = g.reachable(cls.source, g.key_mask)
         kind = cls.kind
         if isinstance(kind, Unicast) and kind.destination not in reach:
             raise UnreachableError(f"class {cls.id}: destination unreachable on its allowed subgraph")
@@ -293,7 +279,7 @@ def _spawn_streams(seed: int, n_classes: int, m: int):
 class _SeriesBuffer:
     def __init__(self, record_series: bool, stride: int, drift: bool):
         self.enabled = record_series
-        self.stride = max(1, stride)
+        self.stride = stride
         self.drift = drift
         self.cols: dict[str, list] = {
             k: []
@@ -363,7 +349,7 @@ def _validate(g: NetworkGraph, classes: Sequence[TrafficClass], mode: PolicyMode
     if kinds and any(not isinstance(c.kind, kinds[0]) for c in classes):
         raise ValueError(f"{mode.label} baseline supports {kinds[1]} classes only")
     if not isinstance(mode, MultilevelMode):
-        if any(not e.has_qkd for e in g.edges):
+        if g.key_mask is not None:
             raise ValueError(f"{mode.label} needs key generation on every edge; use multilevel mode")
         if any(c.security != "quantum" for c in classes):
             raise ValueError(f"{mode.label} carries key-encrypted traffic only; use multilevel mode")
@@ -379,7 +365,10 @@ class _Engine:
 
     - route choice: minimum-weight routes over the virtual queues
       (tandem, multilevel), fixed hop-count routes (single-queue), or none
-      (backpressure keeps per-(node, class) queues instead of edge queues);
+      (backpressure keeps per-(node, class) queues instead of edge queues).
+      Where some link has no keys or some class is plain, encrypted classes
+      keep to the keyed links and plain ones weigh only the transmission
+      counters (``multilevel_select_routes``);
     - the key phase: tandem reserves keys for the virtual demand and
       encrypts, backpressure caps each link's keys, single-queue banks
       nothing;
@@ -412,7 +401,7 @@ class _Engine:
         self.seed = seed
         self.queue_cap = queue_cap
         self.check = check_invariants
-        self.virtual = isinstance(mode, (TandemMode, MultilevelMode))
+        self.virtual = isinstance(mode, TandemMode)
         self.fresh_only = isinstance(mode, SingleQueueMode)
         self.trace_on = trace and self.virtual
 
@@ -482,9 +471,8 @@ class _Engine:
         self.x_total = 0
         self.y_total = 0
         self.transmitted_encrypted = [0] * m
-        self.multilevel = isinstance(mode, MultilevelMode)
+        self.mixed = g.key_mask is not None or any(c.security != "quantum" for c in self.classes)
         # each class's fewest-hop route on the links it may use, found when first needed
-        self.qkd_mask = [e.has_qkd for e in g.edges] if self.multilevel else None
         self.hop_routes: dict[int, PathRoute | None] = {}
         if self.fresh_only:
             for c in self.classes:
@@ -588,7 +576,7 @@ class _Engine:
         """
         cid, kind = cls.id, cls.kind
         if cid not in self.hop_routes:
-            allowed = self.qkd_mask if cls.security == "quantum" else None
+            allowed = self.g.key_mask if cls.security == "quantum" else None
             hop = [1.0] * self.g.m
             if isinstance(kind, Unicast):
                 self.hop_routes[cid] = min_weight_path(self.g, hop, cls.source, kind.destination, allowed)
@@ -621,7 +609,7 @@ class _Engine:
             else:
                 routed[cid] = n
         if routed:
-            if self.multilevel:
+            if self.mixed:
                 routes.update(multilevel_select_routes(self.g, self.vq, routed, self.classes))
             else:
                 routes.update(select_routes(self.g, assign_weights(self.vq), routed, self.classes))
@@ -1032,11 +1020,12 @@ def simulate(
     that has already run it on the same graph, classes, mode and scheduler
     (the CLI checks every cell before it runs one).
     """
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
+    for name, value in (("horizon", horizon), ("series_stride", series_stride), ("queue_cap", queue_cap)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1")
     if not classes:
         raise ValueError("at least one traffic class is required")
-    if not isinstance(mode, (TandemMode, MultilevelMode, SingleQueueMode, BackpressureMode)):
+    if not isinstance(mode, (TandemMode, SingleQueueMode, BackpressureMode)):
         raise TypeError(f"unknown policy mode {mode!r}")
     if not _checked:
         _validate(g, sorted(classes, key=lambda c: c.id), mode, scheduler)

@@ -4,9 +4,11 @@ The tandem policy keeps two counters per edge: one for packets notionally
 waiting for keys, one for packets notionally waiting for link capacity.
 Edge weights are the sum of the two, routes are minimum-weight routes of
 the class's kind, and both counters evolve by clamped (Lindley) recursions
-driven by the same per-slot arrival counts.  Baselines: a single-queue
-policy that only ever spends freshly generated keys, and a differential-
-backlog (backpressure) policy with a capped key bank.
+driven by the same per-slot arrival counts.  The multilevel policy is the
+tandem policy on a partly keyed network: only the links in the graph's
+``key_mask`` generate keys, and plain classes skip encryption.  Baselines:
+a single-queue policy that only ever spends freshly generated keys, and a
+differential-backlog (backpressure) policy with a capped key bank.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ class TandemMode:
 
     @property
     def label(self) -> str:
-        return "tandem-store" if self.key_storage else "tandem-nostore"
+        return f"{self.mode}-store" if self.key_storage else f"{self.mode}-nostore"
 
 
 @dataclass(frozen=True)
@@ -70,17 +72,11 @@ class BackpressureMode:
 
 
 @dataclass(frozen=True)
-class MultilevelMode:
-    """Mixed security levels: only some links generate keys, only some
-    classes require key encryption; the rest skip the encryption queue."""
-
-    key_storage: bool = True
+class MultilevelMode(TandemMode):
+    """The tandem policy on a partly keyed network: it may run where some
+    links generate no keys and some classes skip encryption."""
 
     mode = "multilevel"
-
-    @property
-    def label(self) -> str:
-        return "multilevel-store" if self.key_storage else "multilevel-nostore"
 
 
 PolicyMode = Union[TandemMode, SingleQueueMode, BackpressureMode, MultilevelMode]
@@ -126,18 +122,13 @@ def select_routes(
     weights: Sequence[float],
     arrivals: Mapping[int, int],
     classes: Sequence[TrafficClass],
-    allowed: Sequence[bool] | None = None,
 ) -> dict[int, Route]:
     """Minimum-weight route per class that has at least one arrival.
 
     All packets of a class arriving in the same slot share one route.
     """
     by_id = {c.id: c for c in classes}
-    routes: dict[int, Route] = {}
-    for cid in sorted(arrivals):
-        if arrivals[cid] >= 1:
-            routes[cid] = _route_for_class(g, weights, by_id[cid], allowed)
-    return routes
+    return {cid: _route_for_class(g, weights, by_id[cid], None) for cid in sorted(arrivals) if arrivals[cid] >= 1}
 
 
 def multilevel_select_routes(
@@ -148,23 +139,22 @@ def multilevel_select_routes(
 ) -> dict[int, Route]:
     """Route selection under mixed security levels.
 
-    Key-encrypted classes are confined to the key-equipped subgraph and see
-    both queue counters; plain classes roam the whole graph but only the
-    transmission counter matters to them (they skip the encryption stage).
+    Key-encrypted classes are confined to the key-equipped subgraph
+    (``g.key_mask``) and see both queue counters; plain classes roam the
+    whole graph but only the transmission counter matters to them (they
+    skip the encryption stage).  On a fully keyed network with only
+    encrypted classes this is ``select_routes`` on ``assign_weights``.
     """
-    qkd_mask = [e.has_qkd for e in g.edges]
     w_quantum = assign_weights(vq)
-    w_classical = list(vq.y_tilde)
     by_id = {c.id: c for c in classes}
     routes: dict[int, Route] = {}
     for cid in sorted(arrivals):
-        if arrivals[cid] < 1:
-            continue
-        cls = by_id[cid]
-        if cls.security == "quantum":
-            routes[cid] = _route_for_class(g, w_quantum, cls, qkd_mask)
-        else:
-            routes[cid] = _route_for_class(g, w_classical, cls, None)
+        if arrivals[cid] >= 1:
+            cls = by_id[cid]
+            if cls.security == "quantum":
+                routes[cid] = _route_for_class(g, w_quantum, cls, g.key_mask)
+            else:
+                routes[cid] = _route_for_class(g, vq.y_tilde, cls, None)
     return routes
 
 

@@ -10,9 +10,11 @@ seeded runs reproducible.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -76,6 +78,10 @@ class NetworkGraph:
             index[(e.u, e.v)] = e.id
         self.out_edges: tuple[tuple[int, ...], ...] = tuple(tuple(o) for o in out)
         self._index = index
+        # which links generate keys; None when all do, which is what the
+        # routers' ``allowed=None`` means
+        mask = tuple(e.has_qkd for e in self.edges)
+        self.key_mask: tuple[bool, ...] | None = None if all(mask) else mask
 
     @property
     def m(self) -> int:
@@ -103,23 +109,24 @@ class NetworkGraph:
             out.append((e.id, e.twin))
         return out
 
-    def connected(self, allowed: set[int] | None = None) -> bool:
-        """Connectivity over mirrored pairs (treated as undirected links)."""
-        if self.n <= 1:
-            return True
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for e in self.edges:
-            if allowed is not None and e.id not in allowed:
-                continue
-            adj[e.u].append(e.v)
-        stack, seen = [0], {0}
+    def reachable(self, s: int, allowed: Sequence[bool] | None = None) -> set[int]:
+        """Nodes reachable from ``s`` over the edges ``allowed`` admits (all when None)."""
+        seen = {s}
+        stack = [s]
         while stack:
             u = stack.pop()
-            for v in adj[u]:
+            for eid in self.out_edges[u]:
+                if allowed is not None and not allowed[eid]:
+                    continue
+                v = self.edges[eid].v
                 if v not in seen:
                     seen.add(v)
                     stack.append(v)
-        return len(seen) == self.n
+        return seen
+
+    def connected(self, allowed: Sequence[bool] | None = None) -> bool:
+        """Connectivity over mirrored pairs (treated as undirected links)."""
+        return len(self.reachable(0, allowed)) == self.n
 
 
 class _UnionFind:
@@ -179,12 +186,15 @@ def erdos_renyi(
     gamma: int = 1,
     eta_range: tuple[float, float] = (0.2, 1.0),
     seed: int = 0,
-    has_qkd: bool = True,
+    qkd_fraction: float = 1.0,
 ) -> NetworkGraph:
     """Random undirected topology: each node pair linked with probability p.
 
-    Key rates are drawn uniformly from ``eta_range``.  Fixed seeds give
-    byte-identical edge lists.
+    Key rates are drawn uniformly from ``eta_range``.  Below a
+    ``qkd_fraction`` of 1, only some links generate keys: a random spanning
+    forest keeps them, so key-encrypted traffic stays routable wherever the
+    graph is connected, and random extra links are added up to that
+    fraction of all links.  Fixed seeds give byte-identical edge lists.
     """
     if not 0 < p <= 1:
         raise TopologyError(f"connection probability must be in (0, 1], got {p}")
@@ -192,13 +202,18 @@ def erdos_renyi(
     if not (0 < lo <= hi):
         raise TopologyError(f"eta_range must be a positive interval, got {eta_range}")
     rng = np.random.default_rng(seed)
-    specs: list[EdgeSpec] = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < p:
-                eta = float(rng.uniform(lo, hi))
-                specs.append(EdgeSpec(i, j, gamma=gamma, eta=eta, has_qkd=has_qkd))
-    return build_graph(n, specs)
+    links = [(i, j, float(rng.uniform(lo, hi))) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+    keyed = range(len(links))
+    if qkd_fraction < 1.0:
+        order = list(np.random.default_rng(seed + 1).permutation(len(links)))
+        forest = _UnionFind(n)
+        keyed = {i for i in order if forest.union(links[i][0], links[i][1])}
+        target = max(len(keyed), int(round(qkd_fraction * len(links))))
+        for i in order:
+            if len(keyed) >= target:
+                break
+            keyed.add(i)
+    return build_graph(n, [EdgeSpec(u, v, gamma, eta, i in keyed) for i, (u, v, eta) in enumerate(links)])
 
 
 def capacitated_transform(g: NetworkGraph) -> list[float]:
@@ -210,28 +225,39 @@ def capacitated_transform(g: NetworkGraph) -> list[float]:
     return [min(float(e.gamma), e.eta) if e.has_qkd else float(e.gamma) for e in g.edges]
 
 
+# JSON values are type-checked, not converted: "false" is not a boolean,
+# 1.7 is not a capacity, and a boolean is not a number.
+_TYPES = {"int": (int, "an integer"), "float": ((int, float), "a number"), "bool": (bool, "true or false")}
+_EDGE_TYPES = {f.name: _TYPES[f.type] for f in dataclasses.fields(EdgeSpec)}
+_EDGE_REQUIRED = {f.name for f in dataclasses.fields(EdgeSpec) if f.default is dataclasses.MISSING}
+
+
+def _edge_spec(item: dict, ctx: str) -> EdgeSpec:
+    if not isinstance(item, dict):
+        raise TopologyError(f"{ctx}: expected an object, got {item!r}")
+    unknown, missing = item.keys() - _EDGE_TYPES.keys(), _EDGE_REQUIRED - item.keys()
+    if unknown:
+        raise TopologyError(f"{ctx}.{min(unknown)}: unknown field")
+    if missing:
+        raise TopologyError(f"{ctx} missing field {min(missing)!r}")
+    for key, value in item.items():
+        types, name = _EDGE_TYPES[key]
+        if not isinstance(value, types) or (isinstance(value, bool) and types is not bool):
+            raise TopologyError(f"{ctx}.{key}: expected {name}, got {value!r}")
+    return EdgeSpec(**{**item, "eta": float(item.get("eta", 1.0))})
+
+
 def graph_from_dict(doc: dict) -> NetworkGraph:
     try:
-        n = int(doc["nodes"])
+        n = doc["nodes"]
         raw = doc["edges"]
     except KeyError as exc:
         raise TopologyError(f"graph document missing field {exc.args[0]!r}") from None
-    specs = []
-    for i, item in enumerate(raw):
-        try:
-            specs.append(
-                EdgeSpec(
-                    u=int(item["u"]),
-                    v=int(item["v"]),
-                    gamma=int(item.get("gamma", 1)),
-                    eta=float(item.get("eta", 1.0)),
-                    has_qkd=bool(item.get("has_qkd", True)),
-                    directed=bool(item.get("directed", False)),
-                )
-            )
-        except KeyError as exc:
-            raise TopologyError(f"edges[{i}] missing field {exc.args[0]!r}") from None
-    return build_graph(n, specs)
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise TopologyError(f"nodes: expected an integer, got {n!r}")
+    if not isinstance(raw, list):
+        raise TopologyError(f"edges: expected a list, got {raw!r}")
+    return build_graph(n, [_edge_spec(item, f"edges[{i}]") for i, item in enumerate(raw)])
 
 
 def load_graph_file(path: str | Path) -> NetworkGraph:

@@ -135,7 +135,6 @@ class PPBP:
     off_shape: float = 1.2
     mean_burst_slots: float = 5.0
     mean_sleep_slots: float = 25.0
-    min_packets_per_burst: int = 1
     max_packets_per_burst: int = 5000
     off_cap: int = 10_000
     slot_cap: int = 64
@@ -145,8 +144,8 @@ class PPBP:
             raise ValueError(f"hurst must be in (0.5, 1), got {self.hurst}")
         if self.sources < 1 or self.burst_rate < 1:
             raise ValueError("sources and burst_rate must be >= 1")
-        if self.max_packets_per_burst < self.min_packets_per_burst:
-            raise ValueError("max_packets_per_burst < min_packets_per_burst")
+        if self.max_packets_per_burst < 1:
+            raise ValueError("max_packets_per_burst must be >= 1")
 
     @property
     def on_shape(self) -> float:

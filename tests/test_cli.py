@@ -153,6 +153,12 @@ _KEYLESS_LINK = {
               {"u": 0, "v": 2, "has_qkd": False}],
 }
 
+
+def _one_link(**edge):
+    return {"kind": "inline", "nodes": 2,
+            "edges": [{"u": 0, "v": 1, "eta": 0.6, "directed": True, **edge}]}
+
+
 # id -> (top-level fields, fields of classes[0], field the error names)
 _REJECTED = {
     "name-escapes-output": ({"name": "../../escape"}, {}, "config.name"),
@@ -181,6 +187,24 @@ _REJECTED = {
                          "policies[0].key_cap"),
     "fractional-ppbp-sources": ({"rate_scales": [1.0]}, {"arrival": {"process": "ppbp", "sources": 2.5}},
                                 "classes[0].arrival.sources"),
+    "unknown-top-level-field": ({"seed": 5}, {}, "config.seed:"),
+    "unknown-policy-field": ({"policies": [{"mode": "tandem", "storage": False}]}, {},
+                             "policies[0].storage"),
+    "unknown-metrics-field": ({"metrics": {"strid": 10}}, {}, "metrics.strid"),
+    "unknown-keys-field": ({"keys": {"kmax": 5}}, {}, "keys.kmax"),
+    "unknown-bernoulli-field": ({}, {"arrival": {"process": "bernoulli", "rate": 0.4, "burst": 3}},
+                                "classes[0].arrival.burst"),
+    "unknown-class-field": ({}, {"prio": 1}, "classes[0].prio"),
+    "unknown-graph-field": ({"graph": {**_one_link(), "p": 0.3}}, {}, "graph.p"),
+    "override-holds-overrides": ({"keys": {"overrides": [{"u": 0, "v": 1, "overrides": []}]}}, {},
+                                 "keys.overrides[0].overrides"),
+    "ppbp-min-packets-per-burst": ({"rate_scales": [1.0]},
+                                   {"arrival": {"process": "ppbp", "min_packets_per_burst": 2}},
+                                   "classes[0].arrival.min_packets_per_burst"),
+    "edge-has-qkd-string": ({"graph": _one_link(has_qkd="false")}, {}, "edges[0].has_qkd"),
+    "edge-directed-string": ({"graph": _one_link(directed="false")}, {}, "edges[0].directed"),
+    "edge-fractional-gamma": ({"graph": _one_link(gamma=1.7)}, {}, "edges[0].gamma"),
+    "edge-unknown-field": ({"graph": _one_link(has_keys=True)}, {}, "edges[0].has_keys"),
 }
 
 

@@ -366,6 +366,13 @@ def test_engine_argument_validation():
         simulate(g, _counterexample_classes(), TandemMode(), scheduler="lifo", horizon=10, seed=0)
 
 
+@pytest.mark.parametrize("arg", ["series_stride", "queue_cap"])
+def test_engine_rejects_stride_and_queue_cap_below_1(arg):
+    # a stride of 0 would be read as 1 and a queue cap of 0 would drop every packet
+    with pytest.raises(ValueError, match=arg):
+        simulate(_single_link(), _counterexample_classes(), TandemMode(), horizon=10, seed=0, **{arg: 0})
+
+
 # ---------------------------------------------------------------------------
 # streamed draws: the block size never changes a run
 

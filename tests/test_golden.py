@@ -3,14 +3,17 @@
 The same-seed tests compare two runs of one build; these digests pin the
 bytes across builds, so a refactor of the engine that changes any output
 shows up here.  A change that means to alter results updates the digests
-and says so.
+and says so.  Two more pins cover what every output is named or built
+from: each preset's config hash, and which links of a generated graph
+carry keys.
 """
 
 import hashlib
+import json
 
 import pytest
 
-from qkdsim.config import GraphConfig
+from qkdsim.config import PRESETS, GraphConfig, preset_config
 from qkdsim.engine import simulate
 from qkdsim.policy import BackpressureMode, MultilevelMode, SingleQueueMode, TandemMode
 from qkdsim.topology import erdos_renyi
@@ -125,3 +128,36 @@ def test_golden_bytes(label):
         hashlib.sha256(r.to_csv_bytes()).hexdigest(),
     )
     assert got == GOLDEN[label]
+
+
+PRESET_HASHES = {
+    "broadcast-sweep": "58e26d0a6f46",
+    "counterexample": "be120215b436",
+    "mixed-security": "154fc2c3ed85",
+    "residual-keys-sweep": "b5e6eafe2144",
+    "unicast-full": "3772b4230ca5",
+    "unicast-sweep": "f7b49c9b3d62",
+}
+
+
+def test_preset_config_hashes():
+    assert {name: preset_config(name).config_hash() for name in PRESETS} == PRESET_HASHES
+
+
+# (nodes, p, graph_seed, qkd_fraction) -> sha256 of the (u, v, has_qkd) edge list
+KEYED_EDGES = {
+    (16, 0.35, 14, 0.7): "427cfcb19688f4867adb025770ac3ccce157ea8ab83b9cde3d22c0473952366f",  # mixed-security
+    (10, 0.4, 3, 0.6): "01ebf6ec7a429be907ddffebb629e479927f715826dc41c09f744fe151cbe6c3",
+    (12, 0.5, 1, 0.0): "0902c48f934030540d9c7e0c756af131f7f0f79c11d4d11e0be2bf831768e0ef",
+    (20, 0.3, 7, 0.5): "ec55d10811440caaaf1f88552183a3a1e1356bf0fe8c02b88c199b1c9b636255",
+    (8, 0.45, 11, 1.0): "d06ac34c51db63b820167e46db503ddd9ec6a1d6d7a524648812309dedb773a1",
+    (30, 0.2, 5, 0.9): "ae294a0048098c0de7ba89343a350a73a0655d738aff0e3742a56f2adc999fdf",
+}
+
+
+@pytest.mark.parametrize("case", sorted(KEYED_EDGES), ids=str)
+def test_generated_key_coverage(case):
+    nodes, p, seed, fraction = case
+    g = GraphConfig(kind="erdos_renyi", nodes=nodes, p=p, graph_seed=seed, qkd_fraction=fraction).build()
+    edges = [(e.u, e.v, e.has_qkd) for e in g.edges]
+    assert hashlib.sha256(json.dumps(edges).encode()).hexdigest() == KEYED_EDGES[case]

@@ -382,15 +382,15 @@ def test_zero_weight_shortcut_matches_the_router(seed, masked):
     mode = MultilevelMode() if masked else TandemMode()
     eng = _Engine(g, classes, mode, KeySpec(), "fifo", 1, 0, 10_000, False, 1, False, False, False)
     # a keyless link never holds encryption backlog
-    x = [w if e.has_qkd else 0.0 for w, e in zip(_mostly_zero(rng, g.m), g.edges)]
+    keyed = g.key_mask or [True] * g.m
+    x = [w if k else 0.0 for w, k in zip(_mostly_zero(rng, g.m), keyed)]
     y = _mostly_zero(rng, g.m)
     eng.x_tilde[:] = x
     eng.y_tilde[:] = y
     eng.active_vq.update(e for e in range(g.m) if x[e] or y[e])
-    mask = [e.has_qkd for e in g.edges]
     for cls in classes:
         if cls.security == "quantum":
-            w, allowed = [a + b for a, b in zip(x, y)], (mask if masked else None)
+            w, allowed = [a + b for a, b in zip(x, y)], g.key_mask
         else:
             w, allowed = y, None
         if isinstance(cls.kind, Unicast):

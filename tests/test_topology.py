@@ -151,6 +151,32 @@ def test_graph_from_dict_missing_field():
         graph_from_dict({"nodes": 2, "edges": [{"v": 1}]})
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("has_qkd", "false"), ("directed", "false"), ("gamma", 1.7), ("eta", True), ("u", "0"), ("has_keys", True)],
+)
+def test_graph_from_dict_checks_edge_fields(field, value):
+    with pytest.raises(TopologyError, match=rf"edges\[0\]\.{field}"):
+        graph_from_dict({"nodes": 2, "edges": [{"u": 0, "v": 1, field: value}]})
+
+
+def test_key_mask_and_reachability():
+    full = build_graph(3, [EdgeSpec(0, 1), EdgeSpec(1, 2)])
+    assert full.key_mask is None and full.reachable(0) == {0, 1, 2}
+    g = build_graph(3, [EdgeSpec(0, 1), EdgeSpec(1, 2, has_qkd=False)])
+    assert g.key_mask == (True, True, False, False)
+    assert g.reachable(2, g.key_mask) == {2}
+    assert g.connected() and not g.connected(g.key_mask)
+
+
+@pytest.mark.parametrize("fraction", [0.0, 0.5, 1.0])
+def test_erdos_renyi_key_coverage_keeps_a_keyed_spanning_tree(fraction):
+    g = erdos_renyi(12, 0.5, seed=1, qkd_fraction=fraction)
+    assert g.connected() and g.connected(g.key_mask)
+    keyed = sum(s.has_qkd for s in g.specs)
+    assert keyed == max(g.n - 1, round(fraction * len(g.specs)))
+
+
 def test_graph_file_has_stable_bytes(tmp_path):
     g = erdos_renyi(5, 0.7, seed=9)
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
