@@ -27,10 +27,6 @@ from .traffic import TrafficClass
 __all__ = ["main", "run_experiment", "compare_runs"]
 
 
-def _cell_stem(cfg: ExperimentConfig, label: str, scale: float, seed: int) -> str:
-    return f"{cfg.name}_{label}_s{scale:g}_seed{seed}_{cfg.config_hash()}"
-
-
 def _run_cell(job: tuple) -> MetricsRecord:
     cfg, g, classes, mode, seed = job
     return simulate(
@@ -87,14 +83,16 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path, workers: int = 1) -> di
     else:
         records = iter([_run_cell(job) for job in jobs])
 
+    chash = cfg.config_hash()
     files: list[str] = []
     summaries: dict[str, dict] = {}
     for pol in cfg.policies:
         for scale in cfg.rate_scales:
+            prefix = f"{cfg.name}_{pol.label}_s{scale:g}"
             cell_records = []
             for seed in cfg.seeds:
                 record = next(records)
-                stem = _cell_stem(cfg, pol.label, scale, seed)
+                stem = f"{prefix}_seed{seed}_{chash}"
                 if record.series is not None:
                     (out_dir / f"{stem}.csv").write_bytes(record.to_csv_bytes())
                     files.append(f"{stem}.csv")
@@ -102,7 +100,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path, workers: int = 1) -> di
                 files.append(f"{stem}.json")
                 cell_records.append(record)
             summary = summarize(cell_records)
-            sname = f"{cfg.name}_{pol.label}_s{scale:g}_summary_{cfg.config_hash()}.json"
+            sname = f"{prefix}_summary_{chash}.json"
             payload = summary.to_dict()
             payload["rate_scale"] = scale
             (out_dir / sname).write_text(
@@ -113,7 +111,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path, workers: int = 1) -> di
 
     manifest = {
         "name": cfg.name,
-        "config_hash": cfg.config_hash(),
+        "config_hash": chash,
         "policies": [p.label for p in cfg.policies],
         "rate_scales": list(cfg.rate_scales),
         "seeds": list(cfg.seeds),

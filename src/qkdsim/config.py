@@ -151,6 +151,9 @@ class GraphConfig:
         eta = _list(doc.get("eta_range", [0.2, 1.0]), f"{ctx}.eta_range")
         if len(eta) != 2:
             raise ConfigError(f"{ctx}.eta_range: expected [low, high], got {eta!r}")
+        qkd_fraction = _num(doc.get("qkd_fraction", 1.0), f"{ctx}.qkd_fraction")
+        if not 0 <= qkd_fraction <= 1:
+            raise ConfigError(f"{ctx}.qkd_fraction: must be in [0, 1], got {qkd_fraction}")
         return cls(
             kind="erdos_renyi",
             nodes=_int(_require(doc, "nodes", ctx), f"{ctx}.nodes"),
@@ -158,7 +161,7 @@ class GraphConfig:
             gamma=_int(doc.get("gamma", 1), f"{ctx}.gamma"),
             eta_range=(_num(eta[0], f"{ctx}.eta_range"), _num(eta[1], f"{ctx}.eta_range")),
             graph_seed=_int(doc.get("graph_seed", 0), f"{ctx}.graph_seed"),
-            qkd_fraction=_num(doc.get("qkd_fraction", 1.0), f"{ctx}.qkd_fraction"),
+            qkd_fraction=qkd_fraction,
         )
 
     def build(self) -> NetworkGraph:

@@ -53,7 +53,7 @@ from .policy import (
     select_routes,
     single_queue_service,
 )
-from .routing import PathRoute, Route, UnreachableError, anycast_route, min_weight_path
+from .routing import PathRoute, Route, RoutingError, UnreachableError, anycast_route, min_weight_path
 from .topology import NetworkGraph
 from .traffic import Anycast, ArrivalSampler, Broadcast, Multicast, TrafficClass, Unicast
 
@@ -82,12 +82,11 @@ class PacketRecord:
 class Copy:
     """One physical instance of a packet sitting at (or crossing) an edge."""
 
-    __slots__ = ("record", "route", "pos", "hops", "moved_at")
+    __slots__ = ("record", "route", "hops", "moved_at")
 
-    def __init__(self, record: PacketRecord, route, pos: int, hops: int, moved_at: int):
+    def __init__(self, record: PacketRecord, route, hops: int, moved_at: int):
         self.record = record
         self.route = route
-        self.pos = pos  # path: index into route.edges; tree: current edge id
         self.hops = hops
         self.moved_at = moved_at
 
@@ -147,6 +146,10 @@ class EntoQueue:
 
     def __len__(self) -> int:
         return len(self.heap) + len(self._deferred)
+
+    def __iter__(self):
+        for entry in self.heap + self._deferred:
+            yield entry[3]
 
 
 # ---------------------------------------------------------------------------
@@ -252,12 +255,13 @@ class MetricsRecord:
 # shared helpers
 
 def _check_routability(g: NetworkGraph, classes: Sequence[TrafficClass]) -> None:
-    """Key-encrypted classes must reach their destinations over key-equipped links."""
+    """Every class must reach its destinations over the links it may use:
+    key-encrypted classes over key-equipped links, plain ones over all."""
     for cls in classes:
-        if cls.security != "quantum":
-            continue
-        reach = g.reachable(cls.source, g.key_mask)
         kind = cls.kind
+        if isinstance(kind, (Broadcast, Multicast)) and not g.is_bidirectional:
+            raise RoutingError(f"class {cls.id}: tree routing needs a bidirectional graph")
+        reach = g.reachable(cls.source, g.key_mask if cls.security == "quantum" else None)
         if isinstance(kind, Unicast) and kind.destination not in reach:
             raise UnreachableError(f"class {cls.id}: destination unreachable on its allowed subgraph")
         if isinstance(kind, Broadcast) and len(reach) != g.n:
@@ -276,54 +280,13 @@ def _spawn_streams(seed: int, n_classes: int, m: int):
     return class_rngs, edge_rngs, misc_rng
 
 
-class _SeriesBuffer:
-    def __init__(self, record_series: bool, stride: int, drift: bool):
-        self.enabled = record_series
-        self.stride = stride
-        self.drift = drift
-        self.cols: dict[str, list] = {
-            k: []
-            for k in (
-                "slot",
-                "arrivals_cum",
-                "delivered_cum",
-                "dropped_cum",
-                "backlog_sum",
-                "vq_sum",
-                "x_sum",
-                "y_sum",
-                "keys_sum",
-            )
-        }
-        if drift:
-            self.cols["lyapunov"] = []
-            self.cols["drift"] = []
-
-    def append(self, slot, arrivals, delivered, dropped, backlog, vq, x, y, keys, lyap=None, drift=None):
-        if not self.enabled or slot % self.stride:
-            return
-        c = self.cols
-        c["slot"].append(slot)
-        c["arrivals_cum"].append(arrivals)
-        c["delivered_cum"].append(delivered)
-        c["dropped_cum"].append(dropped)
-        c["backlog_sum"].append(backlog)
-        c["vq_sum"].append(vq)
-        c["x_sum"].append(x)
-        c["y_sum"].append(y)
-        c["keys_sum"].append(keys)
-        if self.drift:
-            c["lyapunov"].append(lyap)
-            c["drift"].append(drift)
-
-    def arrays(self) -> dict[str, np.ndarray] | None:
-        if not self.enabled:
-            return None
-        out = {}
-        for k, v in self.cols.items():
-            kind = float if k in ("backlog_sum", "vq_sum", "lyapunov", "drift") else np.int64
-            out[k] = np.asarray(v, dtype=kind)
-        return out
+# The per-slot series columns and their dtypes; the last two are recorded
+# only with drift.
+_SERIES = (
+    ("slot", np.int64), ("arrivals_cum", np.int64), ("delivered_cum", np.int64),
+    ("dropped_cum", np.int64), ("backlog_sum", float), ("vq_sum", float), ("x_sum", np.int64),
+    ("y_sum", np.int64), ("keys_sum", np.int64), ("lyapunov", float), ("drift", float),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +402,9 @@ class _Engine:
         self.backlog_running = 0.0
         self.lyap = 0.0
         self.lyap_prev = 0.0
-        self.series = _SeriesBuffer(record_series, series_stride, record_drift and self.virtual)
+        self.rows: list | None = [] if record_series else None  # the recorded slots' rows, end to end
+        self.stride = series_stride
+        self.drift = record_series and record_drift and self.virtual
 
         self.key_cap = None
         self.node_q = None
@@ -457,10 +422,6 @@ class _Engine:
 
         # edge queues: encryption queue per priority level, then transmission
         self.encrypted = {c.id: self.virtual and c.security == "quantum" for c in self.classes}
-        self.terminal_count = {
-            c.id: len(c.destination_nodes(g.n)) if not isinstance(c.kind, (Unicast, Anycast)) else 1
-            for c in self.classes
-        }
         prios = sorted({c.priority for c in self.classes}, reverse=True)
         self.prio_rank = {p: i for i, p in enumerate(prios)}
         self.x_q: list[list] = [[deque() for _ in prios] for _ in range(m)]
@@ -624,13 +585,11 @@ class _Engine:
                 tgt = self.a_q if encrypted else self.a_c
                 for e in route.edges:
                     tgt[e] = tgt.get(e, 0) + n
+            root_edges = route.children[route.root]
             for _ in range(n):
-                rec = self._new_record(cid, slot, self.terminal_count[cid])
-                if isinstance(route, PathRoute):
-                    self._place(Copy(rec, route, 0, 0, -1), route.edges[0], encrypted)
-                    continue
-                for child in route.children.get(route.root, ()):
-                    if not self._place(Copy(rec, route, child, 0, -1), child, encrypted):
+                rec = self._new_record(cid, slot, len(route.terminals))
+                for child in root_edges:
+                    if not self._place(Copy(rec, route, 0, -1), child, encrypted):
                         break
 
     def _enqueue_at_sources(self, counts: dict[int, int], slot: int) -> None:
@@ -778,29 +737,25 @@ class _Engine:
                 self.active_y.discard(e)
 
     def _arrive(self, copy: Copy, eid: int, slot: int) -> None:
+        """Count a terminal at the edge's head, then move the copy on to the
+        head's first child edge and fork a copy for each other one."""
         rec = copy.record
         v = self.g.edges[eid].v
         copy.hops += 1
         copy.moved_at = slot
-        encrypted = self.encrypted[rec.cls_id]
         route = copy.route
-        if isinstance(route, PathRoute):
-            if copy.pos + 1 == len(route.edges):
-                rec.remaining -= 1
-                if rec.remaining == 0:
-                    self._deliver(rec, slot)
-                return
-            copy.pos += 1
-            self._place(copy, route.edges[copy.pos], encrypted)
-            return
         if v in route.terminals:
             rec.remaining -= 1
             if rec.remaining == 0:
                 self._deliver(rec, slot)
-        for child in route.children.get(v, ()):
-            fork = Copy(rec, route, child, copy.hops, slot)
-            if not self._place(fork, child, encrypted):
-                break
+        kids = route.children.get(v)
+        if not kids:
+            return
+        encrypted = self.encrypted[rec.cls_id]
+        if self._place(copy, kids[0], encrypted):
+            for child in kids[1:]:
+                if not self._place(Copy(rec, route, copy.hops, slot), child, encrypted):
+                    break
 
     def _serve_nodes(self, t: int) -> None:
         """Backpressure's service: links in random order, commodities by differential backlog.
@@ -858,7 +813,7 @@ class _Engine:
             self.x_tilde[e] = x_new
             self.y_tilde[e] = y_new
             self.vq_total += (x_new - x_old) + (y_new - y_old)
-            if self.series.drift:
+            if self.drift:
                 self.lyap += x_new * x_new - x_old * x_old + y_new * y_new - y_old * y_old
             if x_new or y_new:
                 self.active_vq.add(e)
@@ -885,20 +840,11 @@ class _Engine:
             x = sum(self.live.values())
             backlog, vq, y = float(x), 0.0, 0
         self.backlog_running += backlog
-        if self.series.enabled:
-            self.series.append(
-                t,
-                self.arrivals_cum,
-                self.delivered_cum,
-                self.dropped_cum,
-                backlog,
-                vq,
-                x,
-                y,
-                self.keys_total,
-                self.lyap,
-                self.lyap - self.lyap_prev,
-            )
+        if self.rows is not None and not t % self.stride:
+            self.rows += (t, self.arrivals_cum, self.delivered_cum, self.dropped_cum, backlog, vq, x, y,
+                          self.keys_total)
+            if self.drift:
+                self.rows += (self.lyap, self.lyap - self.lyap_prev)
         self.lyap_prev = self.lyap
         if self.check:
             self._check_invariants(t)
@@ -913,6 +859,12 @@ class _Engine:
                 "y_tilde": self.trace_y,
             }
         in_flight = sum(self.live.values())
+        series = None
+        if self.rows is not None:
+            width = len(_SERIES) if self.drift else len(_SERIES) - 2
+            series = {
+                name: np.asarray(self.rows[i::width], dtype=dtype) for i, (name, dtype) in enumerate(_SERIES[:width])
+            }
         return MetricsRecord(
             policy=self.mode.label,
             scheduler=self.scheduler,
@@ -928,7 +880,7 @@ class _Engine:
             mean_residual_keys=self.keys_running / self.horizon,
             mean_backlog=self.backlog_running / self.horizon,
             final_backlog=self.vq_total if self.virtual else float(in_flight),
-            series=self.series.arrays(),
+            series=series,
             trace=trace,
         )
 
@@ -943,9 +895,7 @@ class _Engine:
             for level in self.x_q[e]:
                 for c in level:
                     yield c.record
-            q = self.y_q[e]
-            entries = q if isinstance(q, FifoQueue) else [x[3] for x in q.heap] + [x[3] for x in q._deferred]
-            for c in entries:
+            for c in self.y_q[e]:
                 yield c.record
 
     def _check_invariants(self, t: int) -> None:

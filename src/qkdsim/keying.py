@@ -245,16 +245,8 @@ class KeySampler:
         self.process = process
         self.rng = rng
 
-    def sample(self) -> int:
-        p = self.process
-        if isinstance(p, DeterministicKeys):
-            return p.value
-        if isinstance(p, TruncatedPoisson):
-            return min(int(self.rng.poisson(p.rate)), p.cap)
-        r = bb84_round(p.photons, p.eavesdrop_prob, p.check_fraction, self.rng)
-        return min(r.sifted_keys, p.cap)
-
     def sample_batch(self, nslots: int) -> np.ndarray:
+        """Key counts of the next ``nslots`` slots."""
         p = self.process
         if isinstance(p, DeterministicKeys):
             return np.full(nslots, p.value, dtype=np.int64)
@@ -262,5 +254,5 @@ class KeySampler:
             return np.minimum(self.rng.poisson(p.rate, nslots), p.cap).astype(np.int64)
         out = np.empty(nslots, dtype=np.int64)
         for t in range(nslots):
-            out[t] = self.sample()
+            out[t] = min(bb84_round(p.photons, p.eavesdrop_prob, p.check_fraction, self.rng).sifted_keys, p.cap)
         return out

@@ -15,7 +15,7 @@ tie-break on edge id.  Identical inputs always yield identical routes.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence, Union
 
 from .topology import NetworkGraph, _UnionFind
@@ -43,8 +43,20 @@ class UnreachableError(RoutingError):
 
 @dataclass(frozen=True)
 class PathRoute:
+    """A node chain and its edge ids, also read as a one-branch tree: each
+    node but the last has its path edge as its one child, and the last node
+    is the one terminal."""
+
     nodes: tuple[int, ...]
     edges: tuple[int, ...]
+    root: int = field(init=False, compare=False, repr=False)
+    children: dict[int, tuple[int, ...]] = field(init=False, compare=False, repr=False)
+    terminals: frozenset[int] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "root", self.nodes[0])
+        object.__setattr__(self, "children", {u: (e,) for u, e in zip(self.nodes, self.edges)})
+        object.__setattr__(self, "terminals", frozenset(self.nodes[-1:]))
 
 
 @dataclass

@@ -270,16 +270,8 @@ class ArrivalSampler:
         if isinstance(process, PPBP):
             self._states = [_fresh_source(process, rng) for _ in range(process.sources)]
 
-    def sample(self) -> int:
-        p = self.process
-        if isinstance(p, Bernoulli):
-            return int(self.rng.random() < p.rate)
-        if isinstance(p, TruncatedPoisson):
-            return min(int(self.rng.poisson(p.rate)), p.cap)
-        self._states, count = ppbp_state_advance(p, self._states, self.rng)
-        return count
-
     def sample_batch(self, nslots: int) -> np.ndarray:
+        """Arrival counts of the next ``nslots`` slots."""
         p = self.process
         if isinstance(p, Bernoulli):
             return (self.rng.random(nslots) < p.rate).astype(np.int64)
@@ -287,5 +279,5 @@ class ArrivalSampler:
             return np.minimum(self.rng.poisson(p.rate, nslots), p.cap).astype(np.int64)
         out = np.empty(nslots, dtype=np.int64)
         for t in range(nslots):
-            out[t] = self.sample()
+            self._states, out[t] = ppbp_state_advance(p, self._states, self.rng)
         return out

@@ -162,6 +162,20 @@ def route_weight(g, w: Sequence[float], route) -> float:
     return sum(w[e] for e in route.edges)
 
 
+def assert_path_tree(g, route: PathRoute) -> None:
+    """A path read as a tree is its node chain: from the root each node has
+    one child edge, which leads to the next node, and the last is the one
+    terminal."""
+    walk = [route.root]
+    while walk[-1] in route.children:
+        (eid,) = route.children[walk[-1]]
+        assert g.edges[eid].u == walk[-1]
+        walk.append(g.edges[eid].v)
+    assert tuple(walk) == route.nodes
+    assert len(route.children) == len(route.edges)
+    assert route.terminals == {route.nodes[-1]}
+
+
 def validate_route(g, route) -> None:
     """Structural check; raises RoutingError on any violation."""
     if isinstance(route, PathRoute):

@@ -159,6 +159,16 @@ def _one_link(**edge):
             "edges": [{"u": 0, "v": 1, "eta": 0.6, "directed": True, **edge}]}
 
 
+def _inline(nodes, *links):
+    """Inline graph of (u, v) two-way and (u, v, True) one-way links."""
+    return {"kind": "inline", "nodes": nodes,
+            "edges": [{"u": u, "v": v, "eta": 0.6, "directed": bool(one_way)} for u, v, *one_way in links]}
+
+
+def _er(**fields):
+    return {"kind": "erdos_renyi", "nodes": 10, "p": 0.4, "graph_seed": 3, **fields}
+
+
 # id -> (top-level fields, fields of classes[0], field the error names)
 _REJECTED = {
     "name-escapes-output": ({"name": "../../escape"}, {}, "config.name"),
@@ -205,6 +215,15 @@ _REJECTED = {
     "edge-directed-string": ({"graph": _one_link(directed="false")}, {}, "edges[0].directed"),
     "edge-fractional-gamma": ({"graph": _one_link(gamma=1.7)}, {}, "edges[0].gamma"),
     "edge-unknown-field": ({"graph": _one_link(has_keys=True)}, {}, "edges[0].has_keys"),
+    "plain-class-unreachable": (
+        {"graph": _inline(4, (0, 1), (2, 3)), "policies": [{"mode": "multilevel"}]},
+        {"destinations": [3], "security": "classical"}, "policies[0]"),
+    "broadcast-one-way-link": ({"graph": _inline(3, (0, 1), (1, 2, True))},
+                               {"kind": "broadcast", "destinations": []}, "policies[0]"),
+    "multicast-one-way-link": ({"graph": _inline(3, (0, 1), (1, 2, True))},
+                               {"kind": "multicast", "destinations": [1, 2]}, "policies[0]"),
+    "qkd-fraction-above-1": ({"graph": _er(qkd_fraction=2.5)}, {}, "graph.qkd_fraction"),
+    "qkd-fraction-negative": ({"graph": _er(qkd_fraction=-1.0)}, {}, "graph.qkd_fraction"),
 }
 
 

@@ -68,7 +68,7 @@ def test_ento_orders_by_hops_traversed():
     q = EntoQueue()
     for hops, pid in ((2, 0), (0, 1), (1, 2)):
         rec = PacketRecord(pid, 0, 0, 1)
-        q.push(Copy(rec, None, 0, hops, -1))
+        q.push(Copy(rec, None, hops, -1))
     order = [q.pop_eligible(5).hops for _ in range(3)]
     assert order == [0, 1, 2]
 
@@ -76,18 +76,19 @@ def test_ento_orders_by_hops_traversed():
 def test_ento_ties_break_by_packet_id():
     q = EntoQueue()
     for pid in (7, 3, 5):
-        q.push(Copy(PacketRecord(pid, 0, 0, 1), None, 0, 1, -1))
+        q.push(Copy(PacketRecord(pid, 0, 0, 1), None, 1, -1))
     assert [q.pop_eligible(5).record.id for _ in range(3)] == [3, 5, 7]
 
 
 def test_ento_defers_same_slot_arrivals():
     q = EntoQueue()
-    old = Copy(PacketRecord(0, 0, 0, 1), None, 0, 5, -1)
-    fresh = Copy(PacketRecord(1, 0, 0, 1), None, 0, 0, 3)  # moved this slot
+    old = Copy(PacketRecord(0, 0, 0, 1), None, 5, -1)
+    fresh = Copy(PacketRecord(1, 0, 0, 1), None, 0, 3)  # moved this slot
     q.push(old)
     q.push(fresh)
     assert q.pop_eligible(3) is old
     assert q.pop_eligible(3) is None
+    assert list(q) == [fresh]  # a deferred copy still waits in the queue
     q.flush_deferred()
     assert q.pop_eligible(4) is fresh
 

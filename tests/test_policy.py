@@ -22,7 +22,7 @@ from qkdsim.routing import TreeRoute, UnreachableError, anycast_route, min_weigh
 from qkdsim.topology import EdgeSpec, build_graph, erdos_renyi
 from qkdsim.traffic import Anycast, Bernoulli, Broadcast, TrafficClass, TruncatedPoisson, Unicast
 
-from .oracles import backpressure_scan, drift_bound
+from .oracles import assert_path_tree, backpressure_scan, drift_bound
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +302,8 @@ def test_selected_routes_invariant_under_scaling(seed, scale):
     a = select_routes(g, w, {0: 1}, classes)
     b = select_routes(g, [scale * x for x in w], {0: 1}, classes)
     assert a == b
+    assert_path_tree(g, a[0])
+    assert_path_tree(g, b[0])
 
 
 # ---------------------------------------------------------------------------
@@ -399,6 +401,8 @@ def test_zero_weight_shortcut_matches_the_router(seed, masked):
             want = anycast_route(g, w, s, (c1, c2), allowed)
         got = eng._routes({cls.id: 1})[cls.id]
         assert got == want
+        assert_path_tree(g, want)
+        assert_path_tree(g, got)
         hop = eng.hop_routes[cls.id]
         # the shortcut hands out the cached route itself, the router a new one
         assert (got is hop) == (not any(w[e] for e in hop.edges))

@@ -16,6 +16,7 @@ from qkdsim.routing import (
 from qkdsim.topology import EdgeSpec, build_graph, erdos_renyi
 
 from .oracles import (
+    assert_path_tree,
     best_path_label,
     min_spanning_tree_weight,
     route_weight,
@@ -122,6 +123,8 @@ def test_path_invariant_under_positive_scaling(seed, scale):
     base = min_weight_path(g, w, int(s), int(t))
     scaled = min_weight_path(g, [scale * x for x in w], int(s), int(t))
     assert base == scaled
+    assert_path_tree(g, base)
+    assert_path_tree(g, scaled)
 
 
 # ---------------------------------------------------------------------------
