@@ -142,14 +142,11 @@ def stability_test(
     series: Sequence[float] | np.ndarray,
     window: int = 20_000,
     slope_tol: float = 1e-3,
-    relative: bool = False,
 ) -> StabilityVerdict:
     """Classify a backlog series by its trailing-window least-squares slope.
 
-    Stable when the slope is below ``slope_tol`` (packets per slot),
-    unstable above ten times that, inconclusive in between.  With
-    ``relative=True`` the series is first rescaled by its trailing-window
-    mean, making the verdict invariant under positive scaling.
+    Stable when the slope is below ``slope_tol`` (packets per row),
+    unstable above ten times that, inconclusive in between.
     """
     arr = np.asarray(series, dtype=float)
     if arr.ndim != 1:
@@ -157,10 +154,6 @@ def stability_test(
     if len(arr) < 2 * window:
         raise ValueError(f"series too short: need at least {2 * window} points, got {len(arr)}")
     tail = arr[-window:]
-    if relative:
-        scale = float(np.mean(np.abs(tail)))
-        if scale > 0:
-            tail = tail / scale
     x = np.arange(window, dtype=float)
     slope = float(np.polyfit(x, tail, 1)[0])
     if slope < slope_tol:

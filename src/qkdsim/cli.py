@@ -3,10 +3,11 @@
 ``run`` checks every (policy, rate scale, seed) cell of a config or
 preset, then executes them, writing one CSV time series and one JSON
 aggregate per cell, a summary JSON per (policy, scale) over seeds, and a
-manifest listing every emitted file together with the config hash.
-``compare`` joins summaries from several finished run directories into one
-CSV keyed by rate scale.  Outputs carry no timestamps: identical config and
-seed give byte-identical files.
+manifest listing every emitted file together with the config hash.  It
+prints each cell's delivered rate, mean delay and backlog stability
+verdict.  ``compare`` joins summaries from one or more finished run
+directories into one CSV keyed by rate scale.  Outputs carry no
+timestamps: identical config and seed give byte-identical files.
 """
 
 from __future__ import annotations
@@ -15,10 +16,11 @@ import argparse
 import concurrent.futures
 import dataclasses
 import json
+import os
 import sys
 from pathlib import Path
 
-from .analysis import summarize
+from .analysis import stability_test, summarize
 from .config import ConfigError, ExperimentConfig, PRESETS, preset_config
 from .engine import MetricsRecord, _validate, simulate
 from .topology import NetworkGraph
@@ -58,18 +60,40 @@ def _check_cells(cfg: ExperimentConfig, g: NetworkGraph, classes: list[TrafficCl
             _validate(g, classes, mode, cfg.scheduler)
         except ValueError as exc:
             raise ConfigError(f"policies[{i}]: {exc}") from None
+    links = {(e.u, e.v) for e in g.edges}
+    for i, ((u, v), _) in enumerate(cfg.keys.overrides):
+        if (u, v) not in links and (v, u) not in links:
+            raise ConfigError(f"keys.overrides[{i}]: ({u}, {v}) is not a link of the graph")
+
+
+def _summary_name(name: str, label: str, scale: float, chash: str) -> str:
+    return f"{name}_{label}_s{scale:g}_summary_{chash}.json"
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: Path, workers: int = 1) -> dict:
     """Execute all cells, write outputs, and return the manifest dict.
 
     The graph and each rate scale's classes are built once, and every cell
-    is checked against them before ``out_dir`` is created.
+    is checked against them before ``out_dir`` is created.  A directory
+    that holds another config's run is refused, not written into.
     """
+    return _run(cfg, out_dir, workers)[0]
+
+
+def _run(cfg: ExperimentConfig, out_dir: Path, workers: int) -> tuple[dict, list[tuple[str, MetricsRecord]]]:
+    """``run_experiment``, also returning each cell's label and record in run order."""
     g = cfg.graph.build()
     classes = {scale: cfg.build_classes(scale) for scale in cfg.rate_scales}
     # Kinds, security and endpoints, all that the checks read, do not vary with the scale.
     _check_cells(cfg, g, classes[cfg.rate_scales[0]])
+    chash = cfg.config_hash()
+    mpath = out_dir / "manifest.json"
+    if mpath.exists():
+        held = json.loads(mpath.read_text(encoding="utf-8")).get("config_hash")
+        if held != chash:
+            raise ConfigError(
+                f"--output: {out_dir} holds a run of config {held}, not {chash}; choose another directory"
+            )
     out_dir.mkdir(parents=True, exist_ok=True)
     jobs = [
         (cfg, g, classes[scale], mode, seed)
@@ -77,15 +101,15 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path, workers: int = 1) -> di
         for scale in cfg.rate_scales
         for seed in cfg.seeds
     ]
+    workers = min(workers, len(jobs), os.cpu_count() or 1)
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             records = iter(list(pool.map(_run_cell, jobs)))
     else:
         records = iter([_run_cell(job) for job in jobs])
 
-    chash = cfg.config_hash()
+    cells: list[tuple[str, MetricsRecord]] = []
     files: list[str] = []
-    summaries: dict[str, dict] = {}
     for pol in cfg.policies:
         for scale in cfg.rate_scales:
             prefix = f"{cfg.name}_{pol.label}_s{scale:g}"
@@ -99,15 +123,15 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path, workers: int = 1) -> di
                 (out_dir / f"{stem}.json").write_bytes(record.to_json_bytes())
                 files.append(f"{stem}.json")
                 cell_records.append(record)
+                cells.append((f"{pol.label} s{scale:g} seed{seed}", record))
             summary = summarize(cell_records)
-            sname = f"{prefix}_summary_{chash}.json"
+            sname = _summary_name(cfg.name, pol.label, scale, chash)
             payload = summary.to_dict()
             payload["rate_scale"] = scale
             (out_dir / sname).write_text(
                 json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
             )
             files.append(sname)
-            summaries[f"{pol.label}|{scale:g}"] = payload
 
     manifest = {
         "name": cfg.name,
@@ -117,16 +141,34 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path, workers: int = 1) -> di
         "seeds": list(cfg.seeds),
         "files": sorted(files),
     }
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
+    mpath.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    return manifest, cells
+
+
+def _cell_line(cfg: ExperimentConfig, label: str, record: MetricsRecord) -> str:
+    """One cell's delivered rate, mean delay and backlog stability verdict.
+
+    The verdict reads the ``backlog_sum`` series as recorded: a trailing
+    window of min(20,000, horizon/2) slots, taken at the series stride,
+    with the slope tolerance of 1e-3 per slot scaled to one row.
+    """
+    delay = record.mean_delay()
+    line = (
+        f"{label}: delivered rate {record.delivered_rate():.4f}, "
+        f"mean delay {'n/a' if delay is None else f'{delay:.2f}'}"
     )
-    return manifest
+    stride = cfg.series_stride
+    rows = min(20_000, cfg.horizon // 2) // stride
+    if record.series is None or rows < 2:
+        return f"{line}, backlog not judged (no series, or a window under 2 rows)"
+    v = stability_test(record.series["backlog_sum"], window=rows, slope_tol=1e-3 * stride)
+    return f"{line}, backlog {v.verdict} (slope {v.slope / stride:.5f}/slot)"
 
 
 def compare_runs(run_dirs: list[Path], out_path: Path) -> None:
-    """Join per-scale summary metrics of several runs into one CSV."""
-    if len(run_dirs) < 2:
-        raise ConfigError("compare needs at least two run directories")
+    """Join per-scale summary metrics of one or more runs into one CSV."""
+    if not run_dirs:
+        raise ConfigError("compare needs a run directory")
     manifests = []
     for d in run_dirs:
         mpath = d / "manifest.json"
@@ -143,7 +185,7 @@ def compare_runs(run_dirs: list[Path], out_path: Path) -> None:
         for label in m["policies"]:
             per_scale = {}
             for scale in scales:
-                sname = f"{m['name']}_{label}_s{scale:g}_summary_{m['config_hash']}.json"
+                sname = _summary_name(m["name"], label, scale, m["config_hash"])
                 per_scale[scale] = json.loads((d / sname).read_text(encoding="utf-8"))
             columns.append((f"{m['name']}:{label}", per_scale))
 
@@ -186,7 +228,9 @@ def main(argv: list[str] | None = None) -> int:
             if args.seed is not None:
                 cfg = dataclasses.replace(cfg, seeds=(args.seed,))
             out = args.output / cfg.name
-            manifest = run_experiment(cfg, out, workers=max(1, args.workers))
+            manifest, cells = _run(cfg, out, args.workers)
+            for label, record in cells:
+                print(_cell_line(cfg, label, record))
             print(f"wrote {len(manifest['files']) + 1} files to {out}")
             return 0
         compare_runs(args.run_dirs, args.output)

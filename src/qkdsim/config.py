@@ -140,26 +140,35 @@ class GraphConfig:
         if kind not in _GRAPH_FIELDS:
             raise ConfigError(f"{ctx}.kind: unknown graph kind {kind!r}")
         _known(doc, _GRAPH_FIELDS[kind], ctx)
-        if kind == "inline":
-            return cls(
-                kind="inline",
-                nodes=_int(_require(doc, "nodes", ctx), f"{ctx}.nodes"),
-                edges=tuple(_list(_require(doc, "edges", ctx), f"{ctx}.edges")),
-            )
         if kind == "file":
             return cls(kind="file", path=str(_require(doc, "path", ctx)))
+        nodes = _int(_require(doc, "nodes", ctx), f"{ctx}.nodes")
+        if nodes < 1:
+            raise ConfigError(f"{ctx}.nodes: must be >= 1, got {nodes}")
+        if kind == "inline":
+            edges = _list(_require(doc, "edges", ctx), f"{ctx}.edges")
+            return cls(kind="inline", nodes=nodes, edges=tuple(edges))
+        p = _num(_require(doc, "p", ctx), f"{ctx}.p")
+        if not 0 < p <= 1:
+            raise ConfigError(f"{ctx}.p: must be in (0, 1], got {p}")
+        gamma = _int(doc.get("gamma", 1), f"{ctx}.gamma")
+        if gamma < 1:
+            raise ConfigError(f"{ctx}.gamma: must be >= 1, got {gamma}")
         eta = _list(doc.get("eta_range", [0.2, 1.0]), f"{ctx}.eta_range")
         if len(eta) != 2:
             raise ConfigError(f"{ctx}.eta_range: expected [low, high], got {eta!r}")
+        lo, hi = (_num(x, f"{ctx}.eta_range") for x in eta)
+        if not 0 < lo <= hi:
+            raise ConfigError(f"{ctx}.eta_range: need 0 < low <= high, got {eta!r}")
         qkd_fraction = _num(doc.get("qkd_fraction", 1.0), f"{ctx}.qkd_fraction")
         if not 0 <= qkd_fraction <= 1:
             raise ConfigError(f"{ctx}.qkd_fraction: must be in [0, 1], got {qkd_fraction}")
         return cls(
             kind="erdos_renyi",
-            nodes=_int(_require(doc, "nodes", ctx), f"{ctx}.nodes"),
-            p=_num(_require(doc, "p", ctx), f"{ctx}.p"),
-            gamma=_int(doc.get("gamma", 1), f"{ctx}.gamma"),
-            eta_range=(_num(eta[0], f"{ctx}.eta_range"), _num(eta[1], f"{ctx}.eta_range")),
+            nodes=nodes,
+            p=p,
+            gamma=gamma,
+            eta_range=(lo, hi),
             graph_seed=_int(doc.get("graph_seed", 0), f"{ctx}.graph_seed"),
             qkd_fraction=qkd_fraction,
         )
@@ -325,14 +334,16 @@ def _keys_from_dict(doc: dict, ctx: str = "keys") -> KeySpec:
         u, v = (_int(_require(sub, k, octx), f"{octx}.{k}") for k in ("u", "v"))
         inner = {k: w for k, w in sub.items() if k not in ("u", "v")}
         overrides.append(((u, v), _keys_from_dict(inner, octx)))
+    photons = _int(doc.get("photons", 8), f"{ctx}.photons")
+    if photons < 0:
+        raise ConfigError(f"{ctx}.photons: must be >= 0, got {photons}")
+    probs = {}
+    for key in ("eavesdrop_prob", "check_fraction"):
+        probs[key] = _num(doc.get(key, 0.0), f"{ctx}.{key}")
+        if not 0 <= probs[key] <= 1:
+            raise ConfigError(f"{ctx}.{key}: must be in [0, 1], got {probs[key]}")
     return KeySpec(
-        kind=process,
-        k_max=k_max,
-        value=value,
-        photons=_int(doc.get("photons", 8), f"{ctx}.photons"),
-        eavesdrop_prob=_num(doc.get("eavesdrop_prob", 0.0), f"{ctx}.eavesdrop_prob"),
-        check_fraction=_num(doc.get("check_fraction", 0.0), f"{ctx}.check_fraction"),
-        overrides=tuple(overrides),
+        kind=process, k_max=k_max, value=value, photons=photons, overrides=tuple(overrides), **probs
     )
 
 

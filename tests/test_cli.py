@@ -1,9 +1,14 @@
+import concurrent.futures
 import json
+import os
+import re
 
 import pytest
 
+from qkdsim.analysis import stability_test
 from qkdsim.cli import compare_runs, main, run_experiment
 from qkdsim.config import ConfigError, ExperimentConfig, GraphConfig, preset_config
+from qkdsim.engine import simulate
 
 
 def _tiny_config(name="tiny", policies=None, rate_scales=(0.5, 1.0)):
@@ -224,6 +229,22 @@ _REJECTED = {
                                {"kind": "multicast", "destinations": [1, 2]}, "policies[0]"),
     "qkd-fraction-above-1": ({"graph": _er(qkd_fraction=2.5)}, {}, "graph.qkd_fraction"),
     "qkd-fraction-negative": ({"graph": _er(qkd_fraction=-1.0)}, {}, "graph.qkd_fraction"),
+    "bb84-negative-photons": ({"keys": {"process": "bb84", "photons": -1}}, {}, "keys.photons"),
+    "bb84-eavesdrop-prob-above-1": ({"keys": {"process": "bb84", "eavesdrop_prob": 1.5}}, {},
+                                    "keys.eavesdrop_prob"),
+    "bb84-check-fraction-negative": ({"keys": {"process": "bb84", "check_fraction": -0.1}}, {},
+                                     "keys.check_fraction"),
+    "override-negative-photons": (
+        {"keys": {"overrides": [{"u": 0, "v": 1, "process": "bb84", "photons": -1}]}}, {},
+        "keys.overrides[0].photons"),
+    "override-unknown-link": (
+        {"keys": {"overrides": [{"u": 5, "v": 9, "process": "deterministic", "value": 3}]}}, {},
+        "keys.overrides[0]:"),
+    "graph-p-above-1": ({"graph": _er(p=1.5)}, {}, "graph.p"),
+    "graph-eta-range-reversed": ({"graph": _er(eta_range=[0.5, 0.1])}, {}, "graph.eta_range"),
+    "graph-gamma-0": ({"graph": _er(gamma=0)}, {}, "graph.gamma"),
+    "graph-nodes-0": ({"graph": _er(nodes=0)}, {}, "graph.nodes"),
+    "inline-graph-nodes-0": ({"graph": {**_one_link(), "nodes": 0}}, {}, "graph.nodes"),
 }
 
 
@@ -266,6 +287,48 @@ def test_run_validates_each_policy_once(tmp_path, monkeypatch):
     g = cfg.graph.build()
     engine.simulate(g, cfg.build_classes(1.0), cfg.policies[0], horizon=5, seed=0)
     assert calls[2:] == ["qkdsim.engine"]
+
+
+def test_rerun_into_a_directory_of_another_config_is_refused(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_tiny_config()))
+    args = ["run", "--config", str(path), "--output", str(tmp_path / "runs")]
+    assert main(args) == 0
+    out = tmp_path / "runs" / "tiny"
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert main(args) == 0  # the same config may run again
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    capsys.readouterr()
+    path.write_text(json.dumps({**_tiny_config(), "horizon": 300}))
+    assert main(args) == 2
+    assert "--output" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_workers_capped_at_jobs_and_cpus(tmp_path, monkeypatch):
+    asked = []
+
+    class RecordingPool:  # runs the jobs in this process
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_tiny_config()))  # 1 policy x 2 scales x 2 seeds: 4 jobs
+    for cpus, name in ((64, "a"), (3, "b"), (1, "c")):
+        monkeypatch.setattr(os, "cpu_count", lambda cpus=cpus: cpus)
+        args = ["run", "--config", str(path), "--output", str(tmp_path / name), "--workers", "100000"]
+        assert main(args) == 0
+    assert asked == [4, 3]  # one cpu runs the cells serially, with no pool
 
 
 def test_run_parallel_workers_match_serial(tmp_path):
@@ -324,7 +387,7 @@ def test_compare_storage_variants_keep_delay_order(tmp_path):
     a = tmp_path / "a"
     run_experiment(ExperimentConfig.from_dict(doc), a)
     out = tmp_path / "cmp.csv"
-    compare_runs([a, a], out)
+    compare_runs([a], out)
     lines = out.read_text().strip().split("\n")
     header = lines[0].split(",")
     store = header.index("mean_delay_mean__variants:tandem-store")
@@ -342,11 +405,38 @@ def test_compare_mismatched_axes_error(tmp_path):
         compare_runs([a, b], tmp_path / "cmp.csv")
 
 
-def test_compare_needs_two_dirs(tmp_path):
-    with pytest.raises(ConfigError):
-        compare_runs([tmp_path], tmp_path / "cmp.csv")
+def test_compare_one_dir_writes_per_scale_csv(tmp_path):
+    run_experiment(ExperimentConfig.from_dict(_tiny_config()), tmp_path / "a")
+    assert main(["compare", str(tmp_path / "a"), "--output", str(tmp_path / "cmp.csv")]) == 0
+    lines = (tmp_path / "cmp.csv").read_text().strip().split("\n")
+    assert lines[0].split(",") == [
+        "rate_scale",
+        *(f"{m}__tiny:tandem-store" for m in ("delivered_rate_mean", "mean_delay_mean", "residual_keys_mean")),
+    ]
+    assert [row.split(",")[0] for row in lines[1:]] == ["0.5", "1"]
 
 
 def test_compare_cli_exit_codes(tmp_path):
     assert main(["compare", str(tmp_path / "missing1"), str(tmp_path / "missing2"),
                  "--output", str(tmp_path / "c.csv")]) == 2
+
+
+def test_run_prints_strided_verdicts_that_match_stride_1(tmp_path, capsys):
+    # the counterexample at stride 10, cut to 20,000 slots: a 10,000-slot window of 1,000 rows
+    doc = {**preset_config("counterexample").to_dict(), "horizon": 20_000}
+    assert doc["metrics"]["stride"] == 10
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", "--config", str(path), "--output", str(tmp_path / "runs")]) == 0
+    printed = capsys.readouterr().out
+    cfg = ExperimentConfig.from_dict(doc)
+    g, classes = cfg.graph.build(), cfg.build_classes()
+    verdicts = []
+    for pol in cfg.policies:
+        line = re.search(rf"^{pol.label} s1 seed1: .* backlog (\w+) \(slope (\S+)/slot\)$", printed, re.M)
+        record = simulate(g, classes, pol, keys=cfg.keys, horizon=cfg.horizon, seed=1, series_stride=1)
+        exact = stability_test(record.series["backlog_sum"], window=10_000)
+        assert line.group(1) == exact.verdict
+        assert abs(float(line.group(2)) - exact.slope) < 1e-4
+        verdicts.append(exact.verdict)
+    assert verdicts == ["unstable", "stable", "stable"]
