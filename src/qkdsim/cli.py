@@ -166,7 +166,11 @@ def _cell_line(cfg: ExperimentConfig, label: str, record: MetricsRecord) -> str:
 
 
 def compare_runs(run_dirs: list[Path], out_path: Path) -> None:
-    """Join per-scale summary metrics of one or more runs into one CSV."""
+    """Join per-scale summary metrics of one or more runs into one CSV.
+
+    Columns are labelled ``<config name>:<policy label>``, so two runs of
+    one config name are refused.
+    """
     if not run_dirs:
         raise ConfigError("compare needs a run directory")
     manifests = []
@@ -179,6 +183,14 @@ def compare_runs(run_dirs: list[Path], out_path: Path) -> None:
     if len(set(axes)) != 1:
         raise ConfigError(f"mismatched sweep axes across runs: {axes}")
     scales = axes[0]
+    held: dict[str, Path] = {}
+    for d, m in zip(run_dirs, manifests):
+        if m["name"] in held:
+            raise ConfigError(
+                f"{held[m['name']]} and {d} both hold runs of config {m['name']!r}, whose columns would "
+                "share their headers; compare runs of differently named configs"
+            )
+        held[m["name"]] = d
 
     columns: list[tuple[str, dict[float, dict]]] = []
     for d, m in zip(run_dirs, manifests):

@@ -24,8 +24,11 @@ grow with the horizon; a slot's deposit is one vector step, and Python work
 is done only on the links that hold packets, virtual backlog or this slot's
 arrivals.  Backpressure picks every link's commodity in one vector step per
 class and walks only the links that can send (see ``_Engine._serve_nodes``).
-A unicast or anycast class whose fewest-hop route weighs exactly zero takes
-that route without running the router (see ``_Engine._routes``).
+Routes go over the zero-weight links first.  A class that sees no weight
+on its links takes its idle route, kept per class: the fewest-hop path, or
+the tree the router built once on zero weights.  A path class whose idle
+route is busy takes the fewest-hop path around the busy links.  The router
+runs only when backlog leaves no zero-weight route (see ``_Engine._routes``).
 """
 
 from __future__ import annotations
@@ -53,7 +56,15 @@ from .policy import (
     select_routes,
     single_queue_service,
 )
-from .routing import PathRoute, Route, RoutingError, UnreachableError, anycast_route, min_weight_path
+from .routing import (
+    PathRoute,
+    Route,
+    RoutingError,
+    UnreachableError,
+    anycast_route,
+    fewest_hop_path,
+    min_weight_path,
+)
 from .topology import NetworkGraph
 from .traffic import Anycast, ArrivalSampler, Broadcast, Multicast, TrafficClass, Unicast
 
@@ -272,6 +283,11 @@ def _check_routability(g: NetworkGraph, classes: Sequence[TrafficClass]) -> None
             raise UnreachableError(f"class {cls.id}: no anycast candidate reachable on its allowed subgraph")
 
 
+def _targets(kind) -> tuple[int, ...]:
+    """A path class's destinations: its one destination, or its anycast candidates."""
+    return (kind.destination,) if isinstance(kind, Unicast) else kind.candidates
+
+
 def _spawn_streams(seed: int, n_classes: int, m: int):
     children = np.random.SeedSequence(seed).spawn(n_classes + m + 1)
     class_rngs = [np.random.default_rng(s) for s in children[:n_classes]]
@@ -433,11 +449,11 @@ class _Engine:
         self.y_total = 0
         self.transmitted_encrypted = [0] * m
         self.mixed = g.key_mask is not None or any(c.security != "quantum" for c in self.classes)
-        # each class's fewest-hop route on the links it may use, found when first needed
-        self.hop_routes: dict[int, PathRoute | None] = {}
+        # each class's route while no link it may use carries weight, found when first needed
+        self.idle_routes: dict[int, Route] = {}
         if self.fresh_only:
             for c in self.classes:
-                self._hop_route(c)
+                self._idle_route(c)
             return
 
         self.storage = mode.key_storage
@@ -526,54 +542,98 @@ class _Engine:
 
     # -- admission -------------------------------------------------------------
 
-    def _hop_route(self, cls: TrafficClass) -> PathRoute | None:
-        """Fewest-hop route of a unicast or anycast class (None for trees).
+    def _idle_route(self, cls: TrafficClass) -> Route:
+        """The class's route while no link it may use carries weight.
 
-        Route weights are never negative, so whenever this route weighs
-        exactly 0 it is also the minimum-weight route: it has the fewest hops
-        of all paths and the smallest node sequence among those, which are
-        ``min_weight_path``'s and ``anycast_route``'s tie-breaks, and a tie
-        with weight 0 is only an exact 0.
+        A unicast or anycast class takes its fewest-hop route
+        (``fewest_hop_path`` with nothing blocked), which is also
+        single-queue's fixed route.  A broadcast or multicast class takes
+        the router's tree on all-zero weights, built once through the
+        selectors.  That tree is the router's answer whenever every weight
+        the class sees is 0, for two reasons.  First, the only weights a
+        tree router reads are those of links it may use: trees are refused
+        on a graph with a one-way link, and a link's two directions share
+        ``has_qkd``, so the key mask keeps or drops a link whole.  Second,
+        on zero weights Kruskal's order, the Steiner closure and its pruning
+        depend only on node and link ids.
         """
-        cid, kind = cls.id, cls.kind
-        if cid not in self.hop_routes:
-            allowed = self.g.key_mask if cls.security == "quantum" else None
-            hop = [1.0] * self.g.m
-            if isinstance(kind, Unicast):
-                self.hop_routes[cid] = min_weight_path(self.g, hop, cls.source, kind.destination, allowed)
-            elif isinstance(kind, Anycast):
-                self.hop_routes[cid] = anycast_route(self.g, hop, cls.source, kind.candidates, allowed)
+        route = self.idle_routes.get(cls.id)
+        if route is None:
+            kind = cls.kind
+            if isinstance(kind, (Broadcast, Multicast)):
+                zeros = [0.0] * self.g.m
+                route = self._select({cls.id: 1}, VirtualQueues(zeros, zeros))[cls.id]
             else:
-                self.hop_routes[cid] = None
-        return self.hop_routes[cid]
+                route = fewest_hop_path(self.g, cls.source, _targets(kind), self._allowed(cls))
+                if route is None:
+                    raise UnreachableError(f"class {cls.id}: no destination reachable on its allowed subgraph")
+            self.idle_routes[cls.id] = route
+        return route
+
+    def _allowed(self, cls: TrafficClass) -> Sequence[bool] | None:
+        """The links a class may use: the keyed ones if it is encrypted."""
+        return self.g.key_mask if cls.security == "quantum" else None
+
+    def _select(self, counts: dict[int, int], vq: VirtualQueues) -> dict[int, Route]:
+        """The router's routes on ``vq``; multilevel's selector wherever some
+        link is keyless or some class plain."""
+        if self.mixed:
+            return multilevel_select_routes(self.g, vq, counts, self.classes)
+        return select_routes(self.g, assign_weights(vq), counts, self.classes)
 
     def _routes(self, counts: dict[int, int]) -> dict[int, Route]:
-        """Each arriving class's route.
+        """Each arriving class's minimum-weight route.
 
-        Single-queue always takes the fewest-hop route.  Otherwise a path
-        class takes it when it weighs exactly 0: no edge on it carries
-        virtual backlog (x̃ + ỹ for encrypted classes, ỹ for plain ones).
-        The router sees only the other classes.
+        An encrypted class weighs x̃ + ỹ on the keyed links, a plain one ỹ
+        on every link.  Most of these weigh 0 in most slots, so the router
+        runs only when backlog forces it:
+
+        - a class takes its idle route (``_idle_route``) when no link on it
+          carries weight; a tree class, when no link it may use does;
+        - otherwise a path class takes the fewest-hop path that avoids the
+          links with weight, which is the router's route whenever it exists
+          (see ``fewest_hop_path``);
+        - otherwise the router runs on the class's weights: a path class
+          calls ``min_weight_path`` or ``anycast_route``, and the tree
+          classes go to the selector together.
+
+        Single-queue always takes the idle routes.
         """
         if self.fresh_only:
-            return self.hop_routes
-        by_id = self.by_id
+            return self.idle_routes
+        g, busy, y_tilde = self.g, self.active_vq, self.y_tilde
         routes: dict[int, Route] = {}
-        routed: dict[int, int] = {}
-        busy, y_tilde = self.active_vq, self.y_tilde
+        trees: dict[int, int] = {}
+        w_quantum = None
         for cid, n in counts.items():
-            hop = self._hop_route(by_id[cid])
-            if hop is not None and (
-                busy.isdisjoint(hop.edges) if self.encrypted[cid] else not any(y_tilde[e] for e in hop.edges)
-            ):
-                routes[cid] = hop
-            else:
-                routed[cid] = n
-        if routed:
-            if self.mixed:
-                routes.update(multilevel_select_routes(self.g, self.vq, routed, self.classes))
-            else:
-                routes.update(select_routes(self.g, assign_weights(self.vq), routed, self.classes))
+            cls = self.by_id[cid]
+            route = self._idle_route(cls)
+            encrypted, allowed = self.encrypted[cid], self._allowed(cls)
+            if not isinstance(route, PathRoute):
+                # a busy link weighs x̃ + ỹ > 0 to an encrypted class, but maybe only x̃ to a plain one
+                if any((allowed is None or allowed[e]) and (encrypted or y_tilde[e]) for e in busy):
+                    trees[cid] = n
+                else:
+                    routes[cid] = route
+                continue
+            if busy.isdisjoint(route.edges) if encrypted else not any(y_tilde[e] for e in route.edges):
+                routes[cid] = route
+                continue
+            # keyless links are not allowed to an encrypted class, so it may block all of busy
+            heavy = busy if encrypted else {e for e in busy if y_tilde[e]}
+            kind = cls.kind
+            route = fewest_hop_path(g, cls.source, _targets(kind), allowed, heavy)
+            if route is None:
+                if encrypted and w_quantum is None:
+                    w_quantum = assign_weights(self.vq)
+                w = w_quantum if encrypted else y_tilde
+                if isinstance(kind, Unicast):
+                    route = min_weight_path(g, w, cls.source, kind.destination, allowed)
+                else:
+                    route = anycast_route(g, w, cls.source, kind.candidates, allowed)
+            routes[cid] = route
+        if trees:
+            routes.update(self._select(trees, self.vq))
         return routes
 
     def _route_and_admit(self, counts: dict[int, int], slot: int) -> None:

@@ -10,13 +10,18 @@ All tie-breaking is deterministic: paths prefer lower total weight (weights
 within a relative 1e-12 count as equal, so rounding cannot split a tie), then
 fewer hops, then the lexicographically smallest node sequence; tree edges
 tie-break on edge id.  Identical inputs always yield identical routes.
+
+``fewest_hop_path`` is a breadth-first search that takes no weights: over
+the links left after a blocked set, it returns the route the path routers
+return when those links weigh 0 and the blocked ones more.  Callers use it
+first and weigh the graph only when it finds no path.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence, Union
+from typing import Collection, Iterable, Sequence, Union
 
 from .topology import NetworkGraph, _UnionFind
 
@@ -27,6 +32,7 @@ __all__ = [
     "TreeRoute",
     "Route",
     "min_weight_path",
+    "fewest_hop_path",
     "min_weight_spanning_tree",
     "steiner_tree_approx",
     "anycast_route",
@@ -140,6 +146,63 @@ def _dijkstra_labels(
         found.sort()
         layer = [v for _, v in found]
     return labels
+
+
+def fewest_hop_path(
+    g: NetworkGraph,
+    s: int,
+    targets: Iterable[int],
+    allowed: Sequence[bool] | None = None,
+    blocked: Collection[int] = (),
+) -> PathRoute | None:
+    """Fewest-hop path from ``s`` to the nearest target over the links that
+    ``allowed`` admits and ``blocked`` does not hold; None when no target is
+    reachable that way.
+
+    The search goes layer by layer.  Each layer is ordered by (parent's
+    rank, node id), and each node's out-edges are scanned in edge-id order.
+    The first parent that reaches a target finishes its out-edges, and the
+    smallest target id among those it reached wins.  Among the fewest-hop
+    paths this is the smallest node sequence, since a layer in that order
+    is sorted by node sequence.
+
+    It is the route ``min_weight_path`` (one target) and ``anycast_route``
+    return whenever the links outside ``blocked`` weigh exactly 0 and some
+    target is reachable over them.  Weights are never negative, so the
+    minimum weight is then 0, and under ``_TIE_RTOL`` only an exact 0 ties
+    with it: the winner is the fewest-hop, smallest-sequence path among the
+    zero-weight ones.  In ``_dijkstra_labels`` an edge into a node at
+    distance 0 is tight only when it leaves another such node and weighs 0,
+    so on those nodes the tight-edge pass is this search, in this order.
+    """
+    targets = set(targets)
+    edges, out = g.edges, g.out_edges
+    via = {s: -1}  # node -> the edge it was reached by
+    layer = [s]
+    while layer:
+        nxt: list[int] = []
+        for u in layer:
+            new = []
+            hit = -1
+            for eid in out[u]:
+                if (allowed is not None and not allowed[eid]) or eid in blocked:
+                    continue
+                v = edges[eid].v
+                if v not in via:
+                    via[v] = eid
+                    new.append(v)
+                    if v in targets and (hit < 0 or v < hit):
+                        hit = v
+            if hit >= 0:
+                path = [via[hit]]
+                while edges[path[-1]].u != s:
+                    path.append(via[edges[path[-1]].u])
+                path.reverse()
+                return PathRoute(nodes=(s, *(edges[e].v for e in path)), edges=tuple(path))
+            new.sort()
+            nxt += new
+        layer = nxt
+    return None
 
 
 def _edges_of_node_path(g: NetworkGraph, nodes: tuple[int, ...]) -> tuple[int, ...]:

@@ -9,12 +9,14 @@ the second route for every dual-checked computation.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from typing import Sequence
 
 import numpy as np
 
 from qkdsim.routing import PathRoute, RoutingError
+from qkdsim.topology import build_graph
 
 
 def simple_paths(g, s: int, t: int) -> list[tuple[int, ...]]:
@@ -174,6 +176,25 @@ def assert_path_tree(g, route: PathRoute) -> None:
     assert tuple(walk) == route.nodes
     assert len(route.children) == len(route.edges)
     assert route.terminals == {route.nodes[-1]}
+
+
+def shuffled_edge_ids(g, rng):
+    """The same links with their edge ids in a random order and orientation,
+    so that an out-edge's id says nothing about its head's node id."""
+    specs = [dataclasses.replace(sp, u=sp.v, v=sp.u) if rng.random() < 0.5 else sp for sp in g.specs]
+    return build_graph(g.n, [specs[i] for i in rng.permutation(len(specs))])
+
+
+def assert_tree_shape(g, route, root: int, terminals, allowed) -> None:
+    """A broadcast or multicast tree: rooted at ``root``, oriented away from
+    it, over links ``allowed`` admits in both directions, reaching exactly
+    ``terminals`` (every other node for broadcast) with no spare leaf."""
+    validate_route(g, route)
+    assert route.root == root
+    assert route.terminals == frozenset(terminals) - {root}
+    for eid in route.edges:
+        e = g.edges[eid]
+        assert allowed is None or (allowed[eid] and allowed[e.twin])
 
 
 def validate_route(g, route) -> None:

@@ -358,10 +358,10 @@ def test_identical_config_and_seed_give_identical_bytes(tmp_path):
 # compare command
 
 def test_compare_identical_runs_zero_difference(tmp_path):
-    cfg = ExperimentConfig.from_dict(_tiny_config())
+    # the same config under two names: the name never changes a number
     a, b = tmp_path / "a", tmp_path / "b"
-    run_experiment(cfg, a)
-    run_experiment(cfg, b)
+    run_experiment(ExperimentConfig.from_dict(_tiny_config(name="tiny_a")), a)
+    run_experiment(ExperimentConfig.from_dict(_tiny_config(name="tiny_b")), b)
     out = tmp_path / "cmp.csv"
     compare_runs([a, b], out)
     lines = out.read_text().strip().split("\n")
@@ -414,6 +414,17 @@ def test_compare_one_dir_writes_per_scale_csv(tmp_path):
         *(f"{m}__tiny:tandem-store" for m in ("delivered_rate_mean", "mean_delay_mean", "residual_keys_mean")),
     ]
     assert [row.split(",")[0] for row in lines[1:]] == ["0.5", "1"]
+
+
+def test_compare_rejects_two_runs_of_one_config_name(tmp_path, capsys):
+    a, b = tmp_path / "a", tmp_path / "b"
+    run_experiment(ExperimentConfig.from_dict(_tiny_config()), a)
+    run_experiment(ExperimentConfig.from_dict(_tiny_config(rate_scales=(0.5, 1.0))), b)
+    out = tmp_path / "cmp.csv"
+    assert main(["compare", str(a), str(b), "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert str(a) in err and str(b) in err and "'tiny'" in err
+    assert not out.exists()
 
 
 def test_compare_cli_exit_codes(tmp_path):

@@ -1,12 +1,13 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qkdsim.config import GraphConfig
-from qkdsim.engine import _Engine, simulate
+from qkdsim.engine import _Engine, _targets, simulate
 from qkdsim.keying import KeySpec
 from qkdsim.policy import (
     MultilevelMode,
@@ -20,9 +21,9 @@ from qkdsim.policy import (
 )
 from qkdsim.routing import TreeRoute, UnreachableError, anycast_route, min_weight_path
 from qkdsim.topology import EdgeSpec, build_graph, erdos_renyi
-from qkdsim.traffic import Anycast, Bernoulli, Broadcast, TrafficClass, TruncatedPoisson, Unicast
+from qkdsim.traffic import Anycast, Bernoulli, Broadcast, Multicast, TrafficClass, TruncatedPoisson, Unicast
 
-from .oracles import assert_path_tree, backpressure_scan, drift_bound
+from .oracles import assert_path_tree, assert_tree_shape, backpressure_scan, drift_bound, shuffled_edge_ids
 
 
 # ---------------------------------------------------------------------------
@@ -359,38 +360,70 @@ def test_multilevel_quantum_unreachable_inside_qkd_subgraph():
 
 
 # ---------------------------------------------------------------------------
-# zero-weight shortcut: a path class whose fewest-hop route weighs exactly 0
-# takes it without the router; the router would have picked the same route
+# zero-weight shortcut: a path class takes the fewest-hop path over the links
+# that weigh 0 without the router; the router would have picked the same route
 
 def _mostly_zero(rng, m):
     return np.where(rng.random(m) < 0.75, 0.0, rng.integers(1, 41, m) / 8).tolist()
 
 
-@given(seed=st.integers(0, 10**6), masked=st.booleans())
+def _tie(g, s, allowed):
+    """Two out-neighbours a < b of s whose edge to b has the smaller id."""
+    heads = {g.edges[e].v: e for e in g.out_edges[s] if allowed is None or allowed[e]}
+    for a in sorted(heads):
+        for b in sorted(heads):
+            if a < b and heads[b] < heads[a]:
+                return a, b
+    return None
+
+
+@given(seed=st.integers(0, 10**6), masked=st.booleans(), case=st.sampled_from(("detour", "fallback", "tie")))
+@example(seed=0, masked=False, case="tie")
+@example(seed=10, masked=True, case="tie")
 @settings(max_examples=150, deadline=None)
-def test_zero_weight_shortcut_matches_the_router(seed, masked):
+def test_zero_weight_shortcut_matches_the_router(seed, masked, case):
+    """``detour``: the idle route carries weight; ``fallback``: every link out
+    of the source does, so no zero-weight path exists; ``tie``: the anycast
+    candidates are two out-neighbours of the source reached over idle links,
+    the larger id by the smaller edge id."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(4, 10))
     g = GraphConfig(kind="erdos_renyi", nodes=n, p=0.5, graph_seed=seed,
                     qkd_fraction=0.6 if masked else 1.0).build()
     if not g.connected():
         return
+    g = shuffled_edge_ids(g, rng)
     s, d, c1, c2 = (int(v) for v in rng.choice(n, size=4, replace=False))
     levels = ("quantum", "classical") if masked else ("quantum",)
     classes = []
     for sec in levels:
+        cands = (c1, c2)
+        if case == "tie":
+            cands = _tie(g, s, g.key_mask if sec == "quantum" else None)
+            assume(cands is not None)
         classes.append(TrafficClass(len(classes), s, Unicast(d), Bernoulli(0.1), security=sec))
-        classes.append(TrafficClass(len(classes), s, Anycast((c1, c2)), Bernoulli(0.1), security=sec))
+        classes.append(TrafficClass(len(classes), s, Anycast(cands), Bernoulli(0.1), security=sec))
     mode = MultilevelMode() if masked else TandemMode()
     eng = _Engine(g, classes, mode, KeySpec(), "fifo", 1, 0, 10_000, False, 1, False, False, False)
-    # a keyless link never holds encryption backlog
     keyed = g.key_mask or [True] * g.m
-    x = [w if k else 0.0 for w, k in zip(_mostly_zero(rng, g.m), keyed)]
-    y = _mostly_zero(rng, g.m)
-    eng.x_tilde[:] = x
-    eng.y_tilde[:] = y
-    eng.active_vq.update(e for e in range(g.m) if x[e] or y[e])
     for cls in classes:
+        idle = eng._idle_route(cls)
+        # a keyless link never holds encryption backlog
+        x = [w if k else 0.0 for w, k in zip(_mostly_zero(rng, g.m), keyed)]
+        y = _mostly_zero(rng, g.m)
+        if case == "detour":
+            y[idle.edges[int(rng.integers(len(idle.edges)))]] = 1.0
+        elif case == "fallback":
+            for e in g.out_edges[s]:
+                y[e] = 1.0
+        elif isinstance(cls.kind, Anycast):
+            for e in g.out_edges[s]:
+                if g.edges[e].v in cls.kind.candidates:
+                    x[e] = y[e] = 0.0
+        eng.x_tilde[:] = x
+        eng.y_tilde[:] = y
+        eng.active_vq.clear()
+        eng.active_vq.update(e for e in range(g.m) if x[e] or y[e])
         if cls.security == "quantum":
             w, allowed = [a + b for a, b in zip(x, y)], g.key_mask
         else:
@@ -398,14 +431,22 @@ def test_zero_weight_shortcut_matches_the_router(seed, masked):
         if isinstance(cls.kind, Unicast):
             want = min_weight_path(g, w, s, d, allowed)
         else:
-            want = anycast_route(g, w, s, (c1, c2), allowed)
-        got = eng._routes({cls.id: 1})[cls.id]
+            want = anycast_route(g, w, s, cls.kind.candidates, allowed)
+        with mock.patch("qkdsim.engine.min_weight_path", wraps=min_weight_path) as path_router, \
+                mock.patch("qkdsim.engine.anycast_route", wraps=anycast_route) as anycast_router:
+            got = eng._routes({cls.id: 1})[cls.id]
         assert got == want
         assert_path_tree(g, want)
         assert_path_tree(g, got)
-        hop = eng.hop_routes[cls.id]
-        # the shortcut hands out the cached route itself, the router a new one
-        assert (got is hop) == (not any(w[e] for e in hop.edges))
+        zero_links = [not w[e] and (allowed is None or allowed[e]) for e in range(g.m)]
+        zero_path = bool(set(_targets(cls.kind)) & g.reachable(s, zero_links))
+        # the idle route is handed out itself, the detour and the router make new ones
+        assert (got is idle) == (not any(w[e] for e in idle.edges))
+        assert path_router.call_count + anycast_router.call_count == (not zero_path)
+        if case == "fallback":
+            assert not zero_path
+        if case == "tie" and isinstance(cls.kind, Anycast):
+            assert got.nodes == (s, min(cls.kind.candidates))
 
 
 def test_zero_weight_shortcut_skips_the_router_when_idle():
@@ -413,6 +454,53 @@ def test_zero_weight_shortcut_skips_the_router_when_idle():
     classes = [TrafficClass(0, 0, Unicast(5), Bernoulli(0.1)), TrafficClass(1, 2, Anycast((6, 7)), Bernoulli(0.1))]
     eng = _Engine(g, classes, TandemMode(), KeySpec(), "fifo", 1, 0, 10_000, False, 1, False, False, False)
     routes = eng._routes({0: 1, 1: 2})
-    assert routes[0] is eng.hop_routes[0] and routes[1] is eng.hop_routes[1]
+    assert routes[0] is eng.idle_routes[0] and routes[1] is eng.idle_routes[1]
     assert routes[0] == min_weight_path(g, [0.0] * g.m, 0, 5)
     assert routes[1] == anycast_route(g, [0.0] * g.m, 2, (6, 7))
+
+
+
+# ---------------------------------------------------------------------------
+# idle trees: a tree class that sees no weight takes the tree the router
+# built on all-zero weights, the same object every time
+
+@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize("security", ["quantum", "classical"])
+@pytest.mark.parametrize("kind", [Broadcast(), Multicast((2, 5, 7))])
+def test_idle_tree_is_reused_while_the_class_sees_no_weight(kind, security, masked):
+    g = GraphConfig(kind="erdos_renyi", nodes=8, p=0.5, graph_seed=5,
+                    qkd_fraction=0.6 if masked else 1.0).build()
+    cls = TrafficClass(0, 1, kind, Bernoulli(0.1), security=security)
+    eng = _Engine(g, [cls], MultilevelMode(), KeySpec(), "fifo", 1, 0, 10_000, False, 1, False, False, False)
+    allowed = g.key_mask if security == "quantum" else None
+    terminals = set(range(g.n)) if isinstance(kind, Broadcast) else set(kind.destinations)
+    rng = np.random.default_rng(7)
+    x, y = [0.0] * g.m, [0.0] * g.m
+    # weight only where the class cannot see it: ỹ on keyless links for an
+    # encrypted class, x̃ on keyed links for a plain one
+    for e in range(g.m):
+        if security == "quantum" and masked and not g.key_mask[e]:
+            y[e] = float(rng.integers(1, 9))
+        elif security == "classical" and (g.key_mask is None or g.key_mask[e]):
+            x[e] = float(rng.integers(1, 9))
+
+    def routes():
+        eng.x_tilde[:] = x
+        eng.y_tilde[:] = y
+        eng.active_vq.clear()
+        eng.active_vq.update(e for e in range(g.m) if x[e] or y[e])
+        with mock.patch("qkdsim.engine.select_routes", wraps=select_routes) as plain_selector, \
+                mock.patch("qkdsim.engine.multilevel_select_routes", wraps=multilevel_select_routes) as selector:
+            got = eng._routes({0: 1})[0]
+        want = multilevel_select_routes(g, VirtualQueues(list(x), list(y)), {0: 1}, [cls])[0]
+        assert got == want
+        assert_tree_shape(g, got, cls.source, terminals, allowed)
+        return got, plain_selector.call_count + selector.call_count
+
+    idle = eng._idle_route(cls)
+    for _ in range(2):
+        got, router_calls = routes()
+        assert got is idle and router_calls == 0
+    y[idle.edges[0]] = 1.0  # one weight the class sees
+    got, router_calls = routes()
+    assert got is not idle and router_calls == 1

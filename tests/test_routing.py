@@ -9,6 +9,7 @@ from qkdsim.routing import (
     TreeRoute,
     UnreachableError,
     anycast_route,
+    fewest_hop_path,
     min_weight_path,
     min_weight_spanning_tree,
     steiner_tree_approx,
@@ -20,6 +21,7 @@ from .oracles import (
     best_path_label,
     min_spanning_tree_weight,
     route_weight,
+    shuffled_edge_ids,
     steiner_optimum_weight,
     validate_route,
 )
@@ -271,6 +273,50 @@ def test_anycast_matches_min_over_destinations():
             except UnreachableError:
                 pass
         assert route_weight(g, w, route) == min(per_dest)
+
+
+# ---------------------------------------------------------------------------
+# fewest hops over the links that weigh 0
+
+def test_fewest_hop_anycast_tie_goes_to_the_smaller_candidate():
+    # 0 reaches 2 by edge id 0 and 1 by edge id 2: both are one hop away
+    g = build_graph(3, [EdgeSpec(0, 2), EdgeSpec(0, 1)])
+    assert g.edge_between(0, 2) < g.edge_between(0, 1)
+    route = fewest_hop_path(g, 0, (2, 1))
+    assert route.nodes == (0, 1) and route.edges == (g.edge_between(0, 1),)
+    assert route == anycast_route(g, [0.0] * g.m, 0, (1, 2))
+    assert fewest_hop_path(g, 0, (1, 2), blocked={g.edge_between(0, 1)}).nodes == (0, 2)
+    assert fewest_hop_path(g, 0, (1,), allowed=[True, True, False, True]) is None
+
+
+@given(seed=st.integers(0, 10**6), anycast=st.booleans(), masked=st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_fewest_hop_path_is_the_router_route_on_zero_weights(seed, anycast, masked):
+    """Links outside ``blocked`` weigh 0, links in it weigh more: the search
+    finds the router's route exactly when that route weighs 0."""
+    rng = np.random.default_rng(seed)
+    g = shuffled_edge_ids(erdos_renyi(int(rng.integers(4, 10)), 0.5, seed=seed), rng)
+    allowed = None
+    if masked:
+        keep = rng.random(g.m) < 0.7
+        allowed = [bool(keep[min(e.id, e.twin)]) for e in g.edges]
+    blocked = {e for e in range(g.m) if rng.random() < 0.3}
+    w = [int(rng.integers(1, 41)) / 8 if e in blocked else 0.0 for e in range(g.m)]
+    s, *targets = (int(v) for v in rng.choice(g.n, size=3 if anycast else 2, replace=False))
+    got = fewest_hop_path(g, s, targets, allowed, blocked)
+    try:
+        if anycast:
+            want = anycast_route(g, w, s, targets, allowed)
+        else:
+            want = min_weight_path(g, w, s, targets[0], allowed)
+    except UnreachableError:
+        want = None
+    if want is None or route_weight(g, w, want) > 0:
+        assert got is None
+    else:
+        assert got == want
+        validate_route(g, got)
+        assert_path_tree(g, got)
 
 
 # ---------------------------------------------------------------------------
