@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .engine import MetricsRecord
-from .routing import min_weight_path
+from .routing import UnreachableError, fewest_hop_path
 from .topology import NetworkGraph, capacitated_transform
 from .traffic import TrafficClass, Unicast
 
@@ -99,13 +99,15 @@ def constructed_uniform_boundary(
     consume min(gamma, eta) budget; plain classes only link capacity.
     """
     omega = capacitated_transform(g)
-    hop_w = [1.0] * g.m
     paths: dict[int, list[int]] = {}
     for cls in classes:
         if not isinstance(cls.kind, Unicast):
             raise ValueError("constructed boundary supports unicast classes only")
         allowed = g.key_mask if cls.security == "quantum" else None
-        paths[cls.id] = list(min_weight_path(g, hop_w, cls.source, cls.kind.destination, allowed).edges)
+        route = fewest_hop_path(g, cls.source, (cls.kind.destination,), allowed)
+        if route is None:
+            raise UnreachableError(f"class {cls.id}: node {cls.kind.destination} unreachable from {cls.source}")
+        paths[cls.id] = list(route.edges)
     q_load = [0] * g.m
     all_load = [0] * g.m
     for cls in classes:

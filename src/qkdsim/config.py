@@ -98,6 +98,12 @@ def _bool(value: Any, field: str) -> bool:
     return value
 
 
+def _str(value: Any, field: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{field}: expected a string, got {value!r}")
+    return value
+
+
 def _list(value: Any, field: str) -> list:
     if not isinstance(value, list):
         raise ConfigError(f"{field}: expected a list, got {value!r}")
@@ -136,12 +142,12 @@ class GraphConfig:
 
     @classmethod
     def from_dict(cls, doc: dict, ctx: str = "graph") -> "GraphConfig":
-        kind = str(_require(doc, "kind", ctx))
+        kind = _str(_require(doc, "kind", ctx), f"{ctx}.kind")
         if kind not in _GRAPH_FIELDS:
             raise ConfigError(f"{ctx}.kind: unknown graph kind {kind!r}")
         _known(doc, _GRAPH_FIELDS[kind], ctx)
         if kind == "file":
-            return cls(kind="file", path=str(_require(doc, "path", ctx)))
+            return cls(kind="file", path=_str(_require(doc, "path", ctx), f"{ctx}.path"))
         nodes = _int(_require(doc, "nodes", ctx), f"{ctx}.nodes")
         if nodes < 1:
             raise ConfigError(f"{ctx}.nodes: must be >= 1, got {nodes}")
@@ -216,12 +222,12 @@ class ClassConfig:
 
     @classmethod
     def from_dict(cls, doc: dict, ctx: str) -> "ClassConfig":
-        kind = str(_require(_known(doc, _CLASS_FIELDS, ctx), "kind", ctx))
+        kind = _str(_require(_known(doc, _CLASS_FIELDS, ctx), "kind", ctx), f"{ctx}.kind")
         if kind not in ("unicast", "broadcast", "multicast", "anycast"):
             raise ConfigError(f"{ctx}.kind: unknown traffic kind {kind!r}")
         actx = f"{ctx}.arrival"
         arrival = _require(doc, "arrival", ctx)
-        process = str(_require(arrival, "process", actx))
+        process = _str(_require(arrival, "process", actx), f"{actx}.process")
         if process not in _ARRIVAL_FIELDS:
             raise ConfigError(f"{actx}.process: unknown process {process!r}")
         _known(arrival, _ARRIVAL_FIELDS[process], actx)
@@ -241,6 +247,9 @@ class ClassConfig:
             raise ConfigError(f"{ctx}.destinations: required for {kind} classes")
         if kind == "unicast" and len(dests) > 1:
             raise ConfigError(f"{ctx}.destinations: a unicast class has one destination")
+        security = _str(doc.get("security", "quantum"), f"{ctx}.security")
+        if security not in ("quantum", "classical"):
+            raise ConfigError(f"{ctx}.security: must be 'quantum' or 'classical', got {security!r}")
         return cls(
             id=_int(_require(doc, "id", ctx), f"{ctx}.id"),
             source=_int(_require(doc, "source", ctx), f"{ctx}.source"),
@@ -250,7 +259,7 @@ class ClassConfig:
             rate=rate,
             cap=cap,
             ppbp=ppbp,
-            security=str(doc.get("security", "quantum")),
+            security=security,
             priority=_int(doc.get("priority", 0), f"{ctx}.priority"),
         )
 
@@ -290,7 +299,7 @@ def _policy_to_dict(mode: PolicyMode) -> dict:
 
 
 def _policy_from_dict(doc: dict, ctx: str) -> PolicyMode:
-    name = str(_require(doc, "mode", ctx))
+    name = _str(_require(doc, "mode", ctx), f"{ctx}.mode")
     if name not in _MODES:
         raise ConfigError(f"{ctx}.mode: unknown policy mode {name!r}")
     cls = _MODES[name]
@@ -318,7 +327,7 @@ def _keys_to_dict(spec: KeySpec) -> dict:
 
 
 def _keys_from_dict(doc: dict, ctx: str = "keys") -> KeySpec:
-    process = str(_known(doc, _KEY_FIELDS, ctx).get("process", "truncated_poisson"))
+    process = _str(_known(doc, _KEY_FIELDS, ctx).get("process", "truncated_poisson"), f"{ctx}.process")
     if process not in ("truncated_poisson", "deterministic", "bb84"):
         raise ConfigError(f"{ctx}.process: unknown key process {process!r}")
     value = None if doc.get("value") is None else _int(doc["value"], f"{ctx}.value")
@@ -387,7 +396,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        name = str(_require(_known(doc, _CONFIG_FIELDS, "config"), "name", "config"))
+        name = _str(_require(_known(doc, _CONFIG_FIELDS, "config"), "name", "config"), "config.name")
         # The name becomes a directory and a file-name prefix under --output.
         if name in ("", ".", "..") or "/" in name or "\\" in name:
             raise ConfigError(f"config.name: must be a plain file name, got {name!r}")
@@ -411,7 +420,7 @@ class ExperimentConfig:
                     f"policies[{i}]: label {label!r} repeats policies[{labels.index(label)}]; "
                     f"output files are named by label"
                 )
-        scheduler = str(doc.get("scheduler", "fifo"))
+        scheduler = _str(doc.get("scheduler", "fifo"), "config.scheduler")
         if scheduler not in ("fifo", "ento"):
             raise ConfigError(f"config.scheduler: unknown scheduler {scheduler!r}")
         if scheduler == "ento" and any(p.mode == "backpressure" for p in policies):

@@ -253,12 +253,10 @@ class MetricsRecord:
     def to_csv_bytes(self) -> bytes:
         if self.series is None:
             raise ValueError("run was executed without per-slot series recording")
-        cols = list(self.series)
         buf = io.StringIO()
-        buf.write(",".join(cols) + "\n")
-        arrays = [self.series[c] for c in cols]
-        for row in zip(*arrays):
-            buf.write(",".join(repr(v.item()) if hasattr(v, "item") else repr(v) for v in row) + "\n")
+        buf.write(",".join(self.series) + "\n")
+        for row in zip(*(a.tolist() for a in self.series.values())):
+            buf.write(",".join(map(repr, row)) + "\n")
         return buf.getvalue().encode()
 
 
@@ -546,16 +544,17 @@ class _Engine:
         """The class's route while no link it may use carries weight.
 
         A unicast or anycast class takes its fewest-hop route
-        (``fewest_hop_path`` with nothing blocked), which is also
-        single-queue's fixed route.  A broadcast or multicast class takes
-        the router's tree on all-zero weights, built once through the
-        selectors.  That tree is the router's answer whenever every weight
-        the class sees is 0, for two reasons.  First, the only weights a
-        tree router reads are those of links it may use: trees are refused
-        on a graph with a one-way link, and a link's two directions share
-        ``has_qkd``, so the key mask keeps or drops a link whole.  Second,
-        on zero weights Kruskal's order, the Steiner closure and its pruning
-        depend only on node and link ids.
+        (``fewest_hop_path`` with nothing blocked: the walk every path
+        router makes, unweighed), which is also single-queue's fixed route.
+        A broadcast or multicast class takes the router's tree on all-zero
+        weights, built once through the selectors.  That tree is the
+        router's answer whenever every weight the class sees is 0, for two
+        reasons.  First, the only weights a tree router reads are those of
+        links it may use: trees are refused on a graph with a one-way link,
+        and a link's two directions share ``has_qkd``, so the key mask
+        keeps or drops a link whole.  Second, on zero weights Kruskal's
+        order, the Steiner closure and its pruning depend only on node and
+        link ids.
         """
         route = self.idle_routes.get(cls.id)
         if route is None:
@@ -591,8 +590,10 @@ class _Engine:
         - a class takes its idle route (``_idle_route``) when no link on it
           carries weight; a tree class, when no link it may use does;
         - otherwise a path class takes the fewest-hop path that avoids the
-          links with weight, which is the router's route whenever it exists
-          (see ``fewest_hop_path``);
+          links with weight.  The router walks the same way over its tight
+          links, and when that path exists the tight links among the nodes
+          at distance 0 are the zero-weight ones, so it is the router's
+          route (see ``fewest_hop_path``);
         - otherwise the router runs on the class's weights: a path class
           calls ``min_weight_path`` or ``anycast_route``, and the tree
           classes go to the selector together.

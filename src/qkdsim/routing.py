@@ -11,9 +11,12 @@ within a relative 1e-12 count as equal, so rounding cannot split a tie), then
 fewer hops, then the lexicographically smallest node sequence; tree edges
 tie-break on edge id.  Identical inputs always yield identical routes.
 
-``fewest_hop_path`` is a breadth-first search that takes no weights: over
-the links left after a blocked set, it returns the route the path routers
-return when those links weigh 0 and the blocked ones more.  Callers use it
+Every path comes from one walk, ``_walk``: a layered breadth-first search
+that applies the hop and node-sequence rules.  Weighed, it follows only the
+tight links of one Dijkstra pass (``_distances``); that is
+``min_weight_path``, ``anycast_route`` and each Steiner expansion.
+Unweighed, over the links outside a blocked set, it is ``fewest_hop_path``,
+the route the weighed walk takes when those links weigh 0.  Callers try it
 first and weigh the graph only when it finds no path.
 """
 
@@ -83,21 +86,15 @@ Route = Union[PathRoute, TreeRoute]
 _TIE_RTOL = 1e-12
 
 
-def _dijkstra_labels(
+def _distances(
     g: NetworkGraph,
     w: Sequence[float],
     s: int,
     allowed: Sequence[bool] | None = None,
     target: int | None = None,
-) -> dict[int, tuple[float, int, tuple[int, ...]]]:
-    """Labels (weight, hops, node sequence), lexicographic preference.
-
-    Dijkstra first settles the minimum weight of every node (up to
-    ``target``, and any node tied with it).  An edge is tight when it lies
-    on a minimum-weight path up to ``_TIE_RTOL``; a breadth-first pass over
-    tight edges, expanding each layer in order of its best node sequence,
-    then picks the fewest hops and the smallest node sequence.
-    """
+) -> dict[int, float]:
+    """Minimum weight from ``s`` to each node it reaches (Dijkstra); with a
+    ``target``, only the nodes settled up to it and any tied with it."""
     edges = g.edges
     out = g.out_edges
     dist: dict[int, float] = {}
@@ -123,76 +120,55 @@ def _dijkstra_labels(
             if v not in dist and dv < best.get(v, float("inf")):
                 best[v] = dv
                 heapq.heappush(heap, (dv, v))
-
-    labels = {s: (0.0, 0, (s,))}
-    layer = [s]
-    h = 0
-    while layer:
-        h += 1
-        found: list[tuple[int, int]] = []
-        for rank, u in enumerate(layer):
-            du = dist[u]
-            for eid in out[u]:
-                if allowed is not None and not allowed[eid]:
-                    continue
-                v = edges[eid].v
-                dv = dist.get(v)
-                if dv is None or v in labels or du + w[eid] > dv + _TIE_RTOL * dv:
-                    continue
-                labels[v] = (dv, h, labels[u][2] + (v,))
-                if v == target:
-                    return labels
-                found.append((rank, v))
-        found.sort()
-        layer = [v for _, v in found]
-    return labels
+    return dist
 
 
-def fewest_hop_path(
+def _walk(
     g: NetworkGraph,
     s: int,
-    targets: Iterable[int],
+    targets: Collection[int],
     allowed: Sequence[bool] | None = None,
     blocked: Collection[int] = (),
+    dist: dict[int, float] | None = None,
+    w: Sequence[float] = (),
 ) -> PathRoute | None:
-    """Fewest-hop path from ``s`` to the nearest target over the links that
-    ``allowed`` admits and ``blocked`` does not hold; None when no target is
-    reachable that way.
+    """The fewest-hop, smallest-node-sequence path from ``s`` to a target,
+    or None when no target is reached.
 
-    The search goes layer by layer.  Each layer is ordered by (parent's
-    rank, node id), and each node's out-edges are scanned in edge-id order.
-    The first parent that reaches a target finishes its out-edges, and the
-    smallest target id among those it reached wins.  Among the fewest-hop
-    paths this is the smallest node sequence, since a layer in that order
-    is sorted by node sequence.
-
-    It is the route ``min_weight_path`` (one target) and ``anycast_route``
-    return whenever the links outside ``blocked`` weigh exactly 0 and some
-    target is reachable over them.  Weights are never negative, so the
-    minimum weight is then 0, and under ``_TIE_RTOL`` only an exact 0 ties
-    with it: the winner is the fewest-hop, smallest-sequence path among the
-    zero-weight ones.  In ``_dijkstra_labels`` an edge into a node at
-    distance 0 is tight only when it leaves another such node and weighs 0,
-    so on those nodes the tight-edge pass is this search, in this order.
+    Links that ``allowed`` refuses or ``blocked`` holds are skipped.  Given
+    ``dist`` (from ``_distances`` on weights ``w``), only tight links are
+    walked, those on a minimum-weight path up to ``_TIE_RTOL``, so the path
+    is the fewest-hop, smallest-sequence one among the minimum-weight paths.
+    The walk goes layer by layer; a layer is ordered by (parent's rank, node
+    id), which sorts it by node sequence, and each node's out-edges are
+    scanned in edge-id order.  The first parent that reaches a target
+    finishes its out-edges, and the smallest target id among those it
+    reached wins.
     """
-    targets = set(targets)
     edges, out = g.edges, g.out_edges
     via = {s: -1}  # node -> the edge it was reached by
     layer = [s]
     while layer:
         nxt: list[int] = []
         for u in layer:
+            if dist is not None:
+                du = dist[u]
             new = []
             hit = -1
             for eid in out[u]:
                 if (allowed is not None and not allowed[eid]) or eid in blocked:
                     continue
                 v = edges[eid].v
-                if v not in via:
-                    via[v] = eid
-                    new.append(v)
-                    if v in targets and (hit < 0 or v < hit):
-                        hit = v
+                if v in via:
+                    continue
+                if dist is not None:
+                    dv = dist.get(v)
+                    if dv is None or du + w[eid] > dv + _TIE_RTOL * dv:
+                        continue
+                via[v] = eid
+                new.append(v)
+                if v in targets and (hit < 0 or v < hit):
+                    hit = v
             if hit >= 0:
                 path = [via[hit]]
                 while edges[path[-1]].u != s:
@@ -205,13 +181,28 @@ def fewest_hop_path(
     return None
 
 
-def _edges_of_node_path(g: NetworkGraph, nodes: tuple[int, ...]) -> tuple[int, ...]:
-    out = []
-    for u, v in zip(nodes, nodes[1:]):
-        eid = g.edge_between(u, v)
-        assert eid is not None
-        out.append(eid)
-    return tuple(out)
+def fewest_hop_path(
+    g: NetworkGraph,
+    s: int,
+    targets: Iterable[int],
+    allowed: Sequence[bool] | None = None,
+    blocked: Collection[int] = (),
+) -> PathRoute | None:
+    """Fewest-hop path from ``s`` to the nearest target over the links that
+    ``allowed`` admits and ``blocked`` does not hold, ties to the smallest
+    node sequence; None when no target is reachable that way.
+
+    It is the walk ``min_weight_path`` and ``anycast_route`` make, with
+    nothing weighed, and so their route whenever the links outside
+    ``blocked`` weigh exactly 0 and some target is reachable over them.
+    Weights are never negative, so the nearest targets then lie at
+    distance 0, and under ``_TIE_RTOL`` only an exact 0 ties with 0.  A
+    link between two nodes at distance 0 is tight exactly when it weighs
+    0, and no tight link leads back to distance 0 from a node beyond it;
+    so on the nodes this search reaches, the weighed walk takes the same
+    links in the same order.
+    """
+    return _walk(g, s, set(targets), allowed, blocked)
 
 
 def min_weight_path(
@@ -224,11 +215,10 @@ def min_weight_path(
     """Cheapest s-t path; ties go to fewer hops, then smallest node sequence."""
     if s == t:
         raise RoutingError(f"degenerate route request: source equals destination ({s})")
-    labels = _dijkstra_labels(g, w, s, allowed, target=t)
-    if t not in labels:
+    route = _walk(g, s, (t,), allowed, dist=_distances(g, w, s, allowed, target=t), w=w)
+    if route is None:
         raise UnreachableError(f"node {t} unreachable from {s}")
-    _, _, nodes = labels[t]
-    return PathRoute(nodes=nodes, edges=_edges_of_node_path(g, nodes))
+    return route
 
 
 def anycast_route(
@@ -239,20 +229,18 @@ def anycast_route(
     allowed: Sequence[bool] | None = None,
 ) -> PathRoute:
     """Cheapest path to any one of the candidate destinations."""
-    cands = sorted(set(candidates) - {s})
+    cands = set(candidates) - {s}
     if not cands:
         raise RoutingError("anycast needs at least one candidate destination")
-    labels = _dijkstra_labels(g, w, s, allowed)
-    reached = [labels[t] for t in cands if t in labels]
+    dist = _distances(g, w, s, allowed)
+    reached = {t: dist[t] for t in cands if t in dist}
     if not reached:
         raise UnreachableError(f"no anycast candidate reachable from {s}")
-    d_min = min(lab[0] for lab in reached)
-    _, nodes = min(
-        (lab[1], lab[2])
-        for lab in reached
-        if lab[0] <= d_min + _TIE_RTOL * d_min
-    )
-    return PathRoute(nodes=nodes, edges=_edges_of_node_path(g, nodes))
+    d_min = min(reached.values())
+    nearest = {t for t, d in reached.items() if d <= d_min + _TIE_RTOL * d_min}
+    route = _walk(g, s, nearest, allowed, dist=dist, w=w)
+    assert route is not None  # a minimum-weight path's links are all tight
+    return route
 
 
 # ---------------------------------------------------------------------------
@@ -346,11 +334,9 @@ def steiner_tree_approx(
     if not g.is_bidirectional:
         raise RoutingError("tree routing needs a bidirectional graph")
     ws = [w[e.id] + w[e.twin] for e in g.edges]
-    label_maps = {}
-    for a in terms:
-        label_maps[a] = _dijkstra_labels(g, ws, a, allowed)
+    dists = {a: _distances(g, ws, a, allowed) for a in terms}
     for t in required:
-        if t not in label_maps[root]:
+        if t not in dists[root]:
             raise UnreachableError(f"terminal {t} unreachable from root {root}")
 
     # MST of the closure over the required nodes (Prim, deterministic ties).
@@ -362,9 +348,9 @@ def steiner_tree_approx(
             if a not in in_tree:
                 continue
             for b in terms:
-                if b in in_tree or b not in label_maps[a]:
+                if b in in_tree or b not in dists[a]:
                     continue
-                cand = (label_maps[a][b][0], a, b)
+                cand = (dists[a][b], a, b)
                 if best is None or cand < best:
                     best = cand
         if best is None:
@@ -375,15 +361,11 @@ def steiner_tree_approx(
 
     pair_links: dict[int, tuple[int, int, int, int]] = {}
     for a, b in closure_links:
-        nodes = label_maps[a][b][2]
-        for u, v in zip(nodes, nodes[1:]):
-            fwd = g.edge_between(u, v)
-            rev = g.edges[fwd].twin
-            pair = g.edges[fwd].pair
-            if pair not in pair_links:
-                uu, vv = (u, v) if fwd < rev else (v, u)
-                ff = min(fwd, rev)
-                pair_links[pair] = (uu, vv, ff, max(fwd, rev))
+        for eid in _walk(g, a, (b,), allowed, dist=dists[a], w=ws).edges:
+            e = g.edges[eid]
+            if e.pair not in pair_links:
+                fwd, rev = sorted((eid, e.twin))
+                pair_links[e.pair] = (g.edges[fwd].u, g.edges[fwd].v, fwd, rev)
 
     # The union of expansion paths may contain cycles: keep a spanning
     # forest of the touched nodes (cheapest links first), then prune

@@ -177,6 +177,12 @@ def _er(**fields):
 # id -> (top-level fields, fields of classes[0], field the error names)
 _REJECTED = {
     "name-escapes-output": ({"name": "../../escape"}, {}, "config.name"),
+    "name-true": ({"name": True}, {}, "config.name: expected a string"),
+    "name-int": ({"name": 7}, {}, "config.name: expected a string"),
+    "security-true": ({"policies": [{"mode": "multilevel"}]}, {"security": True},
+                      "classes[0].security: expected a string"),
+    "security-unknown": ({"policies": [{"mode": "multilevel"}]}, {"security": "plain"},
+                         "classes[0].security: must be 'quantum' or 'classical'"),
     "no-rate-scales": ({"rate_scales": []}, {}, "config.rate_scales"),
     "duplicate-seeds": ({"seeds": [1, 1]}, {}, "config.seeds"),
     "duplicate-labels": ({"policies": [{"mode": "tandem"}, {"mode": "tandem"}]}, {}, "policies[1]"),
