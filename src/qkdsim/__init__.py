@@ -21,8 +21,7 @@ from .policy import (
     assign_weights,
 )
 from .routing import (
-    PathRoute,
-    TreeRoute,
+    Route,
     anycast_route,
     min_weight_path,
     min_weight_spanning_tree,

@@ -19,7 +19,7 @@ import numpy as np
 
 from .keying import KeySpec
 from .policy import BackpressureMode, MultilevelMode, PolicyMode, SingleQueueMode, TandemMode
-from .topology import NetworkGraph, erdos_renyi, graph_from_dict, load_graph_file
+from .topology import NetworkGraph, erdos_renyi, graph_from_dict
 from .traffic import (
     Anycast,
     Bernoulli,
@@ -70,7 +70,9 @@ def _known(doc: Any, fields: Container[str], ctx: str) -> dict:
     return doc
 
 
-def _require(doc: dict, key: str, ctx: str) -> Any:
+def _require(doc: Any, key: str, ctx: str) -> Any:
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{ctx}: expected an object, got {doc!r}")
     if key not in doc:
         raise ConfigError(f"{ctx}.{key}: required field is missing")
     return doc[key]
@@ -115,10 +117,13 @@ def _list(value: Any, field: str) -> list:
 
 @dataclass(frozen=True)
 class GraphConfig:
-    kind: str  # "inline" | "file" | "erdos_renyi"
+    """A graph given inline or generated.  A ``file`` graph is read when the
+    config loads and kept inline (the file's ``nodes`` and ``edges``; other
+    keys are ignored), so ``config_hash()`` covers its edges."""
+
+    kind: str  # "inline" | "erdos_renyi"
     nodes: int = 0
     edges: tuple[dict, ...] = ()
-    path: str = ""
     p: float = 0.3
     gamma: int = 1
     eta_range: tuple[float, float] = (0.2, 1.0)
@@ -128,8 +133,6 @@ class GraphConfig:
     def to_dict(self) -> dict:
         if self.kind == "inline":
             return {"kind": "inline", "nodes": self.nodes, "edges": list(self.edges)}
-        if self.kind == "file":
-            return {"kind": "file", "path": self.path}
         return {
             "kind": "erdos_renyi",
             "nodes": self.nodes,
@@ -147,7 +150,13 @@ class GraphConfig:
             raise ConfigError(f"{ctx}.kind: unknown graph kind {kind!r}")
         _known(doc, _GRAPH_FIELDS[kind], ctx)
         if kind == "file":
-            return cls(kind="file", path=_str(_require(doc, "path", ctx), f"{ctx}.path"))
+            path = _str(_require(doc, "path", ctx), f"{ctx}.path")
+            ctx = f"{ctx}.path"
+            try:
+                with open(path, encoding="utf-8") as fh:
+                    doc, kind = json.load(fh), "inline"
+            except (OSError, ValueError) as exc:
+                raise ConfigError(f"{ctx}: cannot read graph file {path!r}: {exc}") from None
         nodes = _int(_require(doc, "nodes", ctx), f"{ctx}.nodes")
         if nodes < 1:
             raise ConfigError(f"{ctx}.nodes: must be >= 1, got {nodes}")
@@ -182,8 +191,6 @@ class GraphConfig:
     def build(self) -> NetworkGraph:
         if self.kind == "inline":
             return graph_from_dict({"nodes": self.nodes, "edges": list(self.edges)})
-        if self.kind == "file":
-            return load_graph_file(self.path)
         return erdos_renyi(
             self.nodes, self.p, self.gamma, self.eta_range, self.graph_seed, self.qkd_fraction
         )
@@ -401,7 +408,7 @@ class ExperimentConfig:
         if name in ("", ".", "..") or "/" in name or "\\" in name:
             raise ConfigError(f"config.name: must be a plain file name, got {name!r}")
         graph = GraphConfig.from_dict(_require(doc, "graph", "config"))
-        raw_classes = _require(doc, "classes", "config")
+        raw_classes = _list(_require(doc, "classes", "config"), "config.classes")
         if not raw_classes:
             raise ConfigError("config.classes: at least one traffic class is required")
         classes = tuple(
@@ -409,7 +416,7 @@ class ExperimentConfig:
         )
         if len({c.id for c in classes}) != len(classes):
             raise ConfigError("config.classes: class ids must be unique")
-        raw_pol = _require(doc, "policies", "config")
+        raw_pol = _list(_require(doc, "policies", "config"), "config.policies")
         if not raw_pol:
             raise ConfigError("config.policies: at least one policy is required")
         policies = tuple(_policy_from_dict(p, f"policies[{i}]") for i, p in enumerate(raw_pol))
@@ -532,65 +539,39 @@ def _desk_unicast_classes(n: int, count: int, seed: int) -> list[tuple[int, int]
     return pairs
 
 
-def _sweep_config(
-    name: str,
-    policies: tuple[PolicyMode, ...],
-    n: int = 20,
-    p: float = 0.3,
-    graph_seed: int = 7,
-    n_classes: int = 6,
-    rate_scales: tuple[float, ...] = (0.3, 0.5, 0.7),
-    horizon: int = 10_000,
-    seeds: tuple[int, ...] = (1, 2, 3),
-) -> ExperimentConfig:
+def preset_unicast_sweep() -> ExperimentConfig:
+    """Delay-versus-load comparison across policies at desk scale (N=20).
+
+    Every class runs at the constructed uniform boundary, scaled by each
+    rate scale; ``compare`` also reports each policy's mean residual keys.
+    """
     from .analysis import constructed_uniform_boundary
 
-    gcfg = GraphConfig(kind="erdos_renyi", nodes=n, p=p, graph_seed=graph_seed)
-    g = gcfg.build()
-    pairs = _desk_unicast_classes(n, n_classes, graph_seed)
+    gcfg = GraphConfig(kind="erdos_renyi", nodes=20, p=0.3, graph_seed=7)
+    pairs = _desk_unicast_classes(20, 6, 7)
     probe = [
         TrafficClass(id=i, source=s, kind=Unicast(d), arrival=Bernoulli(0.1))
         for i, (s, d) in enumerate(pairs)
     ]
-    boundary, _ = constructed_uniform_boundary(g, probe)
-    base_rate = min(boundary, 1.0)
+    boundary, _ = constructed_uniform_boundary(gcfg.build(), probe)
     classes = tuple(
         ClassConfig(id=i, source=s, kind="unicast", destinations=(d,),
-                    process="bernoulli", rate=base_rate)
+                    process="bernoulli", rate=min(boundary, 1.0))
         for i, (s, d) in enumerate(pairs)
     )
     return ExperimentConfig(
-        name=name,
+        name="unicast-sweep",
         graph=gcfg,
         classes=classes,
-        policies=policies,
-        horizon=horizon,
-        seeds=seeds,
-        rate_scales=rate_scales,
-        series_stride=10,
-    )
-
-
-def preset_unicast_sweep() -> ExperimentConfig:
-    """Delay-versus-load comparison across policies at desk scale (N=20)."""
-    return _sweep_config(
-        "unicast-sweep",
         policies=(
             TandemMode(key_storage=True),
             TandemMode(key_storage=False),
             BackpressureMode(),
         ),
-    )
-
-
-def preset_residual_keys_sweep() -> ExperimentConfig:
-    """In-network residual keys versus load, tandem against backpressure."""
-    return _sweep_config(
-        "residual-keys-sweep",
-        policies=(
-            TandemMode(key_storage=True),
-            BackpressureMode(),
-        ),
+        horizon=10_000,
+        seeds=(1, 2, 3),
+        rate_scales=(0.3, 0.5, 0.7),
+        series_stride=10,
     )
 
 
@@ -687,7 +668,6 @@ def preset_unicast_full() -> ExperimentConfig:
 PRESETS = {
     "counterexample": preset_counterexample,
     "unicast-sweep": preset_unicast_sweep,
-    "residual-keys-sweep": preset_residual_keys_sweep,
     "broadcast-sweep": preset_broadcast_sweep,
     "mixed-security": preset_mixed_security,
     "unicast-full": preset_unicast_full,

@@ -57,7 +57,6 @@ from .policy import (
     single_queue_service,
 )
 from .routing import (
-    PathRoute,
     Route,
     RoutingError,
     UnreachableError,
@@ -265,25 +264,16 @@ class MetricsRecord:
 
 def _check_routability(g: NetworkGraph, classes: Sequence[TrafficClass]) -> None:
     """Every class must reach its destinations over the links it may use:
-    key-encrypted classes over key-equipped links, plain ones over all."""
+    key-encrypted classes over key-equipped links, plain ones over all.
+    An anycast class needs one of its candidates, every other kind all of
+    its destinations."""
     for cls in classes:
-        kind = cls.kind
-        if isinstance(kind, (Broadcast, Multicast)) and not g.is_bidirectional:
+        if isinstance(cls.kind, (Broadcast, Multicast)) and not g.is_bidirectional:
             raise RoutingError(f"class {cls.id}: tree routing needs a bidirectional graph")
         reach = g.reachable(cls.source, g.key_mask if cls.security == "quantum" else None)
-        if isinstance(kind, Unicast) and kind.destination not in reach:
-            raise UnreachableError(f"class {cls.id}: destination unreachable on its allowed subgraph")
-        if isinstance(kind, Broadcast) and len(reach) != g.n:
-            raise UnreachableError(f"class {cls.id}: broadcast cannot reach every node on its allowed subgraph")
-        if isinstance(kind, Multicast) and not set(kind.destinations) <= reach:
-            raise UnreachableError(f"class {cls.id}: a multicast terminal is unreachable on its allowed subgraph")
-        if isinstance(kind, Anycast) and not set(kind.candidates) & reach:
-            raise UnreachableError(f"class {cls.id}: no anycast candidate reachable on its allowed subgraph")
-
-
-def _targets(kind) -> tuple[int, ...]:
-    """A path class's destinations: its one destination, or its anycast candidates."""
-    return (kind.destination,) if isinstance(kind, Unicast) else kind.candidates
+        targets = cls.destination_nodes(g.n)
+        if not (targets & reach if isinstance(cls.kind, Anycast) else targets <= reach):
+            raise UnreachableError(f"class {cls.id}: destinations unreachable on its allowed subgraph")
 
 
 def _spawn_streams(seed: int, n_classes: int, m: int):
@@ -449,6 +439,10 @@ class _Engine:
         self.mixed = g.key_mask is not None or any(c.security != "quantum" for c in self.classes)
         # each class's route while no link it may use carries weight, found when first needed
         self.idle_routes: dict[int, Route] = {}
+        # a path class's destinations: its one destination, or its anycast candidates
+        self.path_dests = {
+            c.id: c.destination_nodes(g.n) for c in self.classes if not isinstance(c.kind, (Broadcast, Multicast))
+        }
         if self.fresh_only:
             for c in self.classes:
                 self._idle_route(c)
@@ -558,12 +552,12 @@ class _Engine:
         """
         route = self.idle_routes.get(cls.id)
         if route is None:
-            kind = cls.kind
-            if isinstance(kind, (Broadcast, Multicast)):
+            targets = self.path_dests.get(cls.id)
+            if targets is None:
                 zeros = [0.0] * self.g.m
                 route = self._select({cls.id: 1}, VirtualQueues(zeros, zeros))[cls.id]
             else:
-                route = fewest_hop_path(self.g, cls.source, _targets(kind), self._allowed(cls))
+                route = fewest_hop_path(self.g, cls.source, targets, self._allowed(cls))
                 if route is None:
                     raise UnreachableError(f"class {cls.id}: no destination reachable on its allowed subgraph")
             self.idle_routes[cls.id] = route
@@ -610,7 +604,8 @@ class _Engine:
             cls = self.by_id[cid]
             route = self._idle_route(cls)
             encrypted, allowed = self.encrypted[cid], self._allowed(cls)
-            if not isinstance(route, PathRoute):
+            targets = self.path_dests.get(cid)
+            if targets is None:
                 # a busy link weighs x̃ + ỹ > 0 to an encrypted class, but maybe only x̃ to a plain one
                 if any((allowed is None or allowed[e]) and (encrypted or y_tilde[e]) for e in busy):
                     trees[cid] = n
@@ -622,16 +617,15 @@ class _Engine:
                 continue
             # keyless links are not allowed to an encrypted class, so it may block all of busy
             heavy = busy if encrypted else {e for e in busy if y_tilde[e]}
-            kind = cls.kind
-            route = fewest_hop_path(g, cls.source, _targets(kind), allowed, heavy)
+            route = fewest_hop_path(g, cls.source, targets, allowed, heavy)
             if route is None:
                 if encrypted and w_quantum is None:
                     w_quantum = assign_weights(self.vq)
                 w = w_quantum if encrypted else y_tilde
-                if isinstance(kind, Unicast):
-                    route = min_weight_path(g, w, cls.source, kind.destination, allowed)
+                if isinstance(cls.kind, Unicast):
+                    route = min_weight_path(g, w, cls.source, cls.kind.destination, allowed)
                 else:
-                    route = anycast_route(g, w, cls.source, kind.candidates, allowed)
+                    route = anycast_route(g, w, cls.source, targets, allowed)
             routes[cid] = route
         if trees:
             routes.update(self._select(trees, self.vq))

@@ -1,5 +1,8 @@
 """Minimum-weight route computation for paths and trees.
 
+Every route is one ``Route``, a tree rooted at the source; a path is a
+tree of one branch.
+
 Paths are computed on the directed graph with per-edge weights.  Trees
 (broadcast/multicast) treat the graph as undirected: a link's weight is the
 sum of both directions' weights, the tree is chosen on those pair weights
@@ -23,16 +26,14 @@ first and weigh the graph only when it finds no path.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
-from typing import Collection, Iterable, Sequence, Union
+from dataclasses import dataclass
+from typing import Collection, Iterable, Sequence
 
 from .topology import NetworkGraph, _UnionFind
 
 __all__ = [
     "RoutingError",
     "UnreachableError",
-    "PathRoute",
-    "TreeRoute",
     "Route",
     "min_weight_path",
     "fewest_hop_path",
@@ -51,34 +52,19 @@ class UnreachableError(RoutingError):
 
 
 @dataclass(frozen=True)
-class PathRoute:
-    """A node chain and its edge ids, also read as a one-branch tree: each
+class Route:
+    """A route rooted at ``root``: ``children`` maps a node to its outgoing
+    route edge ids, and a packet is delivered at each of ``terminals``.
+
+    A path is a tree of one branch: its ``edges`` are in path order, each
     node but the last has its path edge as its one child, and the last node
-    is the one terminal."""
-
-    nodes: tuple[int, ...]
-    edges: tuple[int, ...]
-    root: int = field(init=False, compare=False, repr=False)
-    children: dict[int, tuple[int, ...]] = field(init=False, compare=False, repr=False)
-    terminals: frozenset[int] = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "root", self.nodes[0])
-        object.__setattr__(self, "children", {u: (e,) for u, e in zip(self.nodes, self.edges)})
-        object.__setattr__(self, "terminals", frozenset(self.nodes[-1:]))
-
-
-@dataclass
-class TreeRoute:
-    """Rooted tree: ``children`` maps a node to its outgoing tree edge ids."""
+    is the one terminal.  A tree's ``edges`` are sorted by id.
+    """
 
     root: int
     edges: tuple[int, ...]
     children: dict[int, tuple[int, ...]]
     terminals: frozenset[int]
-
-
-Route = Union[PathRoute, TreeRoute]
 
 
 # Path weights within this relative distance count as equal, so that a tie
@@ -131,7 +117,7 @@ def _walk(
     blocked: Collection[int] = (),
     dist: dict[int, float] | None = None,
     w: Sequence[float] = (),
-) -> PathRoute | None:
+) -> Route | None:
     """The fewest-hop, smallest-node-sequence path from ``s`` to a target,
     or None when no target is reached.
 
@@ -174,7 +160,7 @@ def _walk(
                 while edges[path[-1]].u != s:
                     path.append(via[edges[path[-1]].u])
                 path.reverse()
-                return PathRoute(nodes=(s, *(edges[e].v for e in path)), edges=tuple(path))
+                return Route(s, tuple(path), {edges[e].u: (e,) for e in path}, frozenset((hit,)))
             new.sort()
             nxt += new
         layer = nxt
@@ -187,7 +173,7 @@ def fewest_hop_path(
     targets: Iterable[int],
     allowed: Sequence[bool] | None = None,
     blocked: Collection[int] = (),
-) -> PathRoute | None:
+) -> Route | None:
     """Fewest-hop path from ``s`` to the nearest target over the links that
     ``allowed`` admits and ``blocked`` does not hold, ties to the smallest
     node sequence; None when no target is reachable that way.
@@ -211,7 +197,7 @@ def min_weight_path(
     s: int,
     t: int,
     allowed: Sequence[bool] | None = None,
-) -> PathRoute:
+) -> Route:
     """Cheapest s-t path; ties go to fewer hops, then smallest node sequence."""
     if s == t:
         raise RoutingError(f"degenerate route request: source equals destination ({s})")
@@ -227,7 +213,7 @@ def anycast_route(
     s: int,
     candidates: Iterable[int],
     allowed: Sequence[bool] | None = None,
-) -> PathRoute:
+) -> Route:
     """Cheapest path to any one of the candidate destinations."""
     cands = set(candidates) - {s}
     if not cands:
@@ -266,7 +252,7 @@ def _orient_tree(
     root: int,
     links: list[tuple[int, int, int, int]],
     terminals: frozenset[int],
-) -> TreeRoute:
+) -> Route:
     """Orient undirected links (u, v, fwd, rev) away from root."""
     adj: dict[int, list[tuple[int, int]]] = {}
     for u, v, fwd, rev in links:
@@ -287,7 +273,7 @@ def _orient_tree(
             queue.append(v)
     if len(edges) != len(links):
         raise RoutingError("tree links do not form a connected tree around the root")
-    return TreeRoute(
+    return Route(
         root=root,
         edges=tuple(sorted(edges)),
         children={u: tuple(kids) for u, kids in children.items()},
@@ -300,7 +286,7 @@ def min_weight_spanning_tree(
     w: Sequence[float],
     root: int,
     allowed: Sequence[bool] | None = None,
-) -> TreeRoute:
+) -> Route:
     """Minimum-weight spanning tree oriented away from root (Kruskal)."""
     pairs = sorted(_undirected_pairs(g, w, allowed), key=lambda p: (p[0], p[1]))
     uf = _UnionFind(g.n)
@@ -320,7 +306,7 @@ def steiner_tree_approx(
     root: int,
     terminals: Iterable[int],
     allowed: Sequence[bool] | None = None,
-) -> TreeRoute:
+) -> Route:
     """Steiner tree via metric-closure MST; weight <= 2x the optimum.
 
     Shortest paths between required nodes are computed on the symmetrized

@@ -11,9 +11,7 @@ seeded runs reproducible.
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -27,7 +25,6 @@ __all__ = [
     "erdos_renyi",
     "capacitated_transform",
     "graph_from_dict",
-    "load_graph_file",
 ]
 
 
@@ -67,17 +64,13 @@ class NetworkGraph:
     Immutable after construction; safe to share across concurrent runs.
     """
 
-    def __init__(self, n: int, edges: list[Edge], specs: tuple[EdgeSpec, ...]):
+    def __init__(self, n: int, edges: list[Edge]):
         self.n = n
         self.edges: tuple[Edge, ...] = tuple(edges)
-        self.specs = specs
         out: list[list[int]] = [[] for _ in range(n)]
-        index: dict[tuple[int, int], int] = {}
         for e in self.edges:
             out[e.u].append(e.id)
-            index[(e.u, e.v)] = e.id
         self.out_edges: tuple[tuple[int, ...], ...] = tuple(tuple(o) for o in out)
-        self._index = index
         # which links generate keys; None when all do, which is what the
         # routers' ``allowed=None`` means
         mask = tuple(e.has_qkd for e in self.edges)
@@ -86,9 +79,6 @@ class NetworkGraph:
     @property
     def m(self) -> int:
         return len(self.edges)
-
-    def edge_between(self, u: int, v: int) -> int | None:
-        return self._index.get((u, v))
 
     @property
     def is_bidirectional(self) -> bool:
@@ -177,7 +167,7 @@ def build_graph(n: int, specs: list[EdgeSpec] | tuple[EdgeSpec, ...]) -> Network
             edges.append(Edge(eid, spec.u, spec.v, spec.gamma, spec.eta, spec.has_qkd, eid + 1, pair))
             edges.append(Edge(eid + 1, spec.v, spec.u, spec.gamma, spec.eta, spec.has_qkd, eid, pair))
         pair += 1
-    return NetworkGraph(n, edges, tuple(specs))
+    return NetworkGraph(n, edges)
 
 
 def erdos_renyi(
@@ -259,7 +249,3 @@ def graph_from_dict(doc: dict) -> NetworkGraph:
         raise TopologyError(f"edges: expected a list, got {raw!r}")
     return build_graph(n, [_edge_spec(item, f"edges[{i}]") for i, item in enumerate(raw)])
 
-
-def load_graph_file(path: str | Path) -> NetworkGraph:
-    with open(path, encoding="utf-8") as fh:
-        return graph_from_dict(json.load(fh))

@@ -15,8 +15,34 @@ from typing import Sequence
 
 import numpy as np
 
-from qkdsim.routing import PathRoute, RoutingError
-from qkdsim.topology import build_graph
+from qkdsim.routing import Route, RoutingError
+from qkdsim.topology import EdgeSpec, build_graph
+
+
+def edge_between(g, u: int, v: int) -> int | None:
+    """The id of the edge from ``u`` to ``v``, or None."""
+    for eid in g.out_edges[u]:
+        if g.edges[eid].v == v:
+            return eid
+    return None
+
+
+def specs(g) -> tuple[EdgeSpec, ...]:
+    """The input links of ``g``, one per pair or one-way edge, rebuilt from
+    the pair's first edge."""
+    return tuple(
+        EdgeSpec(e.u, e.v, e.gamma, e.eta, e.has_qkd, directed=e.twin is None)
+        for e in (g.edges[eid] for eid, _ in g.pairs())
+    )
+
+
+def route_nodes(g, route: Route) -> tuple[int, ...]:
+    """A path's node sequence, read by walking ``children`` from the root."""
+    nodes = [route.root]
+    while nodes[-1] in route.children and len(nodes) <= len(route.edges):
+        (eid,) = route.children[nodes[-1]]
+        nodes.append(g.edges[eid].v)
+    return tuple(nodes)
 
 
 def simple_paths(g, s: int, t: int) -> list[tuple[int, ...]]:
@@ -39,7 +65,7 @@ def best_path_label(g, w: Sequence[float], s: int, t: int):
     """Minimal (weight, hops, node sequence) over all simple s-t paths."""
     best = None
     for nodes in simple_paths(g, s, t):
-        weight = sum(w[g.edge_between(u, v)] for u, v in zip(nodes, nodes[1:]))
+        weight = sum(w[edge_between(g, u, v)] for u, v in zip(nodes, nodes[1:]))
         label = (weight, len(nodes) - 1, nodes)
         if best is None or label < best:
             best = label
@@ -131,7 +157,7 @@ def path_flow_max(g, omega: Sequence[float], s: int, t: int, resolution: float =
     cap = [int(round(c / unit)) for c in omega]
     paths = []
     for nodes in simple_paths(g, s, t):
-        paths.append([g.edge_between(u, v) for u, v in zip(nodes, nodes[1:])])
+        paths.append([edge_between(g, u, v) for u, v in zip(nodes, nodes[1:])])
     # wide-bottleneck paths first so the bound bites early
     paths.sort(key=lambda p: -min(cap[e] for e in p))
     best = 0
@@ -164,25 +190,22 @@ def route_weight(g, w: Sequence[float], route) -> float:
     return sum(w[e] for e in route.edges)
 
 
-def assert_path_tree(g, route: PathRoute) -> None:
-    """A path read as a tree is its node chain: from the root each node has
-    one child edge, which leads to the next node, and the last is the one
-    terminal."""
-    walk = [route.root]
-    while walk[-1] in route.children:
-        (eid,) = route.children[walk[-1]]
-        assert g.edges[eid].u == walk[-1]
-        walk.append(g.edges[eid].v)
-    assert tuple(walk) == route.nodes
-    assert len(route.children) == len(route.edges)
-    assert route.terminals == {route.nodes[-1]}
+def assert_path_tree(g, route: Route) -> None:
+    """A path is a tree of one branch: from the root each node has one child
+    edge, which leads to the next node, ``edges`` lists them in path order,
+    and the last node is the one terminal."""
+    validate_route(g, route)
+    nodes = route_nodes(g, route)
+    assert len(nodes) == len(route.edges) + 1
+    assert route.edges == tuple(route.children[u][0] for u in nodes[:-1])
+    assert route.terminals == {nodes[-1]}
 
 
 def shuffled_edge_ids(g, rng):
     """The same links with their edge ids in a random order and orientation,
     so that an out-edge's id says nothing about its head's node id."""
-    specs = [dataclasses.replace(sp, u=sp.v, v=sp.u) if rng.random() < 0.5 else sp for sp in g.specs]
-    return build_graph(g.n, [specs[i] for i in rng.permutation(len(specs))])
+    links = [dataclasses.replace(sp, u=sp.v, v=sp.u) if rng.random() < 0.5 else sp for sp in specs(g)]
+    return build_graph(g.n, [links[i] for i in rng.permutation(len(links))])
 
 
 def assert_tree_shape(g, route, root: int, terminals, allowed) -> None:
@@ -197,23 +220,15 @@ def assert_tree_shape(g, route, root: int, terminals, allowed) -> None:
         assert allowed is None or (allowed[eid] and allowed[e.twin])
 
 
-def validate_route(g, route) -> None:
-    """Structural check; raises RoutingError on any violation."""
-    if isinstance(route, PathRoute):
-        if len(route.nodes) < 2:
-            raise RoutingError("path must have at least two nodes")
-        if len(set(route.nodes)) != len(route.nodes):
-            raise RoutingError("path repeats a node")
-        if len(route.edges) != len(route.nodes) - 1:
-            raise RoutingError("path edge/node count mismatch")
-        for (u, v), eid in zip(zip(route.nodes, route.nodes[1:]), route.edges):
-            e = g.edges[eid]
-            if (e.u, e.v) != (u, v):
-                raise RoutingError(f"edge {eid} does not join {u}->{v}")
-        return
-
+def validate_route(g, route: Route) -> None:
+    """Structural check of a rooted route, path or tree; raises RoutingError
+    on any violation."""
+    if not route.edges:
+        raise RoutingError("route has no edge")
+    if route.root in route.terminals:
+        raise RoutingError("route delivers to its own root")
     if len(set(route.edges)) != len(route.edges):
-        raise RoutingError("tree repeats an edge")
+        raise RoutingError("route repeats an edge")
     flat = [eid for kids in route.children.values() for eid in kids]
     if sorted(flat) != sorted(route.edges):
         raise RoutingError("children map inconsistent with edge set")
@@ -226,18 +241,18 @@ def validate_route(g, route) -> None:
             if e.u != u:
                 raise RoutingError(f"edge {eid} not oriented away from {u}")
             if e.v in seen:
-                raise RoutingError(f"tree revisits node {e.v}")
+                raise RoutingError(f"route revisits node {e.v}")
             seen.add(e.v)
             queue.append(e.v)
     if len(seen) != len(route.edges) + 1:
-        raise RoutingError("tree edges unreachable from root")
+        raise RoutingError("route edges unreachable from root")
     if not route.terminals <= seen:
-        raise RoutingError("tree does not cover all terminals")
-    # every leaf should serve a terminal, otherwise the tree carries waste
+        raise RoutingError("route does not reach all terminals")
+    # every leaf should serve a terminal, otherwise the route carries waste
     child_nodes = {g.edges[e].v for e in route.edges}
     leaves = {v for v in child_nodes if v not in route.children}
     if not leaves <= route.terminals:
-        raise RoutingError("tree has a leaf that is not a terminal")
+        raise RoutingError("route has a leaf that is not a terminal")
 
 
 def drift_bound(g, a_max: int, k_max: int) -> float:

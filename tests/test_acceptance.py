@@ -21,6 +21,8 @@ from qkdsim.traffic import Bernoulli, Broadcast, TrafficClass, TruncatedPoisson,
 
 from .oracles import (
     best_path_label,
+    route_nodes,
+    specs,
     min_spanning_tree_weight,
     path_flow_max,
     route_weight,
@@ -111,7 +113,7 @@ def test_criterion_2_capacity_oracle():
             n,
             [
                 EdgeSpec(s.u, s.v, s.gamma, round(float(rng.integers(4, 21)) * 0.05, 2))
-                for s in base.specs
+                for s in specs(base)
             ],
         )
         s, t = (int(v) for v in rng.choice(n, size=2, replace=False))
@@ -188,7 +190,7 @@ def test_criterion_6_routing_oracles():
         route = min_weight_path(g, w, s, t)
         validate_route(g, route)
         weight, hops, nodes = best_path_label(g, w, s, t)
-        path_ok &= route_weight(g, w, route) == weight and route.nodes == nodes
+        path_ok &= route_weight(g, w, route) == weight and route_nodes(g, route) == nodes
 
         tree = min_weight_spanning_tree(g, w, root=s)
         validate_route(g, tree)

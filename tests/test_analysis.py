@@ -16,7 +16,7 @@ from qkdsim.policy import TandemMode
 from qkdsim.topology import EdgeSpec, build_graph, erdos_renyi
 from qkdsim.traffic import Bernoulli, TrafficClass, Unicast
 
-from .oracles import drift_bound, envelope_check, path_flow_max
+from .oracles import drift_bound, envelope_check, path_flow_max, specs
 
 
 def _two_path_network():
@@ -73,7 +73,7 @@ def test_capacity_matches_path_flow_oracle_small_graphs():
             n,
             [
                 EdgeSpec(s.u, s.v, s.gamma, round(float(rng.integers(4, 21)) * 0.05, 2))
-                for s in g.specs
+                for s in specs(g)
             ],
         )
         s, t = (int(v) for v in rng.choice(n, size=2, replace=False))

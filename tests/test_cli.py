@@ -174,7 +174,7 @@ def _er(**fields):
     return {"kind": "erdos_renyi", "nodes": 10, "p": 0.4, "graph_seed": 3, **fields}
 
 
-# id -> (top-level fields, fields of classes[0], field the error names)
+# id -> (top-level fields, fields of classes[0] (None: no classes[0]), field the error names)
 _REJECTED = {
     "name-escapes-output": ({"name": "../../escape"}, {}, "config.name"),
     "name-true": ({"name": True}, {}, "config.name: expected a string"),
@@ -233,6 +233,10 @@ _REJECTED = {
                                {"kind": "broadcast", "destinations": []}, "policies[0]"),
     "multicast-one-way-link": ({"graph": _inline(3, (0, 1), (1, 2, True))},
                                {"kind": "multicast", "destinations": [1, 2]}, "policies[0]"),
+    "multicast-terminal-unreachable": ({"graph": _inline(4, (0, 1), (2, 3))},
+                                       {"kind": "multicast", "destinations": [1, 3]}, "policies[0]"),
+    "broadcast-node-unreachable": ({"graph": _inline(4, (0, 1), (2, 3))},
+                                   {"kind": "broadcast", "destinations": []}, "policies[0]"),
     "qkd-fraction-above-1": ({"graph": _er(qkd_fraction=2.5)}, {}, "graph.qkd_fraction"),
     "qkd-fraction-negative": ({"graph": _er(qkd_fraction=-1.0)}, {}, "graph.qkd_fraction"),
     "bb84-negative-photons": ({"keys": {"process": "bb84", "photons": -1}}, {}, "keys.photons"),
@@ -251,6 +255,13 @@ _REJECTED = {
     "graph-gamma-0": ({"graph": _er(gamma=0)}, {}, "graph.gamma"),
     "graph-nodes-0": ({"graph": _er(nodes=0)}, {}, "graph.nodes"),
     "inline-graph-nodes-0": ({"graph": {**_one_link(), "nodes": 0}}, {}, "graph.nodes"),
+    "graph-not-object": ({"graph": 5}, {}, "graph: expected an object"),
+    "classes-not-list": ({"classes": 5}, None, "config.classes: expected a list"),
+    "policy-not-object": ({"policies": [5]}, {}, "policies[0]: expected an object"),
+    "policies-not-list": ({"policies": "tandem"}, {}, "config.policies: expected a list"),
+    "arrival-not-object": ({}, {"arrival": 5}, "classes[0].arrival: expected an object"),
+    "graph-file-missing": ({"graph": {"kind": "file", "path": "no-such-graph.json"}}, {}, "graph.path"),
+    "graph-file-not-json": ({"graph": {"kind": "file", "path": __file__}}, {}, "graph.path"),
 }
 
 
@@ -258,7 +269,8 @@ _REJECTED = {
 def test_rejected_config_exits_2_naming_the_field_and_writes_nothing(tmp_path, capsys, top, cls, field):
     doc = _tiny_config()
     doc.update(top)
-    doc["classes"][0].update(cls)
+    if cls is not None:
+        doc["classes"][0].update(cls)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(doc))
     assert main(["run", "--config", str(path), "--output", str(tmp_path / "out" / "runs")]) == 2
@@ -306,6 +318,22 @@ def test_rerun_into_a_directory_of_another_config_is_refused(tmp_path, capsys):
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
     capsys.readouterr()
     path.write_text(json.dumps({**_tiny_config(), "horizon": 300}))
+    assert main(args) == 2
+    assert "--output" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_rerun_after_the_graph_file_changed_is_refused(tmp_path, capsys):
+    graph = tmp_path / "g.json"
+    graph.write_text(json.dumps({"nodes": 2, "edges": [{"u": 0, "v": 1, "eta": 0.6, "directed": True}]}))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**_tiny_config(), "graph": {"kind": "file", "path": str(graph)}}))
+    args = ["run", "--config", str(path), "--output", str(tmp_path / "runs")]
+    assert main(args) == 0
+    out = tmp_path / "runs" / "tiny"
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
+    graph.write_text(json.dumps({"nodes": 2, "edges": [{"u": 0, "v": 1, "eta": 0.9, "directed": True}]}))
     assert main(args) == 2
     assert "--output" in capsys.readouterr().err
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before

@@ -137,6 +137,16 @@ def test_multicast_and_anycast_end_to_end():
     assert abs(r.delivered_rate(1) - 0.15) < 0.01
 
 
+def test_anycast_runs_when_only_one_candidate_is_reachable():
+    from qkdsim.traffic import Anycast
+
+    g = build_graph(4, [EdgeSpec(0, 1), EdgeSpec(2, 3)])
+    classes = [TrafficClass(0, 0, Anycast((1, 3)), Bernoulli(0.3))]
+    r = simulate(g, classes, TandemMode(), horizon=300, seed=5, check_invariants=True)
+    assert r.total_delivered > 0 and r.total_dropped == 0
+    assert r.total_delivered + r.in_flight == r.total_arrivals
+
+
 def test_per_edge_key_override_changes_service():
     # starve the lone link through an override despite a generous default
     g = _single_link()

@@ -134,7 +134,6 @@ PRESET_HASHES = {
     "broadcast-sweep": "58e26d0a6f46",
     "counterexample": "be120215b436",
     "mixed-security": "154fc2c3ed85",
-    "residual-keys-sweep": "b5e6eafe2144",
     "unicast-full": "3772b4230ca5",
     "unicast-sweep": "f7b49c9b3d62",
 }

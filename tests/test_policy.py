@@ -7,7 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qkdsim.config import GraphConfig
-from qkdsim.engine import _Engine, _targets, simulate
+from qkdsim.engine import _Engine, simulate
 from qkdsim.keying import KeySpec
 from qkdsim.policy import (
     MultilevelMode,
@@ -19,11 +19,19 @@ from qkdsim.policy import (
     select_routes,
     single_queue_service,
 )
-from qkdsim.routing import TreeRoute, UnreachableError, anycast_route, min_weight_path
+from qkdsim.routing import UnreachableError, anycast_route, min_weight_path
 from qkdsim.topology import EdgeSpec, build_graph, erdos_renyi
 from qkdsim.traffic import Anycast, Bernoulli, Broadcast, Multicast, TrafficClass, TruncatedPoisson, Unicast
 
-from .oracles import assert_path_tree, assert_tree_shape, backpressure_scan, drift_bound, shuffled_edge_ids
+from .oracles import (
+    assert_path_tree,
+    assert_tree_shape,
+    backpressure_scan,
+    drift_bound,
+    edge_between,
+    route_nodes,
+    shuffled_edge_ids,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -153,14 +161,14 @@ def test_backpressure_forwards_downhill():
     g = _line_graph()
     lens = [[10], [0], [0]]
     acts = list(_activations(lens, g, kappa=[9] * g.m, class_ids=[0]))
-    assert (g.edge_between(0, 1), 0, 1) in acts
+    assert (edge_between(g, 0, 1), 0, 1) in acts
 
 
 def test_backpressure_respects_gamma_and_keys():
     g = build_graph(2, [EdgeSpec(0, 1, gamma=3)])
     lens = [[10], [0]]
     acts = list(_activations(lens, g, kappa=[2, 2], class_ids=[0]))
-    assert acts == [(g.edge_between(0, 1), 0, 2)]
+    assert acts == [(edge_between(g, 0, 1), 0, 2)]
 
 
 def test_backpressure_commodity_choice_exhaustive():
@@ -276,17 +284,17 @@ def test_select_routes_avoids_congested_path():
     g = _diamond()
     classes = [TrafficClass(0, 0, Unicast(3), Bernoulli(0.5))]
     w = [0.0] * g.m
-    w[g.edge_between(0, 1)] = 9.0  # congest the upper path
+    w[edge_between(g, 0, 1)] = 9.0  # congest the upper path
     routes = select_routes(g, w, {0: 1}, classes)
-    assert routes[0].nodes == (0, 2, 3)
+    assert route_nodes(g, routes[0]) == (0, 2, 3)
 
 
 def test_select_routes_broadcast_returns_tree():
     g = _diamond()
     classes = [TrafficClass(0, 0, Broadcast(), Bernoulli(0.5))]
     routes = select_routes(g, [1.0] * g.m, {0: 2}, classes)
-    assert isinstance(routes[0], TreeRoute)
-    assert routes[0].terminals == frozenset({1, 2, 3})
+    assert_tree_shape(g, routes[0], 0, {1, 2, 3}, None)
+    assert len(routes[0].children[0]) == 2  # not a path
 
 
 @given(seed=st.integers(0, 2000), scale=st.floats(0.01, 50.0))
@@ -335,7 +343,7 @@ def test_multilevel_quantum_confined_to_qkd_subgraph():
     g = _mixed_graph()
     classes = [TrafficClass(0, 0, Unicast(2), Bernoulli(0.5), security="quantum")]
     routes = multilevel_select_routes(g, VirtualQueues([0.0] * g.m, [0.0] * g.m), {0: 1}, classes)
-    assert routes[0].nodes == (0, 1, 2)  # may not use the plain shortcut
+    assert route_nodes(g, routes[0]) == (0, 1, 2)  # may not use the plain shortcut
 
 
 def test_multilevel_classical_ignores_encryption_backlog():
@@ -343,13 +351,13 @@ def test_multilevel_classical_ignores_encryption_backlog():
     classes = [TrafficClass(0, 0, Unicast(2), Bernoulli(0.5), security="classical")]
     vq = VirtualQueues([0.0] * g.m, [0.0] * g.m)
     # huge encryption backlog on the shortcut must not deter a plain class
-    vq.x_tilde[g.edge_between(0, 2)] = 1000.0
+    vq.x_tilde[edge_between(g, 0, 2)] = 1000.0
     routes = multilevel_select_routes(g, vq, {0: 1}, classes)
-    assert routes[0].nodes == (0, 2)
+    assert route_nodes(g, routes[0]) == (0, 2)
     # but transmission backlog does
-    vq.y_tilde[g.edge_between(0, 2)] = 50.0
+    vq.y_tilde[edge_between(g, 0, 2)] = 50.0
     routes = multilevel_select_routes(g, vq, {0: 1}, classes)
-    assert routes[0].nodes == (0, 1, 2)
+    assert route_nodes(g, routes[0]) == (0, 1, 2)
 
 
 def test_multilevel_quantum_unreachable_inside_qkd_subgraph():
@@ -439,14 +447,14 @@ def test_zero_weight_shortcut_matches_the_router(seed, masked, case):
         assert_path_tree(g, want)
         assert_path_tree(g, got)
         zero_links = [not w[e] and (allowed is None or allowed[e]) for e in range(g.m)]
-        zero_path = bool(set(_targets(cls.kind)) & g.reachable(s, zero_links))
+        zero_path = bool(cls.destination_nodes(g.n) & g.reachable(s, zero_links))
         # the idle route is handed out itself, the detour and the router make new ones
         assert (got is idle) == (not any(w[e] for e in idle.edges))
         assert path_router.call_count + anycast_router.call_count == (not zero_path)
         if case == "fallback":
             assert not zero_path
         if case == "tie" and isinstance(cls.kind, Anycast):
-            assert got.nodes == (s, min(cls.kind.candidates))
+            assert route_nodes(g, got) == (s, min(cls.kind.candidates))
 
 
 def test_zero_weight_shortcut_skips_the_router_when_idle():

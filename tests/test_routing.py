@@ -4,9 +4,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qkdsim.routing import (
-    PathRoute,
+    Route,
     RoutingError,
-    TreeRoute,
     UnreachableError,
     anycast_route,
     fewest_hop_path,
@@ -19,7 +18,9 @@ from qkdsim.topology import EdgeSpec, build_graph, erdos_renyi
 from .oracles import (
     assert_path_tree,
     best_path_label,
+    edge_between,
     min_spanning_tree_weight,
+    route_nodes,
     route_weight,
     shuffled_edge_ids,
     steiner_optimum_weight,
@@ -65,12 +66,12 @@ def test_diamond_graph_picks_cheaper_side():
     # s=0, a=1, b=2, t=3; weights s-a:1, a-t:1, s-b:3, b-t:0
     g = build_graph(4, [EdgeSpec(0, 1), EdgeSpec(1, 3), EdgeSpec(0, 2), EdgeSpec(2, 3)])
     w = [0.0] * g.m
-    w[g.edge_between(0, 1)] = w[g.edge_between(1, 0)] = 1.0
-    w[g.edge_between(1, 3)] = w[g.edge_between(3, 1)] = 1.0
-    w[g.edge_between(0, 2)] = w[g.edge_between(2, 0)] = 3.0
-    w[g.edge_between(2, 3)] = w[g.edge_between(3, 2)] = 0.0
+    w[edge_between(g, 0, 1)] = w[edge_between(g, 1, 0)] = 1.0
+    w[edge_between(g, 1, 3)] = w[edge_between(g, 3, 1)] = 1.0
+    w[edge_between(g, 0, 2)] = w[edge_between(g, 2, 0)] = 3.0
+    w[edge_between(g, 2, 3)] = w[edge_between(g, 3, 2)] = 0.0
     route = min_weight_path(g, w, 0, 3)
-    assert route.nodes == (0, 1, 3)
+    assert route_nodes(g, route) == (0, 1, 3)
     assert route_weight(g, w, route) == 2.0
     assert best_path_label(g, w, 0, 3)[0] == 2.0
 
@@ -78,7 +79,7 @@ def test_diamond_graph_picks_cheaper_side():
 def test_zero_weights_fall_back_to_fewest_hops():
     g = build_graph(4, [EdgeSpec(0, 1), EdgeSpec(1, 3), EdgeSpec(0, 2), EdgeSpec(2, 3), EdgeSpec(0, 3)])
     route = min_weight_path(g, [0.0] * g.m, 0, 3)
-    assert route.nodes == (0, 3)
+    assert route_nodes(g, route) == (0, 3)
 
 
 def test_uniform_positive_weights_give_fewest_hops():
@@ -96,7 +97,7 @@ def test_equal_weight_ties_prefer_lexicographic_nodes():
     # two 2-hop routes 0-1-3 and 0-2-3 with equal weight: pick 0-1-3
     g = build_graph(4, [EdgeSpec(0, 2), EdgeSpec(2, 3), EdgeSpec(0, 1), EdgeSpec(1, 3)])
     route = min_weight_path(g, [1.0] * g.m, 0, 3)
-    assert route.nodes == (0, 1, 3)
+    assert route_nodes(g, route) == (0, 1, 3)
 
 
 def test_min_weight_path_matches_brute_force_100():
@@ -110,7 +111,7 @@ def test_min_weight_path_matches_brute_force_100():
         validate_route(g, route)
         weight, hops, nodes = best_path_label(g, w, s, t)
         assert route_weight(g, w, route) == weight
-        assert (len(route.edges), route.nodes) == (hops, nodes)
+        assert (len(route.edges), route_nodes(g, route)) == (hops, nodes)
         done += 1
 
 
@@ -135,9 +136,9 @@ def test_path_invariant_under_positive_scaling(seed, scale):
 def test_triangle_spanning_tree():
     g = build_graph(3, [EdgeSpec(0, 1), EdgeSpec(1, 2), EdgeSpec(0, 2)])
     w = [0.0] * g.m
-    w[g.edge_between(0, 1)] = w[g.edge_between(1, 0)] = 1.0
-    w[g.edge_between(1, 2)] = w[g.edge_between(2, 1)] = 2.0
-    w[g.edge_between(0, 2)] = w[g.edge_between(2, 0)] = 3.0
+    w[edge_between(g, 0, 1)] = w[edge_between(g, 1, 0)] = 1.0
+    w[edge_between(g, 1, 2)] = w[edge_between(g, 2, 1)] = 2.0
+    w[edge_between(g, 0, 2)] = w[edge_between(g, 2, 0)] = 3.0
     tree = min_weight_spanning_tree(g, w, root=0)
     validate_route(g, tree)
     assert route_weight(g, w, tree) == 3.0  # edges weighted 1 and 2
@@ -147,7 +148,7 @@ def test_triangle_spanning_tree():
 def test_single_edge_spanning_tree():
     g = build_graph(2, [EdgeSpec(0, 1)])
     tree = min_weight_spanning_tree(g, [1.0, 1.0], root=0)
-    assert tree.edges == (g.edge_between(0, 1),)
+    assert tree.edges == (edge_between(g, 0, 1),)
     assert tree.terminals == frozenset({1})
 
 
@@ -239,19 +240,19 @@ def test_anycast_single_candidate_equals_path():
 def test_anycast_picks_cheaper_destination():
     g = build_graph(4, [EdgeSpec(0, 1), EdgeSpec(0, 2), EdgeSpec(2, 3)])
     w = [0.0] * g.m
-    w[g.edge_between(0, 1)] = 5.0
-    w[g.edge_between(0, 2)] = 1.0
-    w[g.edge_between(2, 3)] = 2.0
+    w[edge_between(g, 0, 1)] = 5.0
+    w[edge_between(g, 0, 2)] = 1.0
+    w[edge_between(g, 2, 3)] = 2.0
     route = anycast_route(g, w, 0, {1, 3})
-    assert route.nodes == (0, 2, 3)
+    assert route_nodes(g, route) == (0, 2, 3)
 
 
 def test_anycast_zero_weight_neighbor():
     g = build_graph(3, [EdgeSpec(0, 1), EdgeSpec(0, 2)])
     w = [1.0] * g.m
-    w[g.edge_between(0, 2)] = 0.0
+    w[edge_between(g, 0, 2)] = 0.0
     route = anycast_route(g, w, 0, {1, 2})
-    assert route.nodes == (0, 2) and len(route.edges) == 1
+    assert route_nodes(g, route) == (0, 2) and len(route.edges) == 1
 
 
 def test_anycast_no_reachable_candidate():
@@ -273,7 +274,7 @@ def test_anycast_matches_min_over_destinations():
         labels = sorted(best_path_label(g, w, 0, t) for t in cands)
         route = anycast_route(g, w, 0, cands)
         validate_route(g, route)
-        assert (route_weight(g, w, route), len(route.edges), route.nodes) == labels[0]
+        assert (route_weight(g, w, route), len(route.edges), route_nodes(g, route)) == labels[0]
         ties += labels[0][0] == labels[1][0]
     assert ties >= 15
 
@@ -284,11 +285,11 @@ def test_anycast_matches_min_over_destinations():
 def test_fewest_hop_anycast_tie_goes_to_the_smaller_candidate():
     # 0 reaches 2 by edge id 0 and 1 by edge id 2: both are one hop away
     g = build_graph(3, [EdgeSpec(0, 2), EdgeSpec(0, 1)])
-    assert g.edge_between(0, 2) < g.edge_between(0, 1)
+    assert edge_between(g, 0, 2) < edge_between(g, 0, 1)
     route = fewest_hop_path(g, 0, (2, 1))
-    assert route.nodes == (0, 1) and route.edges == (g.edge_between(0, 1),)
+    assert route_nodes(g, route) == (0, 1) and route.edges == (edge_between(g, 0, 1),)
     assert route == anycast_route(g, [0.0] * g.m, 0, (1, 2))
-    assert fewest_hop_path(g, 0, (1, 2), blocked={g.edge_between(0, 1)}).nodes == (0, 2)
+    assert route_nodes(g, fewest_hop_path(g, 0, (1, 2), blocked={edge_between(g, 0, 1)})) == (0, 2)
     assert fewest_hop_path(g, 0, (1,), allowed=[True, True, False, True]) is None
 
 
@@ -327,20 +328,24 @@ def test_fewest_hop_path_is_the_router_route_on_zero_weights(seed, anycast, mask
 
 def test_validate_rejects_broken_path():
     g = build_graph(3, [EdgeSpec(0, 1), EdgeSpec(1, 2)])
-    with pytest.raises(RoutingError):
-        validate_route(g, PathRoute(nodes=(0, 2), edges=(0,)))
-    with pytest.raises(RoutingError):
-        validate_route(g, PathRoute(nodes=(0,), edges=()))
+    e01, e12 = edge_between(g, 0, 1), edge_between(g, 1, 2)
+    with pytest.raises(RoutingError):  # edge 1->2 hung under node 0
+        validate_route(g, Route(0, (e12,), {0: (e12,)}, frozenset({2})))
+    with pytest.raises(RoutingError):  # no edge
+        validate_route(g, Route(0, (), {}, frozenset({0})))
+    with pytest.raises(AssertionError):  # edges out of path order
+        assert_path_tree(g, Route(0, (e12, e01), {0: (e01,), 1: (e12,)}, frozenset({2})))
+    assert_path_tree(g, Route(0, (e01, e12), {0: (e01,), 1: (e12,)}, frozenset({2})))
 
 
 def test_validate_rejects_bad_tree():
     g = build_graph(3, [EdgeSpec(0, 1), EdgeSpec(1, 2)])
-    e01 = g.edge_between(0, 1)
-    e10 = g.edge_between(1, 0)
+    e01 = edge_between(g, 0, 1)
+    e10 = edge_between(g, 1, 0)
     with pytest.raises(RoutingError):  # edge oriented toward the root
-        validate_route(g, TreeRoute(0, (e10,), {0: (e10,)}, frozenset({1})))
+        validate_route(g, Route(0, (e10,), {0: (e10,)}, frozenset({1})))
     with pytest.raises(RoutingError):  # terminal not covered
-        validate_route(g, TreeRoute(0, (e01,), {0: (e01,)}, frozenset({2})))
+        validate_route(g, Route(0, (e01,), {0: (e01,)}, frozenset({2})))
 
 
 @given(seed=st.integers(0, 5000))

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qkdsim.config import GraphConfig
 from qkdsim.topology import (
     EdgeSpec,
     TopologyError,
@@ -11,8 +12,9 @@ from qkdsim.topology import (
     capacitated_transform,
     erdos_renyi,
     graph_from_dict,
-    load_graph_file,
 )
+
+from .oracles import edge_between, specs
 
 
 def graph_to_dict(g) -> dict:
@@ -27,7 +29,7 @@ def graph_to_dict(g) -> dict:
                 "has_qkd": s.has_qkd,
                 "directed": s.directed,
             }
-            for s in g.specs
+            for s in specs(g)
         ],
     }
 
@@ -79,7 +81,7 @@ def test_undirected_edge_mirrors():
     assert g.m == 2
     assert g.edges[0].twin == 1 and g.edges[1].twin == 0
     assert g.edges[0].pair == g.edges[1].pair
-    assert g.edge_between(1, 0) == 1
+    assert edge_between(g, 1, 0) == 1
 
 
 def test_capacitated_transform_values():
@@ -101,20 +103,20 @@ def test_capacitated_transform_idempotent():
 def test_erdos_renyi_determinism():
     g1 = erdos_renyi(10, 0.5, seed=7)
     g2 = erdos_renyi(10, 0.5, seed=7)
-    assert g1.specs == g2.specs
+    assert specs(g1) == specs(g2)
     g3 = erdos_renyi(10, 0.5, seed=8)
-    assert g1.specs != g3.specs
+    assert specs(g1) != specs(g3)
 
 
 def test_erdos_renyi_edge_count_plausible():
     g = erdos_renyi(150, 0.3, seed=1)
     expected = 0.3 * 150 * 149 / 2
-    assert 0.9 * expected < len(g.specs) < 1.1 * expected
+    assert 0.9 * expected < len(specs(g)) < 1.1 * expected
 
 
 def test_erdos_renyi_forced_single_edge():
     g = erdos_renyi(2, 1.0, seed=0)
-    assert len(g.specs) == 1
+    assert len(specs(g)) == 1
 
 
 def test_erdos_renyi_parameter_validation():
@@ -139,8 +141,8 @@ def test_graph_json_round_trip(tmp_path):
     g = erdos_renyi(6, 0.5, seed=4)
     path = tmp_path / "net.json"
     save_graph_file(g, path)
-    g2 = load_graph_file(path)
-    assert g2.specs == g.specs
+    g2 = GraphConfig.from_dict({"kind": "file", "path": str(path)}).build()
+    assert specs(g2) == specs(g)
     assert graph_to_dict(g2) == graph_to_dict(g)
 
 
@@ -173,8 +175,8 @@ def test_key_mask_and_reachability():
 def test_erdos_renyi_key_coverage_keeps_a_keyed_spanning_tree(fraction):
     g = erdos_renyi(12, 0.5, seed=1, qkd_fraction=fraction)
     assert g.connected() and g.connected(g.key_mask)
-    keyed = sum(s.has_qkd for s in g.specs)
-    assert keyed == max(g.n - 1, round(fraction * len(g.specs)))
+    keyed = sum(s.has_qkd for s in specs(g))
+    assert keyed == max(g.n - 1, round(fraction * len(specs(g))))
 
 
 def test_graph_file_has_stable_bytes(tmp_path):
