@@ -8,7 +8,9 @@ Runs each preset with its horizon cut to 2,000 slots (``unicast-full`` to
 through ``cli.run_experiment`` with one worker, into a temporary directory
 that is removed afterwards.  Every output file's path and bytes go into
 one digest, which is printed last on standard output; one digest per run
-goes to standard error, to find the run that differs.  A refactor that
+goes to standard error, to find the run that differs.  Each file is keyed
+by its run's label, not its position, so adding or removing a preset
+leaves the other runs' digests as they were.  A refactor that
 means to keep every output byte prints the same digest before and after.
 The code digested is this checkout's ``src``.
 """
@@ -56,7 +58,7 @@ def main(argv: list[str] | None = None) -> int:
             for path in sorted(out.iterdir()):
                 data = path.read_bytes()
                 for h in (run, total):
-                    h.update(f"{i}/{path.name}\0{len(data)}\0".encode())
+                    h.update(f"{label}/{path.name}\0{len(data)}\0".encode())
                     h.update(data)
             print(f"{run.hexdigest()}  {label}", file=sys.stderr)
     print(total.hexdigest())

@@ -8,9 +8,10 @@ validation error names the offending field.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import hashlib
 import json
-import dataclasses
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Container
@@ -19,7 +20,7 @@ import numpy as np
 
 from .keying import KeySpec
 from .policy import BackpressureMode, MultilevelMode, PolicyMode, SingleQueueMode, TandemMode
-from .topology import NetworkGraph, erdos_renyi, graph_from_dict
+from .topology import EdgeSpec, NetworkGraph, build_graph, erdos_renyi
 from .traffic import (
     Anycast,
     Bernoulli,
@@ -49,11 +50,9 @@ _GRAPH_FIELDS = {
     "erdos_renyi": ("kind", "nodes", "p", "gamma", "eta_range", "graph_seed", "qkd_fraction"),
 }
 _CLASS_FIELDS = ("id", "source", "kind", "destinations", "arrival", "security", "priority")
-_PPBP_FIELDS = {f.name: f.type for f in dataclasses.fields(PPBP)}  # name -> "int" | "float"
-_ARRIVAL_FIELDS = {
+_ARRIVAL_FIELDS = {  # a ppbp arrival names the fields of traffic.PPBP
     "bernoulli": ("process", "rate"),
     "truncated_poisson": ("process", "rate", "cap"),
-    "ppbp": ("process", *_PPBP_FIELDS),
 }
 _KEY_FIELDS = ("process", "k_max", "value", "photons", "eavesdrop_prob", "check_fraction", "overrides")
 _OVERRIDE_FIELDS = ("u", "v", *_KEY_FIELDS[:-1])  # an override holds no overrides
@@ -112,6 +111,43 @@ def _list(value: Any, field: str) -> list:
     return value
 
 
+# A dataclass field's declared type -> (the JSON type it takes as is, its reader).
+_READERS = {"int": (int, _int), "float": (float, _num), "bool": (bool, _bool)}
+
+
+@functools.cache
+def _schema(cls: type) -> tuple[dict, tuple[str, ...]]:
+    """The ``_READERS`` entry of each field of dataclass ``cls``, and its required fields."""
+    fields = dataclasses.fields(cls)
+    return (
+        {f.name: _READERS[f.type] for f in fields},
+        tuple(f.name for f in fields if f.default is dataclasses.MISSING),
+    )
+
+
+def _fields(doc: Any, cls: type, ctx: str, extra: Container[str] = ()) -> dict:
+    """The fields of dataclass ``cls`` that the object ``doc`` gives, each read
+    by its declared type.  ``doc`` may also name the ``extra`` keys, which are
+    left out; any other key, or a missing field without a default, is rejected."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{ctx}: expected an object, got {doc!r}")
+    readers, required = _schema(cls)
+    out = {}
+    for key, value in doc.items():
+        reader = readers.get(key)
+        if reader is None:
+            if key not in extra:
+                raise ConfigError(f"{ctx}.{key}: unknown field")
+        elif type(value) is reader[0]:  # the common case, and the cheap one on big graphs
+            out[key] = value
+        else:
+            out[key] = reader[1](value, f"{ctx}.{key}")
+    for key in required:
+        if key not in out:
+            raise ConfigError(f"{ctx}.{key}: required field is missing")
+    return out
+
+
 # ---------------------------------------------------------------------------
 # sub-configs
 
@@ -119,11 +155,12 @@ def _list(value: Any, field: str) -> list:
 class GraphConfig:
     """A graph given inline or generated.  A ``file`` graph is read when the
     config loads and kept inline (the file's ``nodes`` and ``edges``; other
-    keys are ignored), so ``config_hash()`` covers its edges."""
+    keys are ignored), so ``config_hash()`` covers its edges.  Edges are
+    read into ``EdgeSpec``s at load; ``build`` only checks and links them."""
 
     kind: str  # "inline" | "erdos_renyi"
     nodes: int = 0
-    edges: tuple[dict, ...] = ()
+    edges: tuple[EdgeSpec, ...] = ()
     p: float = 0.3
     gamma: int = 1
     eta_range: tuple[float, float] = (0.2, 1.0)
@@ -132,7 +169,8 @@ class GraphConfig:
 
     def to_dict(self) -> dict:
         if self.kind == "inline":
-            return {"kind": "inline", "nodes": self.nodes, "edges": list(self.edges)}
+            # vars() of an EdgeSpec is its six fields, at 1/20 the cost of dataclasses.asdict
+            return {"kind": "inline", "nodes": self.nodes, "edges": [dict(vars(e)) for e in self.edges]}
         return {
             "kind": "erdos_renyi",
             "nodes": self.nodes,
@@ -162,7 +200,8 @@ class GraphConfig:
             raise ConfigError(f"{ctx}.nodes: must be >= 1, got {nodes}")
         if kind == "inline":
             edges = _list(_require(doc, "edges", ctx), f"{ctx}.edges")
-            return cls(kind="inline", nodes=nodes, edges=tuple(edges))
+            specs = (EdgeSpec(**_fields(e, EdgeSpec, f"{ctx}.edges[{i}]")) for i, e in enumerate(edges))
+            return cls(kind="inline", nodes=nodes, edges=tuple(specs))
         p = _num(_require(doc, "p", ctx), f"{ctx}.p")
         if not 0 < p <= 1:
             raise ConfigError(f"{ctx}.p: must be in (0, 1], got {p}")
@@ -190,7 +229,7 @@ class GraphConfig:
 
     def build(self) -> NetworkGraph:
         if self.kind == "inline":
-            return graph_from_dict({"nodes": self.nodes, "edges": list(self.edges)})
+            return build_graph(self.nodes, self.edges)
         return erdos_renyi(
             self.nodes, self.p, self.gamma, self.eta_range, self.graph_seed, self.qkd_fraction
         )
@@ -235,17 +274,15 @@ class ClassConfig:
         actx = f"{ctx}.arrival"
         arrival = _require(doc, "arrival", ctx)
         process = _str(_require(arrival, "process", actx), f"{actx}.process")
-        if process not in _ARRIVAL_FIELDS:
-            raise ConfigError(f"{actx}.process: unknown process {process!r}")
-        _known(arrival, _ARRIVAL_FIELDS[process], actx)
         rate, cap, ppbp = 0.0, 4, None
         if process == "ppbp":
-            ppbp = {k: v for k, v in arrival.items() if k != "process"}
-            for k, v in ppbp.items():
-                (_int if _PPBP_FIELDS[k] == "int" else _num)(v, f"{actx}.{k}")
-        else:
+            ppbp = _fields(arrival, PPBP, actx, extra=("process",))
+        elif process in _ARRIVAL_FIELDS:
+            _known(arrival, _ARRIVAL_FIELDS[process], actx)
             rate = _num(_require(arrival, "rate", actx), f"{actx}.rate")
             cap = _int(arrival.get("cap", 4), f"{actx}.cap")
+        else:
+            raise ConfigError(f"{actx}.process: unknown process {process!r}")
         dests = tuple(
             _int(d, f"{ctx}.destinations")
             for d in _list(doc.get("destinations", []), f"{ctx}.destinations")
@@ -298,7 +335,6 @@ class ClassConfig:
 
 
 _MODES = {m.mode: m for m in (TandemMode, SingleQueueMode, BackpressureMode, MultilevelMode)}
-_MODE_FIELDS = {"key_storage": _bool, "key_cap": _int}
 
 
 def _policy_to_dict(mode: PolicyMode) -> dict:
@@ -309,10 +345,7 @@ def _policy_from_dict(doc: dict, ctx: str) -> PolicyMode:
     name = _str(_require(doc, "mode", ctx), f"{ctx}.mode")
     if name not in _MODES:
         raise ConfigError(f"{ctx}.mode: unknown policy mode {name!r}")
-    cls = _MODES[name]
-    fields = [f.name for f in dataclasses.fields(cls)]
-    _known(doc, ["mode", *fields], ctx)
-    mode = cls(**{f: _MODE_FIELDS[f](doc[f], f"{ctx}.{f}") for f in fields if f in doc})
+    mode = _MODES[name](**_fields(doc, _MODES[name], ctx, extra=("mode",)))
     if isinstance(mode, BackpressureMode) and mode.key_cap < 0:
         raise ConfigError(f"{ctx}.key_cap: must be >= 0")
     return mode
@@ -382,6 +415,12 @@ class ExperimentConfig:
     series_stride: int = 1
     record_drift: bool = False
 
+    def __post_init__(self):
+        # The name becomes a directory and a file-name prefix under --output.
+        name = self.name
+        if name in ("", ".", "..") or "/" in name or "\\" in name:
+            raise ConfigError(f"config.name: must be a plain file name, got {name!r}")
+
     def to_dict(self) -> dict:
         return {
             "name": self.name,
@@ -404,9 +443,6 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
         name = _str(_require(_known(doc, _CONFIG_FIELDS, "config"), "name", "config"), "config.name")
-        # The name becomes a directory and a file-name prefix under --output.
-        if name in ("", ".", "..") or "/" in name or "\\" in name:
-            raise ConfigError(f"config.name: must be a plain file name, got {name!r}")
         graph = GraphConfig.from_dict(_require(doc, "graph", "config"))
         raw_classes = _list(_require(doc, "classes", "config"), "config.classes")
         if not raw_classes:
@@ -416,6 +452,12 @@ class ExperimentConfig:
         )
         if len({c.id for c in classes}) != len(classes):
             raise ConfigError("config.classes: class ids must be unique")
+        for i, c in enumerate(classes):
+            for field, node in (("source", c.source), *(("destinations", d) for d in c.destinations)):
+                if not 0 <= node < graph.nodes:
+                    raise ConfigError(
+                        f"classes[{i}].{field}: node {node} is not in the {graph.nodes}-node graph"
+                    )
         raw_pol = _list(_require(doc, "policies", "config"), "config.policies")
         if not raw_pol:
             raise ConfigError("config.policies: at least one policy is required")
@@ -509,7 +551,7 @@ def _two_node_link() -> GraphConfig:
     return GraphConfig(
         kind="inline",
         nodes=2,
-        edges=({"u": 0, "v": 1, "gamma": 1, "eta": 0.5, "has_qkd": True, "directed": True},),
+        edges=(EdgeSpec(0, 1, gamma=1, eta=0.5, has_qkd=True, directed=True),),
     )
 
 
@@ -529,8 +571,8 @@ def preset_counterexample() -> ExperimentConfig:
     )
 
 
-def _desk_unicast_classes(n: int, count: int, seed: int) -> list[tuple[int, int]]:
-    rng = np.random.default_rng(seed + 1000)
+def _od_pairs(n: int, count: int, rng: np.random.Generator) -> list[tuple[int, int]]:
+    """``count`` distinct (source, destination) pairs of distinct nodes below ``n``."""
     pairs: list[tuple[int, int]] = []
     while len(pairs) < count:
         s, d = int(rng.integers(n)), int(rng.integers(n))
@@ -548,7 +590,7 @@ def preset_unicast_sweep() -> ExperimentConfig:
     from .analysis import constructed_uniform_boundary
 
     gcfg = GraphConfig(kind="erdos_renyi", nodes=20, p=0.3, graph_seed=7)
-    pairs = _desk_unicast_classes(20, 6, 7)
+    pairs = _od_pairs(20, 6, np.random.default_rng(gcfg.graph_seed + 1000))
     probe = [
         TrafficClass(id=i, source=s, kind=Unicast(d), arrival=Bernoulli(0.1))
         for i, (s, d) in enumerate(pairs)
@@ -609,15 +651,9 @@ def preset_mixed_security() -> ExperimentConfig:
     g = gcfg.build()
     if not g.connected(g.key_mask):
         raise ConfigError("mixed-security preset graph lost key-level connectivity")
-    rng = np.random.default_rng(99)
-    ods: list[tuple[int, int]] = []
-    while len(ods) < 2:
-        s, d = int(rng.integers(g.n)), int(rng.integers(g.n))
-        if s != d and (s, d) not in ods:
-            ods.append((s, d))
     classes = []
     cid = 0
-    for s, d in ods:
+    for s, d in _od_pairs(g.n, 2, np.random.default_rng(99)):
         for sec, prio in (("classical", 0), ("quantum", 1), ("quantum", 0)):
             classes.append(
                 ClassConfig(id=cid, source=s, kind="unicast", destinations=(d,),
@@ -639,7 +675,7 @@ def preset_mixed_security() -> ExperimentConfig:
 def preset_unicast_full() -> ExperimentConfig:
     """Full-scale run: N=150, bursty arrivals, 1e5 slots per cell."""
     gcfg = GraphConfig(kind="erdos_renyi", nodes=150, p=0.3, graph_seed=42)
-    pairs = _desk_unicast_classes(150, 15, 42)
+    pairs = _od_pairs(150, 15, np.random.default_rng(gcfg.graph_seed + 1000))
     classes = tuple(
         ClassConfig(
             id=i, source=s, kind="unicast", destinations=(d,),

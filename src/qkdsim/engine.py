@@ -320,6 +320,10 @@ def _validate(g: NetworkGraph, classes: Sequence[TrafficClass], mode: PolicyMode
             raise ValueError(f"{mode.label} needs key generation on every edge; use multilevel mode")
         if any(c.security != "quantum" for c in classes):
             raise ValueError(f"{mode.label} carries key-encrypted traffic only; use multilevel mode")
+    for c in classes:
+        for node in (c.source, *(c.destination_nodes(None) or ())):
+            if not 0 <= node < g.n:
+                raise ValueError(f"class {c.id}: node {node} is not in the {g.n}-node graph")
     _check_routability(g, classes)
 
 

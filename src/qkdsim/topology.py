@@ -10,7 +10,6 @@ seeded runs reproducible.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -24,7 +23,6 @@ __all__ = [
     "build_graph",
     "erdos_renyi",
     "capacitated_transform",
-    "graph_from_dict",
 ]
 
 
@@ -213,39 +211,3 @@ def capacitated_transform(g: NetworkGraph) -> list[float]:
     effective capacity is the classical capacity alone.
     """
     return [min(float(e.gamma), e.eta) if e.has_qkd else float(e.gamma) for e in g.edges]
-
-
-# JSON values are type-checked, not converted: "false" is not a boolean,
-# 1.7 is not a capacity, and a boolean is not a number.
-_TYPES = {"int": (int, "an integer"), "float": ((int, float), "a number"), "bool": (bool, "true or false")}
-_EDGE_TYPES = {f.name: _TYPES[f.type] for f in dataclasses.fields(EdgeSpec)}
-_EDGE_REQUIRED = {f.name for f in dataclasses.fields(EdgeSpec) if f.default is dataclasses.MISSING}
-
-
-def _edge_spec(item: dict, ctx: str) -> EdgeSpec:
-    if not isinstance(item, dict):
-        raise TopologyError(f"{ctx}: expected an object, got {item!r}")
-    unknown, missing = item.keys() - _EDGE_TYPES.keys(), _EDGE_REQUIRED - item.keys()
-    if unknown:
-        raise TopologyError(f"{ctx}.{min(unknown)}: unknown field")
-    if missing:
-        raise TopologyError(f"{ctx} missing field {min(missing)!r}")
-    for key, value in item.items():
-        types, name = _EDGE_TYPES[key]
-        if not isinstance(value, types) or (isinstance(value, bool) and types is not bool):
-            raise TopologyError(f"{ctx}.{key}: expected {name}, got {value!r}")
-    return EdgeSpec(**{**item, "eta": float(item.get("eta", 1.0))})
-
-
-def graph_from_dict(doc: dict) -> NetworkGraph:
-    try:
-        n = doc["nodes"]
-        raw = doc["edges"]
-    except KeyError as exc:
-        raise TopologyError(f"graph document missing field {exc.args[0]!r}") from None
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise TopologyError(f"nodes: expected an integer, got {n!r}")
-    if not isinstance(raw, list):
-        raise TopologyError(f"edges: expected a list, got {raw!r}")
-    return build_graph(n, [_edge_spec(item, f"edges[{i}]") for i, item in enumerate(raw)])
-

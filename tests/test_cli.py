@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 import json
 import os
 import re
@@ -74,6 +75,45 @@ def test_ppbp_scaling_rejected():
     with pytest.raises(ConfigError, match="scaling"):
         cfg.build_classes(scale=0.5)
     assert cfg.build_classes(scale=1.0)[0].arrival.sources == 2
+
+
+@pytest.mark.parametrize(
+    "field, value", [("has_qkd", "false"), ("gamma", 1.7), ("eta", True), ("has_keys", True)]
+)
+def test_edge_field_rejected_at_load(field, value):
+    doc = _tiny_config()
+    doc["graph"]["edges"][0][field] = value
+    with pytest.raises(ConfigError, match=rf"^graph\.edges\[0\]\.{field}: "):
+        ExperimentConfig.from_dict(doc)
+
+
+@pytest.mark.parametrize("field, value", [("source", 2), ("source", -1), ("destinations", [2])])
+def test_class_endpoint_outside_the_graph_rejected_at_load(field, value):
+    doc = _tiny_config()
+    doc["classes"][0][field] = value
+    with pytest.raises(ConfigError, match=rf"^classes\[0\]\.{field}: node -?[0-9]+ is not in the 2-node graph"):
+        ExperimentConfig.from_dict(doc)
+
+
+def test_optional_edge_fields_hash_like_their_spelled_out_form():
+    spelled = ExperimentConfig.from_dict(_tiny_config())
+    doc = _tiny_config()
+    doc["graph"]["edges"] = [{"u": 0, "v": 1, "eta": 0.6, "directed": True}]
+    short = ExperimentConfig.from_dict(doc)
+    assert short == spelled and short.config_hash() == spelled.config_hash()
+    doc["graph"]["edges"] = [{"u": 0, "v": 1, "eta": 1, "directed": True}]
+    doc["classes"][0]["arrival"] = {"process": "ppbp", "hurst": 0.75, "mean_burst_slots": 4}
+    whole = ExperimentConfig.from_dict(doc)
+    doc["graph"]["edges"][0]["eta"] = 1.0
+    doc["classes"][0]["arrival"]["mean_burst_slots"] = 4.0
+    assert whole.config_hash() == ExperimentConfig.from_dict(doc).config_hash()
+
+
+def test_config_name_rule_holds_for_configs_built_in_python():
+    cfg = preset_config("counterexample")
+    for name in ("../escaped", "a/b", "a\\b", "", ".."):
+        with pytest.raises(ConfigError, match="config.name: must be a plain file name"):
+            dataclasses.replace(cfg, name=name)
 
 
 def test_presets_build_and_round_trip():

@@ -377,6 +377,14 @@ def test_engine_argument_validation():
         simulate(g, _counterexample_classes(), TandemMode(), scheduler="lifo", horizon=10, seed=0)
 
 
+@pytest.mark.parametrize("source, destination", [(5, 1), (-1, 1), (0, 3), (0, -2)])
+def test_class_endpoint_outside_the_graph_rejected(source, destination):
+    g = build_graph(3, [EdgeSpec(0, 1), EdgeSpec(1, 2)])
+    classes = [TrafficClass(7, source, Unicast(destination), Bernoulli(0.1))]
+    with pytest.raises(ValueError, match="class 7: node -?[0-9]+ is not in the 3-node graph"):
+        simulate(g, classes, TandemMode(), horizon=10, seed=0)
+
+
 @pytest.mark.parametrize("arg", ["series_stride", "queue_cap"])
 def test_engine_rejects_stride_and_queue_cap_below_1(arg):
     # a stride of 0 would be read as 1 and a queue cap of 0 would drop every packet

@@ -4,14 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qkdsim.config import GraphConfig
+from qkdsim.config import ConfigError, GraphConfig
 from qkdsim.topology import (
     EdgeSpec,
     TopologyError,
     build_graph,
     capacitated_transform,
     erdos_renyi,
-    graph_from_dict,
 )
 
 from .oracles import edge_between, specs
@@ -147,10 +146,10 @@ def test_graph_json_round_trip(tmp_path):
 
 
 def test_graph_from_dict_missing_field():
-    with pytest.raises(TopologyError, match="nodes"):
-        graph_from_dict({"edges": []})
-    with pytest.raises(TopologyError, match=r"edges\[0\].*u"):
-        graph_from_dict({"nodes": 2, "edges": [{"v": 1}]})
+    with pytest.raises(ConfigError, match="nodes"):
+        GraphConfig.from_dict({"kind": "inline", "edges": []})
+    with pytest.raises(ConfigError, match=r"edges\[0\].*u"):
+        GraphConfig.from_dict({"kind": "inline", "nodes": 2, "edges": [{"v": 1}]})
 
 
 @pytest.mark.parametrize(
@@ -158,8 +157,8 @@ def test_graph_from_dict_missing_field():
     [("has_qkd", "false"), ("directed", "false"), ("gamma", 1.7), ("eta", True), ("u", "0"), ("has_keys", True)],
 )
 def test_graph_from_dict_checks_edge_fields(field, value):
-    with pytest.raises(TopologyError, match=rf"edges\[0\]\.{field}"):
-        graph_from_dict({"nodes": 2, "edges": [{"u": 0, "v": 1, field: value}]})
+    with pytest.raises(ConfigError, match=rf"edges\[0\]\.{field}"):
+        GraphConfig.from_dict({"kind": "inline", "nodes": 2, "edges": [{"u": 0, "v": 1, field: value}]})
 
 
 def test_key_mask_and_reachability():
