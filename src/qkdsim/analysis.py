@@ -40,7 +40,6 @@ __all__ = [
 class CapacityVerdict:
     lambda_star: float
     edge_loads: dict[int, float]
-    method: str
 
 
 def unicast_capacity(g: NetworkGraph, s: int, t: int) -> CapacityVerdict:
@@ -86,7 +85,7 @@ def unicast_capacity(g: NetworkGraph, s: int, t: int) -> CapacityVerdict:
         f = flow[e.u][e.v]
         if f > 1e-12:
             loads[e.id] = f
-    return CapacityVerdict(lambda_star=value, edge_loads=loads, method="edmonds-karp")
+    return CapacityVerdict(lambda_star=value, edge_loads=loads)
 
 
 def constructed_uniform_boundary(
@@ -133,11 +132,6 @@ def constructed_uniform_boundary(
 class StabilityVerdict:
     verdict: str  # "stable" | "unstable" | "inconclusive"
     slope: float
-    time_average: float
-
-    @property
-    def stable(self) -> bool:
-        return self.verdict == "stable"
 
 
 def stability_test(
@@ -164,7 +158,7 @@ def stability_test(
         verdict = "unstable"
     else:
         verdict = "inconclusive"
-    return StabilityVerdict(verdict=verdict, slope=slope, time_average=float(arr.mean()))
+    return StabilityVerdict(verdict=verdict, slope=slope)
 
 
 # ---------------------------------------------------------------------------

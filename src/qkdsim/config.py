@@ -20,7 +20,7 @@ import numpy as np
 
 from .keying import KeySpec
 from .policy import BackpressureMode, MultilevelMode, PolicyMode, SingleQueueMode, TandemMode
-from .topology import EdgeSpec, NetworkGraph, build_graph, erdos_renyi
+from .topology import EdgeSpec, NetworkGraph, TopologyError, build_graph, erdos_renyi
 from .traffic import (
     Anycast,
     Bernoulli,
@@ -229,7 +229,10 @@ class GraphConfig:
 
     def build(self) -> NetworkGraph:
         if self.kind == "inline":
-            return build_graph(self.nodes, self.edges)
+            try:
+                return build_graph(self.nodes, self.edges)
+            except TopologyError as exc:
+                raise ConfigError(f"graph.{exc}") from None
         return erdos_renyi(
             self.nodes, self.p, self.gamma, self.eta_range, self.graph_seed, self.qkd_fraction
         )
@@ -377,10 +380,14 @@ def _keys_from_dict(doc: dict, ctx: str = "keys") -> KeySpec:
     if k_max < 1:
         raise ConfigError(f"{ctx}.k_max: must be >= 1")
     overrides = []
+    links: dict[frozenset, int] = {}  # each overridden link, either direction -> its first index
     for i, sub in enumerate(_list(doc.get("overrides", []), f"{ctx}.overrides")):
         octx = f"{ctx}.overrides[{i}]"
         _known(sub, _OVERRIDE_FIELDS, octx)
         u, v = (_int(_require(sub, k, octx), f"{octx}.{k}") for k in ("u", "v"))
+        first = links.setdefault(frozenset((u, v)), i)
+        if first != i:
+            raise ConfigError(f"{octx}: link ({u}, {v}) is already overridden by {ctx}.overrides[{first}]")
         inner = {k: w for k, w in sub.items() if k not in ("u", "v")}
         overrides.append(((u, v), _keys_from_dict(inner, octx)))
     photons = _int(doc.get("photons", 8), f"{ctx}.photons")
@@ -420,6 +427,14 @@ class ExperimentConfig:
         name = self.name
         if name in ("", ".", "..") or "/" in name or "\\" in name:
             raise ConfigError(f"config.name: must be a plain file name, got {name!r}")
+        # Checked here, not in from_dict, so that --seed's replace() meets them too.
+        seeds = self.seeds
+        if not seeds:
+            raise ConfigError("config.seeds: must not be empty")
+        if len(set(seeds)) != len(seeds):
+            raise ConfigError("config.seeds: seeds must be distinct")
+        if min(seeds) < 0:
+            raise ConfigError(f"config.seeds: must be >= 0, got {min(seeds)}")
 
     def to_dict(self) -> dict:
         return {
@@ -487,10 +502,6 @@ class ExperimentConfig:
         if horizon < 1:
             raise ConfigError("config.horizon: must be >= 1")
         seeds = tuple(_int(s, "config.seeds") for s in _list(doc.get("seeds", [1]), "config.seeds"))
-        if not seeds:
-            raise ConfigError("config.seeds: must not be empty")
-        if len(set(seeds)) != len(seeds):
-            raise ConfigError("config.seeds: seeds must be distinct")
         rate_scales = tuple(
             _num(s, "config.rate_scales") for s in _list(doc.get("rate_scales", [1.0]), "config.rate_scales")
         )

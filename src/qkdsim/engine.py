@@ -37,7 +37,7 @@ import heapq
 import io
 import json
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -184,7 +184,6 @@ class MetricsRecord:
     mean_backlog: float
     final_backlog: float
     series: dict[str, np.ndarray] | None = None
-    trace: dict[str, np.ndarray] | None = field(default=None, repr=False)
 
     @property
     def total_arrivals(self) -> int:
@@ -361,7 +360,6 @@ class _Engine:
         record_series: bool,
         series_stride: int,
         check_invariants: bool,
-        trace: bool,
         record_drift: bool,
     ):
         self.classes = sorted(classes, key=lambda c: c.id)
@@ -374,7 +372,6 @@ class _Engine:
         self.check = check_invariants
         self.virtual = isinstance(mode, TandemMode)
         self.fresh_only = isinstance(mode, SingleQueueMode)
-        self.trace_on = trace and self.virtual
 
         m = g.m
         class_rngs, edge_rngs, misc_rng = _spawn_streams(seed, len(self.classes), m)
@@ -466,11 +463,6 @@ class _Engine:
         self.reserved_total = [0] * m
         self.moved_total = [0] * m
         self.x_post_enc: dict[int, int] = {}
-        if self.trace_on:
-            self.trace_a = np.zeros((horizon, m), dtype=np.int64)
-            self.trace_kappa = np.zeros((horizon, m), dtype=np.int64)
-            self.trace_x = np.zeros((horizon, m), dtype=np.float64)
-            self.trace_y = np.zeros((horizon, m), dtype=np.float64)
 
     # -- main loop ----------------------------------------------------------
 
@@ -494,9 +486,9 @@ class _Engine:
                     self._cap_banks(fresh)
                     self._serve_nodes(t)
                 elif self.virtual:
-                    self._reserve_and_encrypt(t, fresh, fresh_sum)
+                    self._reserve_and_encrypt(fresh, fresh_sum)
                     self._serve_edges(t)
-                    self._advance_virtual_queues(t)
+                    self._advance_virtual_queues()
                 else:
                     self._serve_edges(t, fresh)
                 self._record(t)
@@ -692,7 +684,7 @@ class _Engine:
         bank.discard_residual(self.key_cap)
         self.keys_total = int(bank.residual.sum())
 
-    def _reserve_and_encrypt(self, t: int, fresh: np.ndarray, fresh_sum: int) -> None:
+    def _reserve_and_encrypt(self, fresh: np.ndarray, fresh_sum: int) -> None:
         """Tandem's key phase: bank the fresh keys and encrypt.
 
         With storage, keys are reserved for the virtual unencrypted demand
@@ -709,8 +701,6 @@ class _Engine:
             keys = bank.residual
         else:
             keys = fresh  # booked by _book_block; keys_total stays 0
-        if self.trace_on:
-            self.trace_kappa[t] = keys
         touched = self.touched = self.active_vq.union(a_q, self.a_c)
         for e in touched:
             kappa[e] = keys.item(e)
@@ -859,7 +849,7 @@ class _Engine:
 
     # -- virtual queues ---------------------------------------------------------
 
-    def _advance_virtual_queues(self, t: int) -> None:
+    def _advance_virtual_queues(self) -> None:
         a_q, a_c = self.a_q, self.a_c
         for e in self.touched:
             aq = a_q.get(e, 0)
@@ -878,11 +868,6 @@ class _Engine:
                 self.active_vq.add(e)
             else:
                 self.active_vq.discard(e)
-        if self.trace_on:
-            for e in range(self.g.m):
-                self.trace_a[t, e] = a_q.get(e, 0) + a_c.get(e, 0)
-            self.trace_x[t] = self.x_tilde
-            self.trace_y[t] = self.y_tilde
         a_q.clear()
         a_c.clear()
 
@@ -909,14 +894,6 @@ class _Engine:
             self._check_invariants(t)
 
     def _metrics(self) -> MetricsRecord:
-        trace = None
-        if self.trace_on:
-            trace = {
-                "arrivals": self.trace_a,
-                "kappa": self.trace_kappa,
-                "x_tilde": self.trace_x,
-                "y_tilde": self.trace_y,
-            }
         in_flight = sum(self.live.values())
         series = None
         if self.rows is not None:
@@ -940,7 +917,6 @@ class _Engine:
             mean_backlog=self.backlog_running / self.horizon,
             final_backlog=self.vq_total if self.virtual else float(in_flight),
             series=series,
-            trace=trace,
         )
 
     # -- invariants ----------------------------------------------------------
@@ -1018,7 +994,6 @@ def simulate(
     record_series: bool = True,
     series_stride: int = 1,
     check_invariants: bool = False,
-    trace: bool = False,
     record_drift: bool = False,
     _checked: bool = False,
 ) -> MetricsRecord:
@@ -1040,5 +1015,5 @@ def simulate(
         _validate(g, sorted(classes, key=lambda c: c.id), mode, scheduler)
     return _Engine(
         g, classes, mode, keys or KeySpec(), scheduler, horizon, seed, queue_cap,
-        record_series, series_stride, check_invariants, trace, record_drift,
+        record_series, series_stride, check_invariants, record_drift,
     ).run()

@@ -138,25 +138,28 @@ class _UnionFind:
 
 
 def build_graph(n: int, specs: list[EdgeSpec] | tuple[EdgeSpec, ...]) -> NetworkGraph:
-    """Validate edge specs and build the directed internal representation."""
+    """Validate edge specs and build the directed internal representation.
+
+    Each error names the spec as ``edges[i]``, its position in ``specs``.
+    """
     if n < 1:
-        raise TopologyError(f"node count must be >= 1, got {n}")
+        raise TopologyError(f"nodes: must be >= 1, got {n}")
     edges: list[Edge] = []
     seen_directed: set[tuple[int, int]] = set()
     pair = 0
-    for spec in specs:
+    for i, spec in enumerate(specs):
         if not (0 <= spec.u < n and 0 <= spec.v < n):
-            raise TopologyError(f"edge ({spec.u},{spec.v}) endpoint out of range for n={n}")
+            raise TopologyError(f"edges[{i}]: edge ({spec.u},{spec.v}) endpoint out of range for n={n}")
         if spec.u == spec.v:
-            raise TopologyError(f"self-loop at node {spec.u} is forbidden")
+            raise TopologyError(f"edges[{i}]: self-loop at node {spec.u} is forbidden")
         if spec.gamma < 1:
-            raise TopologyError(f"edge ({spec.u},{spec.v}): gamma must be >= 1, got {spec.gamma}")
+            raise TopologyError(f"edges[{i}]: edge ({spec.u},{spec.v}): gamma must be >= 1, got {spec.gamma}")
         if spec.has_qkd and not spec.eta > 0:
-            raise TopologyError(f"edge ({spec.u},{spec.v}): eta must be > 0 on QKD edges")
+            raise TopologyError(f"edges[{i}]: edge ({spec.u},{spec.v}): eta must be > 0 on QKD edges")
         keys = [(spec.u, spec.v)] if spec.directed else [(spec.u, spec.v), (spec.v, spec.u)]
         for k in keys:
             if k in seen_directed:
-                raise TopologyError(f"duplicate edge {k}")
+                raise TopologyError(f"edges[{i}]: duplicate edge {k}")
             seen_directed.add(k)
         eid = len(edges)
         if spec.directed:

@@ -4,17 +4,22 @@ Everything here is written against the problem statement, not against the
 library internals: path enumeration by DFS, tree enumeration by edge-subset
 scan, Steiner optimum by node-subset scan, max-flow by exhaustive
 fractional path-flow search on a fixed grid.  Keep it that way; these are
-the second route for every dual-checked computation.
+the second route for every dual-checked computation.  The one exception
+is ``virtual_queue_trace``, which reads engine internals to record the
+rows that the scalar replays of the virtual queues check.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import itertools
 from typing import Sequence
+from unittest import mock
 
 import numpy as np
 
+from qkdsim.engine import _Engine
 from qkdsim.routing import Route, RoutingError
 from qkdsim.topology import EdgeSpec, build_graph
 
@@ -302,3 +307,40 @@ def backpressure_scan(queue_lens, g, kappa, class_ids, edge_order, live):
         n = min(e.gamma, kappa[eid], live[e.u][best_c])
         if n > 0:
             yield eid, best_c, n
+
+
+@contextlib.contextmanager
+def virtual_queue_trace():
+    """Record every slot's virtual-queue row of the one run made in the block.
+
+    Wraps ``_Engine._reserve_and_encrypt`` and
+    ``_Engine._advance_virtual_queues``.  The yielded dict is filled on exit
+    with (horizon, m) arrays: ``arrivals`` (each link's virtual arrivals,
+    all classes), ``kappa`` (the keys the x̃ update reads: the bank after
+    the slot's deposit with storage, the fresh keys without), and
+    ``x_tilde`` and ``y_tilde`` after the update.  It stays empty under the
+    baselines, which keep no virtual queues.
+    """
+    rows = {"arrivals": [], "kappa": [], "x_tilde": [], "y_tilde": []}
+    reserve, advance = _Engine._reserve_and_encrypt, _Engine._advance_virtual_queues
+
+    def reserve_and_record(eng, fresh, fresh_sum):
+        # fresh is a view of the engine's block buffer; both forms copy it
+        rows["kappa"].append(fresh + eng.bank.residual if eng.storage else fresh.astype(np.int64))
+        reserve(eng, fresh, fresh_sum)
+
+    def advance_and_record(eng):
+        rows["arrivals"].append([eng.a_q.get(e, 0) + eng.a_c.get(e, 0) for e in range(eng.g.m)])
+        advance(eng)
+        rows["x_tilde"].append(list(eng.x_tilde))
+        rows["y_tilde"].append(list(eng.y_tilde))
+
+    trace: dict[str, np.ndarray] = {}
+    with mock.patch.object(_Engine, "_reserve_and_encrypt", reserve_and_record), \
+            mock.patch.object(_Engine, "_advance_virtual_queues", advance_and_record):
+        yield trace
+    if rows["kappa"]:
+        trace.update(
+            (name, np.array(r, dtype=np.float64 if name.endswith("_tilde") else np.int64))
+            for name, r in rows.items()
+        )

@@ -28,6 +28,7 @@ from .oracles import (
     route_weight,
     steiner_optimum_weight,
     validate_route,
+    virtual_queue_trace,
 )
 
 
@@ -134,9 +135,10 @@ def test_criterion_3_lindley_exactness():
         TrafficClass(1, 3, Unicast(1), TruncatedPoisson(0.6, cap=3)),
         TrafficClass(2, 4, Unicast(2), Bernoulli(0.35)),
     ]
-    r = simulate(g, classes, TandemMode(True), horizon=1000, seed=33, trace=True)
-    a = r.trace["arrivals"].astype(int)
-    kappa = r.trace["kappa"].astype(int)
+    with virtual_queue_trace() as trace:
+        simulate(g, classes, TandemMode(True), horizon=1000, seed=33)
+    a = trace["arrivals"].astype(int)
+    kappa = trace["kappa"].astype(int)
     gamma = [e.gamma for e in g.edges]
     x = [0] * g.m
     y = [0] * g.m
@@ -145,8 +147,8 @@ def test_criterion_3_lindley_exactness():
         for e in range(g.m):
             x[e] = max(0, x[e] + a[t, e] - kappa[t, e])
             y[e] = max(0, y[e] + a[t, e] - gamma[e])
-        exact &= all(float(x[e]) == r.trace["x_tilde"][t, e] for e in range(g.m))
-        exact &= all(float(y[e]) == r.trace["y_tilde"][t, e] for e in range(g.m))
+        exact &= all(float(x[e]) == trace["x_tilde"][t, e] for e in range(g.m))
+        exact &= all(float(y[e]) == trace["y_tilde"][t, e] for e in range(g.m))
     assert _report(3, "virtual queues equal the scalar replay exactly", exact)
 
 

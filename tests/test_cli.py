@@ -116,6 +116,13 @@ def test_config_name_rule_holds_for_configs_built_in_python():
             dataclasses.replace(cfg, name=name)
 
 
+def test_seed_rules_hold_for_configs_built_in_python():
+    cfg = preset_config("counterexample")
+    for seeds, rule in (((), "must not be empty"), ((3, 3), "must be distinct"), ((1, -2), "must be >= 0, got -2")):
+        with pytest.raises(ConfigError, match=f"^config.seeds: .*{rule}"):
+            dataclasses.replace(cfg, seeds=seeds)
+
+
 def test_presets_build_and_round_trip():
     for name in ("counterexample", "unicast-sweep", "broadcast-sweep", "mixed-security"):
         cfg = preset_config(name)
@@ -225,6 +232,7 @@ _REJECTED = {
                          "classes[0].security: must be 'quantum' or 'classical'"),
     "no-rate-scales": ({"rate_scales": []}, {}, "config.rate_scales"),
     "duplicate-seeds": ({"seeds": [1, 1]}, {}, "config.seeds"),
+    "negative-seed": ({"seeds": [-1]}, {}, "config.seeds: must be >= 0, got -1"),
     "duplicate-labels": ({"policies": [{"mode": "tandem"}, {"mode": "tandem"}]}, {}, "policies[1]"),
     "queue-cap-0": ({"queue_cap": 0}, {}, "config.queue_cap"),
     "negative-stride": ({"metrics": {"stride": -5}}, {}, "metrics.stride"),
@@ -290,6 +298,21 @@ _REJECTED = {
     "override-unknown-link": (
         {"keys": {"overrides": [{"u": 5, "v": 9, "process": "deterministic", "value": 3}]}}, {},
         "keys.overrides[0]:"),
+    "override-repeats-link": (
+        {"keys": {"overrides": [{"u": 0, "v": 1, "process": "deterministic", "value": 3},
+                                {"u": 0, "v": 1, "process": "deterministic", "value": 0}]}}, {},
+        "keys.overrides[1]: link (0, 1) is already overridden by keys.overrides[0]"),
+    "override-repeats-link-reversed": (
+        {"keys": {"overrides": [{"u": 0, "v": 1, "process": "deterministic", "value": 3},
+                                {"u": 1, "v": 0, "process": "deterministic", "value": 0}]}}, {},
+        "keys.overrides[1]: link (1, 0) is already overridden by keys.overrides[0]"),
+    "edge-endpoint-out-of-range": ({"graph": {"kind": "inline", "nodes": 2, "edges": [{"u": 0, "v": 5}]}}, {},
+                                   "error: graph.edges[0]: "),
+    "edge-self-loop": ({"graph": {"kind": "inline", "nodes": 2, "edges": [{"u": 0, "v": 1}, {"u": 1, "v": 1}]}},
+                       {}, "error: graph.edges[1]: "),
+    "edge-duplicate": ({"graph": _inline(3, (0, 1), (1, 2), (1, 0))}, {}, "error: graph.edges[2]: "),
+    "edge-gamma-0": ({"graph": _one_link(gamma=0)}, {}, "error: graph.edges[0]: "),
+    "edge-eta-0-on-keyed-link": ({"graph": _one_link(eta=0.0)}, {}, "error: graph.edges[0]: "),
     "graph-p-above-1": ({"graph": _er(p=1.5)}, {}, "graph.p"),
     "graph-eta-range-reversed": ({"graph": _er(eta_range=[0.5, 0.1])}, {}, "graph.eta_range"),
     "graph-gamma-0": ({"graph": _er(gamma=0)}, {}, "graph.gamma"),
@@ -316,6 +339,14 @@ def test_rejected_config_exits_2_naming_the_field_and_writes_nothing(tmp_path, c
     assert main(["run", "--config", str(path), "--output", str(tmp_path / "out" / "runs")]) == 2
     assert field in capsys.readouterr().err
     assert [p.name for p in tmp_path.rglob("*")] == ["cfg.json"]
+
+
+def test_negative_seed_option_exits_2_naming_the_field_and_writes_nothing(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_tiny_config()))
+    assert main(["run", "--config", str(path), "--seed", "-3", "--output", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error: config.seeds: must be >= 0, got -3")
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_builds_the_graph_once(tmp_path, monkeypatch):

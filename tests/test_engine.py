@@ -7,6 +7,8 @@ from qkdsim.policy import BackpressureMode, MultilevelMode, SingleQueueMode, Tan
 from qkdsim.topology import EdgeSpec, build_graph, erdos_renyi
 from qkdsim.traffic import Bernoulli, Broadcast, TrafficClass, TruncatedPoisson, Unicast
 
+from .oracles import virtual_queue_trace
+
 
 def _single_link():
     return build_graph(2, [EdgeSpec(0, 1, gamma=1, eta=0.5, directed=True)])
@@ -213,17 +215,18 @@ def test_trace_matches_scalar_replay():
         TrafficClass(0, 0, Unicast(3), Bernoulli(0.4)),
         TrafficClass(1, 2, Unicast(0), TruncatedPoisson(0.5, cap=4)),
     ]
-    r = simulate(g, classes, TandemMode(), horizon=300, seed=15, trace=True)
-    a = r.trace["arrivals"]
-    kappa = r.trace["kappa"]
+    with virtual_queue_trace() as trace:
+        simulate(g, classes, TandemMode(), horizon=300, seed=15)
+    a = trace["arrivals"]
+    kappa = trace["kappa"]
     x = np.zeros(g.m)
     y = np.zeros(g.m)
     gamma = np.array([e.gamma for e in g.edges])
     for t in range(300):
         x = np.maximum(0, x + a[t] - kappa[t])
         y = np.maximum(0, y + a[t] - gamma)
-        assert (x == r.trace["x_tilde"][t]).all()
-        assert (y == r.trace["y_tilde"][t]).all()
+        assert (x == trace["x_tilde"][t]).all()
+        assert (y == trace["y_tilde"][t]).all()
 
 
 def test_drift_series_matches_trace():
@@ -232,9 +235,10 @@ def test_drift_series_matches_trace():
         TrafficClass(0, 0, Unicast(3), Bernoulli(0.6)),
         TrafficClass(1, 2, Unicast(0), TruncatedPoisson(0.8, cap=4)),
     ]
-    r = simulate(g, classes, TandemMode(), keys=KeySpec(kind="deterministic", value=0),
-                 horizon=300, seed=15, trace=True, record_drift=True, series_stride=1)
-    lyap = (r.trace["x_tilde"] ** 2).sum(axis=1) + (r.trace["y_tilde"] ** 2).sum(axis=1)
+    with virtual_queue_trace() as trace:
+        r = simulate(g, classes, TandemMode(), keys=KeySpec(kind="deterministic", value=0),
+                     horizon=300, seed=15, record_drift=True, series_stride=1)
+    lyap = (trace["x_tilde"] ** 2).sum(axis=1) + (trace["y_tilde"] ** 2).sum(axis=1)
     assert lyap[-1] > 0
     assert (r.series["lyapunov"] == lyap).all()
     assert (r.series["drift"] == np.diff(lyap, prepend=0.0)).all()
@@ -434,11 +438,12 @@ def test_block_size_never_changes_a_run(mode, monkeypatch):
         monkeypatch.setattr(engine, "_BLOCK_CELLS", slots * g.m)
         h = hashlib.sha256()
         for keys in key_specs:
-            r = simulate(g, classes, mode, keys=keys, horizon=horizon, seed=7, queue_cap=6,
-                         check_invariants=True, trace=True, record_drift=True)
+            with virtual_queue_trace() as trace:
+                r = simulate(g, classes, mode, keys=keys, horizon=horizon, seed=7, queue_cap=6,
+                             check_invariants=True, record_drift=True)
             h.update(r.to_json_bytes() + r.to_csv_bytes())
-            for name in sorted(r.trace or {}):
-                h.update(r.trace[name].tobytes())
+            for name in sorted(trace):
+                h.update(trace[name].tobytes())
         digests.add(h.hexdigest())
     assert len(digests) == 1
 

@@ -31,6 +31,7 @@ from .oracles import (
     edge_between,
     route_nodes,
     shuffled_edge_ids,
+    virtual_queue_trace,
 )
 
 
@@ -56,35 +57,38 @@ def test_assign_weights_elementwise_oracle(pairs):
 
 
 # ---------------------------------------------------------------------------
-# recursions (run in place by the engine; read back from its trace)
+# recursions (run in place by the engine; recorded by virtual_queue_trace)
 
 def _saturated_link(arrivals_per_slot, gamma, keys_per_slot, horizon=5):
+    """The run's record and its virtual-queue trace."""
     g = build_graph(2, [EdgeSpec(0, 1, gamma=gamma, eta=0.5, directed=True)])
     classes = [TrafficClass(i, 0, Unicast(1), Bernoulli(1.0)) for i in range(arrivals_per_slot)]
-    return simulate(g, classes, TandemMode(), keys=KeySpec(kind="deterministic", value=keys_per_slot),
-                    horizon=horizon, seed=0, trace=True, record_drift=True)
+    with virtual_queue_trace() as trace:
+        r = simulate(g, classes, TandemMode(), keys=KeySpec(kind="deterministic", value=keys_per_slot),
+                     horizon=horizon, seed=0, record_drift=True)
+    return r, trace
 
 
 def test_virtual_update_clamps_at_zero():
     # 2 arrivals against 5 keys and capacity 1: X clamps, Y grows
-    r = _saturated_link(2, gamma=1, keys_per_slot=5)
-    assert r.trace["x_tilde"][0, 0] == 0.0
-    assert r.trace["y_tilde"][0, 0] == 1.0
+    _, trace = _saturated_link(2, gamma=1, keys_per_slot=5)
+    assert trace["x_tilde"][0, 0] == 0.0
+    assert trace["y_tilde"][0, 0] == 1.0
 
 
 def test_virtual_update_arithmetic():
     # 3 arrivals, 1 key and capacity 2 per slot: X grows by 2, Y by 1
-    r = _saturated_link(3, gamma=2, keys_per_slot=1)
-    assert r.trace["x_tilde"][:, 0].tolist() == [2.0, 4.0, 6.0, 8.0, 10.0]
-    assert r.trace["y_tilde"][:, 0].tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]
+    _, trace = _saturated_link(3, gamma=2, keys_per_slot=1)
+    assert trace["x_tilde"][:, 0].tolist() == [2.0, 4.0, 6.0, 8.0, 10.0]
+    assert trace["y_tilde"][:, 0].tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]
 
 
 def test_lyapunov_values():
     # X = 2(t+1) and Y = t+1 above, so the sum of squares is 5(t+1)^2
-    assert _saturated_link(3, gamma=2, keys_per_slot=1).series["lyapunov"].tolist() == [
+    assert _saturated_link(3, gamma=2, keys_per_slot=1)[0].series["lyapunov"].tolist() == [
         5.0, 20.0, 45.0, 80.0, 125.0
     ]
-    assert (_saturated_link(1, gamma=1, keys_per_slot=1).series["lyapunov"] == 0.0).all()
+    assert (_saturated_link(1, gamma=1, keys_per_slot=1)[0].series["lyapunov"] == 0.0).all()
 
 
 @given(
@@ -99,18 +103,18 @@ def test_virtual_update_matches_scalar_replay(seed, rate, keys):
         TrafficClass(0, 0, Unicast(3), TruncatedPoisson(rate, cap=4)),
         TrafficClass(1, 4, Unicast(1), Bernoulli(min(rate, 1.0))),
     ]
-    r = simulate(g, classes, TandemMode(), keys=KeySpec(kind="deterministic", value=keys),
-                 horizon=60, seed=seed, trace=True)
+    with virtual_queue_trace() as trace:
+        simulate(g, classes, TandemMode(), keys=KeySpec(kind="deterministic", value=keys), horizon=60, seed=seed)
     # independent replay with plain integers
     x_ref = [0] * g.m
     y_ref = [0] * g.m
     for t in range(60):
         for e in range(g.m):
-            a = int(r.trace["arrivals"][t, e])
-            x_ref[e] = max(0, x_ref[e] + a - int(r.trace["kappa"][t, e]))
+            a = int(trace["arrivals"][t, e])
+            x_ref[e] = max(0, x_ref[e] + a - int(trace["kappa"][t, e]))
             y_ref[e] = max(0, y_ref[e] + a - g.edges[e].gamma)
-        assert r.trace["x_tilde"][t].tolist() == [float(v) for v in x_ref]
-        assert r.trace["y_tilde"][t].tolist() == [float(v) for v in y_ref]
+        assert trace["x_tilde"][t].tolist() == [float(v) for v in x_ref]
+        assert trace["y_tilde"][t].tolist() == [float(v) for v in y_ref]
 
 
 def test_drift_bound_single_edge():
@@ -371,6 +375,11 @@ def test_multilevel_quantum_unreachable_inside_qkd_subgraph():
 # zero-weight shortcut: a path class takes the fewest-hop path over the links
 # that weigh 0 without the router; the router would have picked the same route
 
+def _engine(g, classes, mode):
+    """An engine on default keys and settings whose route rule a test drives by hand."""
+    return _Engine(g, classes, mode, KeySpec(), "fifo", 1, 0, 10_000, False, 1, False, False)
+
+
 def _mostly_zero(rng, m):
     return np.where(rng.random(m) < 0.75, 0.0, rng.integers(1, 41, m) / 8).tolist()
 
@@ -412,7 +421,7 @@ def test_zero_weight_shortcut_matches_the_router(seed, masked, case):
         classes.append(TrafficClass(len(classes), s, Unicast(d), Bernoulli(0.1), security=sec))
         classes.append(TrafficClass(len(classes), s, Anycast(cands), Bernoulli(0.1), security=sec))
     mode = MultilevelMode() if masked else TandemMode()
-    eng = _Engine(g, classes, mode, KeySpec(), "fifo", 1, 0, 10_000, False, 1, False, False, False)
+    eng = _engine(g, classes, mode)
     keyed = g.key_mask or [True] * g.m
     for cls in classes:
         idle = eng._idle_route(cls)
@@ -460,7 +469,7 @@ def test_zero_weight_shortcut_matches_the_router(seed, masked, case):
 def test_zero_weight_shortcut_skips_the_router_when_idle():
     g = erdos_renyi(8, 0.5, seed=3)
     classes = [TrafficClass(0, 0, Unicast(5), Bernoulli(0.1)), TrafficClass(1, 2, Anycast((6, 7)), Bernoulli(0.1))]
-    eng = _Engine(g, classes, TandemMode(), KeySpec(), "fifo", 1, 0, 10_000, False, 1, False, False, False)
+    eng = _engine(g, classes, TandemMode())
     routes = eng._routes({0: 1, 1: 2})
     assert routes[0] is eng.idle_routes[0] and routes[1] is eng.idle_routes[1]
     assert routes[0] == min_weight_path(g, [0.0] * g.m, 0, 5)
@@ -479,7 +488,7 @@ def test_idle_tree_is_reused_while_the_class_sees_no_weight(kind, security, mask
     g = GraphConfig(kind="erdos_renyi", nodes=8, p=0.5, graph_seed=5,
                     qkd_fraction=0.6 if masked else 1.0).build()
     cls = TrafficClass(0, 1, kind, Bernoulli(0.1), security=security)
-    eng = _Engine(g, [cls], MultilevelMode(), KeySpec(), "fifo", 1, 0, 10_000, False, 1, False, False, False)
+    eng = _engine(g, [cls], MultilevelMode())
     allowed = g.key_mask if security == "quantum" else None
     terminals = set(range(g.n)) if isinstance(kind, Broadcast) else set(kind.destinations)
     rng = np.random.default_rng(7)
