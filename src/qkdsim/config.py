@@ -238,6 +238,20 @@ class GraphConfig:
         )
 
 
+# Each traffic kind and arrival process a class names -> how ``ClassConfig.build`` makes it.
+_KINDS = {
+    "unicast": lambda dests: Unicast(dests[0]),
+    "broadcast": lambda dests: Broadcast(),
+    "multicast": Multicast,
+    "anycast": Anycast,
+}
+_PROCESSES = {
+    "bernoulli": lambda c, scale: Bernoulli(c.rate * scale),
+    "truncated_poisson": lambda c, scale: TruncatedPoisson(c.rate * scale, c.cap),
+    "ppbp": lambda c, scale: PPBP(**(c.ppbp or {})),
+}
+
+
 @dataclass(frozen=True)
 class ClassConfig:
     id: int
@@ -272,7 +286,7 @@ class ClassConfig:
     @classmethod
     def from_dict(cls, doc: dict, ctx: str) -> "ClassConfig":
         kind = _str(_require(_known(doc, _CLASS_FIELDS, ctx), "kind", ctx), f"{ctx}.kind")
-        if kind not in ("unicast", "broadcast", "multicast", "anycast"):
+        if kind not in _KINDS:
             raise ConfigError(f"{ctx}.kind: unknown traffic kind {kind!r}")
         actx = f"{ctx}.arrival"
         arrival = _require(doc, "arrival", ctx)
@@ -311,27 +325,17 @@ class ClassConfig:
         )
 
     def build(self, scale: float) -> TrafficClass:
-        if self.kind == "unicast":
-            kind = Unicast(self.destinations[0])
-        elif self.kind == "broadcast":
-            kind = Broadcast()
-        elif self.kind == "multicast":
-            kind = Multicast(self.destinations)
-        else:
-            kind = Anycast(self.destinations)
-        if self.process == "bernoulli":
-            arrival = Bernoulli(self.rate * scale)
-        elif self.process == "truncated_poisson":
-            arrival = TruncatedPoisson(self.rate * scale, self.cap)
-        else:
-            if scale != 1.0:
-                raise ValueError("rate scaling is not defined for ppbp arrivals")
-            arrival = PPBP(**(self.ppbp or {}))
+        if self.kind not in _KINDS:
+            raise ValueError(f"unknown traffic kind {self.kind!r}")
+        if self.process not in _PROCESSES:
+            raise ValueError(f"unknown process {self.process!r}")
+        if self.process == "ppbp" and scale != 1.0:
+            raise ValueError("rate scaling is not defined for ppbp arrivals")
         return TrafficClass(
             id=self.id,
             source=self.source,
-            kind=kind,
-            arrival=arrival,
+            kind=_KINDS[self.kind](self.destinations),
+            arrival=_PROCESSES[self.process](self, scale),
             security=self.security,
             priority=self.priority,
         )
@@ -380,14 +384,10 @@ def _keys_from_dict(doc: dict, ctx: str = "keys") -> KeySpec:
     if k_max < 1:
         raise ConfigError(f"{ctx}.k_max: must be >= 1")
     overrides = []
-    links: dict[frozenset, int] = {}  # each overridden link, either direction -> its first index
     for i, sub in enumerate(_list(doc.get("overrides", []), f"{ctx}.overrides")):
         octx = f"{ctx}.overrides[{i}]"
         _known(sub, _OVERRIDE_FIELDS, octx)
         u, v = (_int(_require(sub, k, octx), f"{octx}.{k}") for k in ("u", "v"))
-        first = links.setdefault(frozenset((u, v)), i)
-        if first != i:
-            raise ConfigError(f"{octx}: link ({u}, {v}) is already overridden by {ctx}.overrides[{first}]")
         inner = {k: w for k, w in sub.items() if k not in ("u", "v")}
         overrides.append(((u, v), _keys_from_dict(inner, octx)))
     photons = _int(doc.get("photons", 8), f"{ctx}.photons")
@@ -398,9 +398,12 @@ def _keys_from_dict(doc: dict, ctx: str = "keys") -> KeySpec:
         probs[key] = _num(doc.get(key, 0.0), f"{ctx}.{key}")
         if not 0 <= probs[key] <= 1:
             raise ConfigError(f"{ctx}.{key}: must be in [0, 1], got {probs[key]}")
-    return KeySpec(
-        kind=process, k_max=k_max, value=value, photons=photons, overrides=tuple(overrides), **probs
-    )
+    try:
+        return KeySpec(
+            kind=process, k_max=k_max, value=value, photons=photons, overrides=tuple(overrides), **probs
+        )
+    except ValueError as exc:  # a link overridden twice
+        raise ConfigError(f"{ctx}.{exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +430,8 @@ class ExperimentConfig:
         name = self.name
         if name in ("", ".", "..") or "/" in name or "\\" in name:
             raise ConfigError(f"config.name: must be a plain file name, got {name!r}")
-        # Checked here, not in from_dict, so that --seed's replace() meets them too.
+        # Checked here, not in from_dict, so that a config built in Python or
+        # by replace() (--seed) meets them too.
         seeds = self.seeds
         if not seeds:
             raise ConfigError("config.seeds: must not be empty")
@@ -435,6 +439,27 @@ class ExperimentConfig:
             raise ConfigError("config.seeds: seeds must be distinct")
         if min(seeds) < 0:
             raise ConfigError(f"config.seeds: must be >= 0, got {min(seeds)}")
+        for field, value in (("config.horizon", self.horizon), ("config.queue_cap", self.queue_cap),
+                             ("metrics.stride", self.series_stride)):
+            if value < 1:
+                raise ConfigError(f"{field}: must be >= 1")
+        if not self.rate_scales:
+            raise ConfigError("config.rate_scales: must not be empty")
+        if len({f"{s:g}" for s in self.rate_scales}) != len(self.rate_scales):
+            raise ConfigError("config.rate_scales: scales must differ in their file-name form ('%g')")
+        if not self.classes:
+            raise ConfigError("config.classes: at least one traffic class is required")
+        if len({c.id for c in self.classes}) != len(self.classes):
+            raise ConfigError("config.classes: class ids must be unique")
+        if not self.policies:
+            raise ConfigError("config.policies: at least one policy is required")
+        labels = [p.label for p in self.policies]
+        for i, label in enumerate(labels):
+            if label in labels[:i]:
+                raise ConfigError(
+                    f"policies[{i}]: label {label!r} repeats policies[{labels.index(label)}]; "
+                    f"output files are named by label"
+                )
 
     def to_dict(self) -> dict:
         return {
@@ -460,13 +485,9 @@ class ExperimentConfig:
         name = _str(_require(_known(doc, _CONFIG_FIELDS, "config"), "name", "config"), "config.name")
         graph = GraphConfig.from_dict(_require(doc, "graph", "config"))
         raw_classes = _list(_require(doc, "classes", "config"), "config.classes")
-        if not raw_classes:
-            raise ConfigError("config.classes: at least one traffic class is required")
         classes = tuple(
             ClassConfig.from_dict(c, f"classes[{i}]") for i, c in enumerate(raw_classes)
         )
-        if len({c.id for c in classes}) != len(classes):
-            raise ConfigError("config.classes: class ids must be unique")
         for i, c in enumerate(classes):
             for field, node in (("source", c.source), *(("destinations", d) for d in c.destinations)):
                 if not 0 <= node < graph.nodes:
@@ -474,16 +495,7 @@ class ExperimentConfig:
                         f"classes[{i}].{field}: node {node} is not in the {graph.nodes}-node graph"
                     )
         raw_pol = _list(_require(doc, "policies", "config"), "config.policies")
-        if not raw_pol:
-            raise ConfigError("config.policies: at least one policy is required")
         policies = tuple(_policy_from_dict(p, f"policies[{i}]") for i, p in enumerate(raw_pol))
-        labels = [p.label for p in policies]
-        for i, label in enumerate(labels):
-            if label in labels[:i]:
-                raise ConfigError(
-                    f"policies[{i}]: label {label!r} repeats policies[{labels.index(label)}]; "
-                    f"output files are named by label"
-                )
         scheduler = _str(doc.get("scheduler", "fifo"), "config.scheduler")
         if scheduler not in ("fifo", "ento"):
             raise ConfigError(f"config.scheduler: unknown scheduler {scheduler!r}")
@@ -499,23 +511,11 @@ class ExperimentConfig:
                     f"traffic only; {c.security!r} classes need the multilevel policy"
                 )
         horizon = _int(_require(doc, "horizon", "config"), "config.horizon")
-        if horizon < 1:
-            raise ConfigError("config.horizon: must be >= 1")
         seeds = tuple(_int(s, "config.seeds") for s in _list(doc.get("seeds", [1]), "config.seeds"))
         rate_scales = tuple(
             _num(s, "config.rate_scales") for s in _list(doc.get("rate_scales", [1.0]), "config.rate_scales")
         )
-        if not rate_scales:
-            raise ConfigError("config.rate_scales: must not be empty")
-        if len({f"{s:g}" for s in rate_scales}) != len(rate_scales):
-            raise ConfigError("config.rate_scales: scales must differ in their file-name form ('%g')")
-        queue_cap = _int(doc.get("queue_cap", 10_000), "config.queue_cap")
-        if queue_cap < 1:
-            raise ConfigError("config.queue_cap: must be >= 1")
         metrics = _known(doc.get("metrics", {}), _METRICS_FIELDS, "metrics")
-        series_stride = _int(metrics.get("stride", 1), "metrics.stride")
-        if series_stride < 1:
-            raise ConfigError("metrics.stride: must be >= 1")
         return cls(
             name=name,
             graph=graph,
@@ -525,10 +525,10 @@ class ExperimentConfig:
             scheduler=scheduler,
             horizon=horizon,
             seeds=seeds,
-            queue_cap=queue_cap,
+            queue_cap=_int(doc.get("queue_cap", 10_000), "config.queue_cap"),
             rate_scales=rate_scales,
             record_series=_bool(metrics.get("series", True), "metrics.series"),
-            series_stride=series_stride,
+            series_stride=_int(metrics.get("stride", 1), "metrics.stride"),
             record_drift=_bool(metrics.get("drift", False), "metrics.drift"),
         )
 

@@ -1,11 +1,14 @@
 """Slotted-time simulation loop: physical queues, encryption, forwarding.
 
 Each slot runs the same phase sequence: route assignment for fresh
-arrivals, key generation, encryption (unencrypted queue -> encrypted
-queue, one key per packet), link transmission, delivery bookkeeping, and
-the virtual-queue update.  A packet may pass straight through an edge
-(arrive, encrypt, transmit) within one slot, but a forwarded packet only
-becomes serviceable at the next hop from the following slot.  Every policy
+arrivals, the key phase (key generation, the virtual-queue update, and
+encryption: unencrypted queue -> encrypted queue, one key per packet),
+link transmission, and delivery bookkeeping.  The virtual queues read only
+the slot's arrivals, keys and link capacities, never the physical
+service, so they advance in the key phase's pass over the links.  A
+packet may pass straight through an edge (arrive, encrypt, transmit)
+within one slot, but a forwarded packet only becomes serviceable at the
+next hop from the following slot.  Every policy
 runs this one loop; the baselines skip the phases they do not have (see
 ``_Engine``).  Multilevel is tandem under another name: the engine never
 asks which of the two it runs, it reads the graph's ``key_mask`` and the
@@ -27,8 +30,9 @@ class and walks only the links that can send (see ``_Engine._serve_nodes``).
 Routes go over the zero-weight links first.  A class that sees no weight
 on its links takes its idle route, kept per class: the fewest-hop path, or
 the tree the router built once on zero weights.  A path class whose idle
-route is busy takes the fewest-hop path around the busy links.  The router
-runs only when backlog leaves no zero-weight route (see ``_Engine._routes``).
+route is busy takes the fewest-hop path around the busy links.  The routing
+kernels run only when backlog leaves no zero-weight route (see
+``_Router``, the TQD route rule, which the engine holds and calls).
 """
 
 from __future__ import annotations
@@ -319,29 +323,139 @@ def _validate(g: NetworkGraph, classes: Sequence[TrafficClass], mode: PolicyMode
             raise ValueError(f"{mode.label} needs key generation on every edge; use multilevel mode")
         if any(c.security != "quantum" for c in classes):
             raise ValueError(f"{mode.label} carries key-encrypted traffic only; use multilevel mode")
-    for c in classes:
+    for i, c in enumerate(classes):
+        if any(d.id == c.id for d in classes[:i]):
+            raise ValueError(f"class id {c.id} is repeated; each class needs its own id")
         for node in (c.source, *(c.destination_nodes(None) or ())):
             if not 0 <= node < g.n:
                 raise ValueError(f"class {c.id}: node {node} is not in the {g.n}-node graph")
     _check_routability(g, classes)
 
 
+class _Router:
+    """TQD's route rule: each arriving class's minimum-weight route.
+
+    An encrypted class weighs x̃ + ỹ on the keyed links, a plain one ỹ on
+    every link.  Most of these weigh 0 in most slots, so the routing
+    kernels run only when backlog forces them.  The router keeps each
+    class's idle route; everything else it reads from the virtual queues
+    and the busy links (those with x̃ or ỹ above 0) it is passed.
+    """
+
+    def __init__(self, g: NetworkGraph, classes: Sequence[TrafficClass]):
+        self.g = g
+        self.classes = classes
+        self.by_id = {c.id: c for c in classes}
+        self.mixed = g.key_mask is not None or any(c.security != "quantum" for c in classes)
+        # each class's route while no link it may use carries weight, found when first needed
+        self.idle_routes: dict[int, Route] = {}
+        # a path class's destinations: its one destination, or its anycast candidates
+        self.path_dests = {
+            c.id: c.destination_nodes(g.n) for c in classes if not isinstance(c.kind, (Broadcast, Multicast))
+        }
+
+    def idle(self, cls: TrafficClass) -> Route:
+        """The class's route while no link it may use carries weight.
+
+        A unicast or anycast class takes its fewest-hop route
+        (``fewest_hop_path`` with nothing blocked: the walk every path
+        router makes, unweighed), which is also single-queue's fixed route.
+        A broadcast or multicast class takes the router's tree on all-zero
+        weights, built once through the selectors.  That tree is the
+        router's answer whenever every weight the class sees is 0, for two
+        reasons.  First, the only weights a tree router reads are those of
+        links it may use: trees are refused on a graph with a one-way link,
+        and a link's two directions share ``has_qkd``, so the key mask
+        keeps or drops a link whole.  Second, on zero weights Kruskal's
+        order, the Steiner closure and its pruning depend only on node and
+        link ids.
+        """
+        route = self.idle_routes.get(cls.id)
+        if route is None:
+            targets = self.path_dests.get(cls.id)
+            if targets is None:
+                zeros = [0.0] * self.g.m
+                route = self._select({cls.id: 1}, VirtualQueues(zeros, zeros))[cls.id]
+            else:
+                allowed = self.g.key_mask if cls.security == "quantum" else None  # encrypted: keyed links only
+                route = fewest_hop_path(self.g, cls.source, targets, allowed)
+                if route is None:
+                    raise UnreachableError(f"class {cls.id}: no destination reachable on its allowed subgraph")
+            self.idle_routes[cls.id] = route
+        return route
+
+    def _select(self, counts: dict[int, int], vq: VirtualQueues) -> dict[int, Route]:
+        """The selector's routes on ``vq``; multilevel's wherever some link
+        is keyless or some class plain."""
+        if self.mixed:
+            return multilevel_select_routes(self.g, vq, counts, self.classes)
+        return select_routes(self.g, assign_weights(vq), counts, self.classes)
+
+    def routes(self, counts: dict[int, int], vq: VirtualQueues, busy: set[int]) -> dict[int, Route]:
+        """The route of each class in ``counts`` on the virtual queues ``vq``,
+        whose links with weight are ``busy``:
+
+        - a class takes its idle route (``idle``) when no link on it
+          carries weight; a tree class, when no link it may use does;
+        - otherwise a path class takes the fewest-hop path that avoids the
+          links with weight.  The router walks the same way over its tight
+          links, and when that path exists the tight links among the nodes
+          at distance 0 are the zero-weight ones, so it is the router's
+          route (see ``fewest_hop_path``);
+        - otherwise the router runs on the class's weights: a path class
+          calls ``min_weight_path`` or ``anycast_route``, and the tree
+          classes go to the selector together.
+        """
+        g, y_tilde = self.g, vq.y_tilde
+        routes: dict[int, Route] = {}
+        trees: dict[int, int] = {}
+        w_quantum = None
+        for cid, n in counts.items():
+            cls = self.by_id[cid]
+            route = self.idle(cls)
+            encrypted = cls.security == "quantum"
+            allowed = g.key_mask if encrypted else None
+            targets = self.path_dests.get(cid)
+            if targets is None:
+                # a busy link weighs x̃ + ỹ > 0 to an encrypted class, but maybe only x̃ to a plain one
+                if any((allowed is None or allowed[e]) and (encrypted or y_tilde[e]) for e in busy):
+                    trees[cid] = n
+                else:
+                    routes[cid] = route
+                continue
+            if busy.isdisjoint(route.edges) if encrypted else not any(y_tilde[e] for e in route.edges):
+                routes[cid] = route
+                continue
+            # keyless links are not allowed to an encrypted class, so it may block all of busy
+            heavy = busy if encrypted else {e for e in busy if y_tilde[e]}
+            route = fewest_hop_path(g, cls.source, targets, allowed, heavy)
+            if route is None:
+                if encrypted and w_quantum is None:
+                    w_quantum = assign_weights(vq)
+                w = w_quantum if encrypted else y_tilde
+                if isinstance(cls.kind, Unicast):
+                    route = min_weight_path(g, w, cls.source, cls.kind.destination, allowed)
+                else:
+                    route = anycast_route(g, w, cls.source, targets, allowed)
+            routes[cid] = route
+        if trees:
+            routes.update(self._select(trees, vq))
+        return routes
+
+
 class _Engine:
     """One slot loop for every policy.
 
-    Each slot admits the arrivals, runs the key phase, serves the links,
-    advances the virtual queues and records the slot.  The policy supplies
-    only what differs:
+    Each slot admits the arrivals, runs the key phase, serves the links
+    and records the slot.  The policy supplies only what differs:
 
-    - route choice: minimum-weight routes over the virtual queues
-      (tandem, multilevel), fixed hop-count routes (single-queue), or none
-      (backpressure keeps per-(node, class) queues instead of edge queues).
-      Where some link has no keys or some class is plain, encrypted classes
-      keep to the keyed links and plain ones weigh only the transmission
-      counters (``multilevel_select_routes``);
-    - the key phase: tandem reserves keys for the virtual demand and
-      encrypts, backpressure caps each link's keys, single-queue banks
-      nothing;
+    - route choice: ``_Router``'s minimum-weight routes over the virtual
+      queues (tandem, multilevel), its idle fewest-hop routes
+      (single-queue), or none (backpressure keeps per-(node, class) queues
+      instead of edge queues);
+    - the key phase: tandem reserves keys for the virtual demand, advances
+      the virtual queues and encrypts, backpressure caps each link's keys,
+      single-queue banks nothing;
     - the service: a link sends up to its capacity (tandem), up to
       ``single_queue_service`` (single-queue), or what
       ``backpressure_activations`` picks (backpressure).
@@ -388,7 +502,6 @@ class _Engine:
         cap = max((s.process.cap for s in self.key_samplers), default=0)
         self.fresh_block = np.zeros((self.block_slots, m), dtype=np.int32 if cap < 2**31 else np.int64)
         self.bank = None if self.fresh_only else KeyBank(m)
-        self.kappa_now = [0] * m
         self.gamma = [e.gamma for e in g.edges]
 
         ids = [c.id for c in self.classes]
@@ -437,16 +550,10 @@ class _Engine:
         self.x_total = 0
         self.y_total = 0
         self.transmitted_encrypted = [0] * m
-        self.mixed = g.key_mask is not None or any(c.security != "quantum" for c in self.classes)
-        # each class's route while no link it may use carries weight, found when first needed
-        self.idle_routes: dict[int, Route] = {}
-        # a path class's destinations: its one destination, or its anycast candidates
-        self.path_dests = {
-            c.id: c.destination_nodes(g.n) for c in self.classes if not isinstance(c.kind, (Broadcast, Multicast))
-        }
+        self.router = _Router(g, self.classes)
         if self.fresh_only:
             for c in self.classes:
-                self._idle_route(c)
+                self.router.idle(c)
             return
 
         self.storage = mode.key_storage
@@ -457,10 +564,8 @@ class _Engine:
         self.vq_total = 0.0
         self.a_q: dict[int, int] = {}  # virtual arrivals per edge, encrypted classes
         self.a_c: dict[int, int] = {}  # virtual arrivals per edge, plain classes
-        self.touched: set[int] = set()  # edges with virtual backlog or arrivals this slot
         self.escrow = [0] * m
         self.unbooked_moves: dict[int, int] = {}  # without storage: keys spent this block, per edge
-        self.reserved_total = [0] * m
         self.moved_total = [0] * m
         self.x_post_enc: dict[int, int] = {}
 
@@ -488,7 +593,6 @@ class _Engine:
                 elif self.virtual:
                     self._reserve_and_encrypt(fresh, fresh_sum)
                     self._serve_edges(t)
-                    self._advance_virtual_queues()
                 else:
                     self._serve_edges(t, fresh)
                 self._record(t)
@@ -530,105 +634,9 @@ class _Engine:
 
     # -- admission -------------------------------------------------------------
 
-    def _idle_route(self, cls: TrafficClass) -> Route:
-        """The class's route while no link it may use carries weight.
-
-        A unicast or anycast class takes its fewest-hop route
-        (``fewest_hop_path`` with nothing blocked: the walk every path
-        router makes, unweighed), which is also single-queue's fixed route.
-        A broadcast or multicast class takes the router's tree on all-zero
-        weights, built once through the selectors.  That tree is the
-        router's answer whenever every weight the class sees is 0, for two
-        reasons.  First, the only weights a tree router reads are those of
-        links it may use: trees are refused on a graph with a one-way link,
-        and a link's two directions share ``has_qkd``, so the key mask
-        keeps or drops a link whole.  Second, on zero weights Kruskal's
-        order, the Steiner closure and its pruning depend only on node and
-        link ids.
-        """
-        route = self.idle_routes.get(cls.id)
-        if route is None:
-            targets = self.path_dests.get(cls.id)
-            if targets is None:
-                zeros = [0.0] * self.g.m
-                route = self._select({cls.id: 1}, VirtualQueues(zeros, zeros))[cls.id]
-            else:
-                route = fewest_hop_path(self.g, cls.source, targets, self._allowed(cls))
-                if route is None:
-                    raise UnreachableError(f"class {cls.id}: no destination reachable on its allowed subgraph")
-            self.idle_routes[cls.id] = route
-        return route
-
-    def _allowed(self, cls: TrafficClass) -> Sequence[bool] | None:
-        """The links a class may use: the keyed ones if it is encrypted."""
-        return self.g.key_mask if cls.security == "quantum" else None
-
-    def _select(self, counts: dict[int, int], vq: VirtualQueues) -> dict[int, Route]:
-        """The router's routes on ``vq``; multilevel's selector wherever some
-        link is keyless or some class plain."""
-        if self.mixed:
-            return multilevel_select_routes(self.g, vq, counts, self.classes)
-        return select_routes(self.g, assign_weights(vq), counts, self.classes)
-
-    def _routes(self, counts: dict[int, int]) -> dict[int, Route]:
-        """Each arriving class's minimum-weight route.
-
-        An encrypted class weighs x̃ + ỹ on the keyed links, a plain one ỹ
-        on every link.  Most of these weigh 0 in most slots, so the router
-        runs only when backlog forces it:
-
-        - a class takes its idle route (``_idle_route``) when no link on it
-          carries weight; a tree class, when no link it may use does;
-        - otherwise a path class takes the fewest-hop path that avoids the
-          links with weight.  The router walks the same way over its tight
-          links, and when that path exists the tight links among the nodes
-          at distance 0 are the zero-weight ones, so it is the router's
-          route (see ``fewest_hop_path``);
-        - otherwise the router runs on the class's weights: a path class
-          calls ``min_weight_path`` or ``anycast_route``, and the tree
-          classes go to the selector together.
-
-        Single-queue always takes the idle routes.
-        """
-        if self.fresh_only:
-            return self.idle_routes
-        g, busy, y_tilde = self.g, self.active_vq, self.y_tilde
-        routes: dict[int, Route] = {}
-        trees: dict[int, int] = {}
-        w_quantum = None
-        for cid, n in counts.items():
-            cls = self.by_id[cid]
-            route = self._idle_route(cls)
-            encrypted, allowed = self.encrypted[cid], self._allowed(cls)
-            targets = self.path_dests.get(cid)
-            if targets is None:
-                # a busy link weighs x̃ + ỹ > 0 to an encrypted class, but maybe only x̃ to a plain one
-                if any((allowed is None or allowed[e]) and (encrypted or y_tilde[e]) for e in busy):
-                    trees[cid] = n
-                else:
-                    routes[cid] = route
-                continue
-            if busy.isdisjoint(route.edges) if encrypted else not any(y_tilde[e] for e in route.edges):
-                routes[cid] = route
-                continue
-            # keyless links are not allowed to an encrypted class, so it may block all of busy
-            heavy = busy if encrypted else {e for e in busy if y_tilde[e]}
-            route = fewest_hop_path(g, cls.source, targets, allowed, heavy)
-            if route is None:
-                if encrypted and w_quantum is None:
-                    w_quantum = assign_weights(self.vq)
-                w = w_quantum if encrypted else y_tilde
-                if isinstance(cls.kind, Unicast):
-                    route = min_weight_path(g, w, cls.source, cls.kind.destination, allowed)
-                else:
-                    route = anycast_route(g, w, cls.source, targets, allowed)
-            routes[cid] = route
-        if trees:
-            routes.update(self._select(trees, self.vq))
-        return routes
-
     def _route_and_admit(self, counts: dict[int, int], slot: int) -> None:
-        routes = self._routes(counts)
+        router = self.router
+        routes = router.idle_routes if self.fresh_only else router.routes(counts, self.vq, self.active_vq)
         for cid, n in counts.items():
             route = routes[cid]
             encrypted = self.encrypted[cid]
@@ -685,31 +693,45 @@ class _Engine:
         self.keys_total = int(bank.residual.sum())
 
     def _reserve_and_encrypt(self, fresh: np.ndarray, fresh_sum: int) -> None:
-        """Tandem's key phase: bank the fresh keys and encrypt.
+        """Tandem's key phase: bank the fresh keys, advance the virtual
+        queues and encrypt.
 
         With storage, keys are reserved for the virtual unencrypted demand
         and encryption spends the reservation; without storage, encryption
-        spends the slot's keys and the rest is discarded.  Only edges with
-        virtual backlog or arrivals (``touched``) can have demand, and only
-        edges with a non-empty encryption queue can encrypt.
+        spends the slot's keys and the rest is discarded.  The virtual
+        queues read only the slot's arrivals, its keys kappa (the bank
+        after the deposit with storage, the fresh keys without) and gamma,
+        so they advance in the reservation's pass over the edges with
+        virtual backlog or arrivals.  Only edges with a non-empty
+        encryption queue can encrypt.
         """
-        bank, kappa, storage = self.bank, self.kappa_now, self.storage
-        x_tilde, a_q, escrow = self.x_tilde, self.a_q, self.escrow
+        bank, storage, escrow, busy = self.bank, self.storage, self.escrow, self.active_vq
+        x_tilde, y_tilde, a_q, a_c, gamma = self.x_tilde, self.y_tilde, self.a_q, self.a_c, self.gamma
         if storage:
             bank.deposit(fresh)
             self.keys_total += fresh_sum
             keys = bank.residual
         else:
             keys = fresh  # booked by _book_block; keys_total stays 0
-        touched = self.touched = self.active_vq.union(a_q, self.a_c)
-        for e in touched:
-            kappa[e] = keys.item(e)
-            if storage:
-                demand = int(x_tilde[e]) + a_q.get(e, 0)
-                if demand:
-                    got = bank.withdraw(e, demand)
-                    escrow[e] += got
-                    self.reserved_total[e] += got
+        for e in busy.union(a_q, a_c):
+            aq = a_q.get(e, 0)
+            x_old, y_old = x_tilde[e], y_tilde[e]
+            # kappa is read before the reservation; a keyless link has kappa 0
+            # and no encrypted arrivals, so its x̃ stays 0
+            x_new = x_tilde[e] = max(0.0, x_old + aq - keys.item(e))
+            y_new = y_tilde[e] = max(0.0, y_old + (aq + a_c.get(e, 0)) - gamma[e])
+            demand = int(x_old) + aq
+            if storage and demand:
+                escrow[e] += bank.withdraw(e, demand)
+            self.vq_total += (x_new - x_old) + (y_new - y_old)
+            if self.drift:
+                self.lyap += x_new * x_new - x_old * x_old + y_new * y_new - y_old * y_old
+            if x_new or y_new:
+                busy.add(e)
+            else:
+                busy.discard(e)
+        a_q.clear()
+        a_c.clear()
         for e in list(self.active_x):
             avail = escrow[e] if storage else fresh.item(e)
             if not avail:
@@ -847,30 +869,6 @@ class _Engine:
         if sent_edges:
             self.keys_total -= self.bank.withdraw_many(sent_edges, sent)
 
-    # -- virtual queues ---------------------------------------------------------
-
-    def _advance_virtual_queues(self) -> None:
-        a_q, a_c = self.a_q, self.a_c
-        for e in self.touched:
-            aq = a_q.get(e, 0)
-            a_all = aq + a_c.get(e, 0)
-            x_old = self.x_tilde[e]
-            y_old = self.y_tilde[e]
-            # a keyless link has kappa 0 and no encrypted arrivals, so its x̃ stays 0
-            x_new = max(0.0, x_old + aq - self.kappa_now[e])
-            y_new = max(0.0, y_old + a_all - self.gamma[e])
-            self.x_tilde[e] = x_new
-            self.y_tilde[e] = y_new
-            self.vq_total += (x_new - x_old) + (y_new - y_old)
-            if self.drift:
-                self.lyap += x_new * x_new - x_old * x_old + y_new * y_new - y_old * y_old
-            if x_new or y_new:
-                self.active_vq.add(e)
-            else:
-                self.active_vq.discard(e)
-        a_q.clear()
-        a_c.clear()
-
     # -- recording ----------------------------------------------------------------
 
     def _record(self, t: int) -> None:
@@ -963,7 +961,7 @@ class _Engine:
                 raise InvariantViolation(f"slot {t}: edge {e} transmitted more than was encrypted")
             if self.storage:
                 residual = bank.residual.item(e)
-                if self.escrow[e] != self.reserved_total[e] - self.moved_total[e]:
+                if self.escrow[e] != bank.consumed_total.item(e) - self.moved_total[e]:
                     raise InvariantViolation(f"slot {t}: edge {e} escrow ledger broke")
                 if self.x_tilde[e] > 0 and residual > 0:
                     raise InvariantViolation(

@@ -166,6 +166,13 @@ class KeySpec:
     check_fraction: float = 0.0
     overrides: tuple[tuple[tuple[int, int], "KeySpec"], ...] = ()
 
+    def __post_init__(self):
+        links: dict[frozenset, int] = {}  # each overridden link, either direction -> its first index
+        for i, ((u, v), _) in enumerate(self.overrides):
+            first = links.setdefault(frozenset((u, v)), i)
+            if first != i:
+                raise ValueError(f"overrides[{i}]: link ({u}, {v}) is already overridden by overrides[{first}]")
+
     def process_for(self, eta: float) -> KeyProcess:
         if self.kind == "truncated_poisson":
             return TruncatedPoisson(eta, self.k_max)

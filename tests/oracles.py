@@ -313,31 +313,27 @@ def backpressure_scan(queue_lens, g, kappa, class_ids, edge_order, live):
 def virtual_queue_trace():
     """Record every slot's virtual-queue row of the one run made in the block.
 
-    Wraps ``_Engine._reserve_and_encrypt`` and
-    ``_Engine._advance_virtual_queues``.  The yielded dict is filled on exit
-    with (horizon, m) arrays: ``arrivals`` (each link's virtual arrivals,
-    all classes), ``kappa`` (the keys the x̃ update reads: the bank after
-    the slot's deposit with storage, the fresh keys without), and
-    ``x_tilde`` and ``y_tilde`` after the update.  It stays empty under the
-    baselines, which keep no virtual queues.
+    Wraps ``_Engine._reserve_and_encrypt``, the key phase that advances
+    the virtual queues.  The yielded dict is filled on exit with (horizon,
+    m) arrays: ``arrivals`` (each link's virtual arrivals, all classes) and
+    ``kappa`` (the keys the x̃ update reads: the bank after the slot's
+    deposit with storage, the fresh keys without), both read before the
+    call, and ``x_tilde`` and ``y_tilde`` after it.  It stays empty under
+    the baselines, which keep no virtual queues.
     """
     rows = {"arrivals": [], "kappa": [], "x_tilde": [], "y_tilde": []}
-    reserve, advance = _Engine._reserve_and_encrypt, _Engine._advance_virtual_queues
+    reserve = _Engine._reserve_and_encrypt
 
     def reserve_and_record(eng, fresh, fresh_sum):
+        rows["arrivals"].append([eng.a_q.get(e, 0) + eng.a_c.get(e, 0) for e in range(eng.g.m)])
         # fresh is a view of the engine's block buffer; both forms copy it
         rows["kappa"].append(fresh + eng.bank.residual if eng.storage else fresh.astype(np.int64))
         reserve(eng, fresh, fresh_sum)
-
-    def advance_and_record(eng):
-        rows["arrivals"].append([eng.a_q.get(e, 0) + eng.a_c.get(e, 0) for e in range(eng.g.m)])
-        advance(eng)
         rows["x_tilde"].append(list(eng.x_tilde))
         rows["y_tilde"].append(list(eng.y_tilde))
 
     trace: dict[str, np.ndarray] = {}
-    with mock.patch.object(_Engine, "_reserve_and_encrypt", reserve_and_record), \
-            mock.patch.object(_Engine, "_advance_virtual_queues", advance_and_record):
+    with mock.patch.object(_Engine, "_reserve_and_encrypt", reserve_and_record):
         yield trace
     if rows["kappa"]:
         trace.update(

@@ -10,6 +10,7 @@ from qkdsim.analysis import stability_test
 from qkdsim.cli import compare_runs, main, run_experiment
 from qkdsim.config import ConfigError, ExperimentConfig, GraphConfig, preset_config
 from qkdsim.engine import simulate
+from qkdsim.policy import TandemMode
 
 
 def _tiny_config(name="tiny", policies=None, rate_scales=(0.5, 1.0)):
@@ -121,6 +122,34 @@ def test_seed_rules_hold_for_configs_built_in_python():
     for seeds, rule in (((), "must not be empty"), ((3, 3), "must be distinct"), ((1, -2), "must be >= 0, got -2")):
         with pytest.raises(ConfigError, match=f"^config.seeds: .*{rule}"):
             dataclasses.replace(cfg, seeds=seeds)
+
+
+# id -> (the replace() fields of the loaded tiny config, the error's start)
+_PYTHON_BUILT_REJECTED = {
+    "no-rate-scales": (lambda cfg: {"rate_scales": ()}, "config.rate_scales: must not be empty"),
+    "rate-scales-share-a-file-name": (lambda cfg: {"rate_scales": (0.1, 0.1000000001)},
+                                      "config.rate_scales: scales must differ in their file-name form"),
+    "repeated-labels": (lambda cfg: {"policies": (TandemMode(), TandemMode())},
+                        "policies[1]: label 'tandem-store' repeats policies[0]"),
+    "horizon-0": (lambda cfg: {"horizon": 0}, "config.horizon: must be >= 1"),
+    "queue-cap-0": (lambda cfg: {"queue_cap": 0}, "config.queue_cap: must be >= 1"),
+    "stride-0": (lambda cfg: {"series_stride": 0}, "metrics.stride: must be >= 1"),
+    "no-classes": (lambda cfg: {"classes": ()}, "config.classes: at least one traffic class is required"),
+    "repeated-class-ids": (lambda cfg: {"classes": cfg.classes * 2}, "config.classes: class ids must be unique"),
+    "no-policies": (lambda cfg: {"policies": ()}, "config.policies: at least one policy is required"),
+    "misspelt-kind": (lambda cfg: {"classes": (dataclasses.replace(cfg.classes[0], kind="unicst"),)},
+                      "classes[0] at rate scale 0.5: unknown traffic kind 'unicst'"),
+    "misspelt-process": (lambda cfg: {"classes": (dataclasses.replace(cfg.classes[0], process="bernouli"),)},
+                         "classes[0] at rate scale 0.5: unknown process 'bernouli'"),
+}
+
+
+@pytest.mark.parametrize("fields, error", _PYTHON_BUILT_REJECTED.values(), ids=_PYTHON_BUILT_REJECTED.keys())
+def test_configs_built_in_python_meet_the_load_rules(tmp_path, fields, error):
+    cfg = ExperimentConfig.from_dict(_tiny_config())
+    with pytest.raises(ConfigError, match="^" + re.escape(error)):
+        run_experiment(dataclasses.replace(cfg, **fields(cfg)), tmp_path / "out")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_presets_build_and_round_trip():
@@ -301,11 +330,11 @@ _REJECTED = {
     "override-repeats-link": (
         {"keys": {"overrides": [{"u": 0, "v": 1, "process": "deterministic", "value": 3},
                                 {"u": 0, "v": 1, "process": "deterministic", "value": 0}]}}, {},
-        "keys.overrides[1]: link (0, 1) is already overridden by keys.overrides[0]"),
+        "keys.overrides[1]: link (0, 1) is already overridden by overrides[0]"),
     "override-repeats-link-reversed": (
         {"keys": {"overrides": [{"u": 0, "v": 1, "process": "deterministic", "value": 3},
                                 {"u": 1, "v": 0, "process": "deterministic", "value": 0}]}}, {},
-        "keys.overrides[1]: link (1, 0) is already overridden by keys.overrides[0]"),
+        "keys.overrides[1]: link (1, 0) is already overridden by overrides[0]"),
     "edge-endpoint-out-of-range": ({"graph": {"kind": "inline", "nodes": 2, "edges": [{"u": 0, "v": 5}]}}, {},
                                    "error: graph.edges[0]: "),
     "edge-self-loop": ({"graph": {"kind": "inline", "nodes": 2, "edges": [{"u": 0, "v": 1}, {"u": 1, "v": 1}]}},

@@ -389,6 +389,13 @@ def test_class_endpoint_outside_the_graph_rejected(source, destination):
         simulate(g, classes, TandemMode(), horizon=10, seed=0)
 
 
+def test_repeated_class_ids_rejected():
+    # two classes of one id would share one arrival stream and one set of counters
+    classes = [TrafficClass(0, 0, Unicast(1), Bernoulli(0.5)), TrafficClass(0, 0, Unicast(1), Bernoulli(0.5))]
+    with pytest.raises(ValueError, match="class id 0 is repeated"):
+        simulate(_single_link(), classes, TandemMode(), horizon=1_000, seed=0)
+
+
 @pytest.mark.parametrize("arg", ["series_stride", "queue_cap"])
 def test_engine_rejects_stride_and_queue_cap_below_1(arg):
     # a stride of 0 would be read as 1 and a queue cap of 0 would drop every packet

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -188,6 +189,15 @@ def test_keyspec_per_edge_override():
     assert spec.process_for_edge(0, 1, 0.5).value == 9
     assert spec.process_for_edge(1, 0, 0.5).value == 9  # either direction
     assert isinstance(spec.process_for_edge(1, 2, 0.5), TruncatedPoisson)
+
+
+@pytest.mark.parametrize("second", [(0, 1), (1, 0)])
+def test_keyspec_rejects_a_link_overridden_twice(second):
+    # the first override used to win silently on a KeySpec built in Python
+    overrides = (((0, 1), KeySpec(kind="deterministic", value=3)), (second, KeySpec(kind="deterministic", value=0)))
+    error = f"overrides[1]: link ({second[0]}, {second[1]}) is already overridden by overrides[0]"
+    with pytest.raises(ValueError, match=re.escape(error)):
+        KeySpec(overrides=overrides)
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qkdsim.config import GraphConfig
-from qkdsim.engine import _Engine, simulate
+from qkdsim.engine import _Router, simulate
 from qkdsim.keying import KeySpec
 from qkdsim.policy import (
-    MultilevelMode,
     TandemMode,
     VirtualQueues,
     assign_weights,
@@ -375,9 +374,9 @@ def test_multilevel_quantum_unreachable_inside_qkd_subgraph():
 # zero-weight shortcut: a path class takes the fewest-hop path over the links
 # that weigh 0 without the router; the router would have picked the same route
 
-def _engine(g, classes, mode):
-    """An engine on default keys and settings whose route rule a test drives by hand."""
-    return _Engine(g, classes, mode, KeySpec(), "fifo", 1, 0, 10_000, False, 1, False, False)
+def _busy(x, y):
+    """The links with weight: x̃ or ỹ above 0."""
+    return {e for e, (a, b) in enumerate(zip(x, y)) if a or b}
 
 
 def _mostly_zero(rng, m):
@@ -420,11 +419,10 @@ def test_zero_weight_shortcut_matches_the_router(seed, masked, case):
             assume(cands is not None)
         classes.append(TrafficClass(len(classes), s, Unicast(d), Bernoulli(0.1), security=sec))
         classes.append(TrafficClass(len(classes), s, Anycast(cands), Bernoulli(0.1), security=sec))
-    mode = MultilevelMode() if masked else TandemMode()
-    eng = _engine(g, classes, mode)
+    router = _Router(g, classes)
     keyed = g.key_mask or [True] * g.m
     for cls in classes:
-        idle = eng._idle_route(cls)
+        idle = router.idle(cls)
         # a keyless link never holds encryption backlog
         x = [w if k else 0.0 for w, k in zip(_mostly_zero(rng, g.m), keyed)]
         y = _mostly_zero(rng, g.m)
@@ -437,10 +435,6 @@ def test_zero_weight_shortcut_matches_the_router(seed, masked, case):
             for e in g.out_edges[s]:
                 if g.edges[e].v in cls.kind.candidates:
                     x[e] = y[e] = 0.0
-        eng.x_tilde[:] = x
-        eng.y_tilde[:] = y
-        eng.active_vq.clear()
-        eng.active_vq.update(e for e in range(g.m) if x[e] or y[e])
         if cls.security == "quantum":
             w, allowed = [a + b for a, b in zip(x, y)], g.key_mask
         else:
@@ -451,7 +445,7 @@ def test_zero_weight_shortcut_matches_the_router(seed, masked, case):
             want = anycast_route(g, w, s, cls.kind.candidates, allowed)
         with mock.patch("qkdsim.engine.min_weight_path", wraps=min_weight_path) as path_router, \
                 mock.patch("qkdsim.engine.anycast_route", wraps=anycast_route) as anycast_router:
-            got = eng._routes({cls.id: 1})[cls.id]
+            got = router.routes({cls.id: 1}, VirtualQueues(x, y), _busy(x, y))[cls.id]
         assert got == want
         assert_path_tree(g, want)
         assert_path_tree(g, got)
@@ -469,9 +463,10 @@ def test_zero_weight_shortcut_matches_the_router(seed, masked, case):
 def test_zero_weight_shortcut_skips_the_router_when_idle():
     g = erdos_renyi(8, 0.5, seed=3)
     classes = [TrafficClass(0, 0, Unicast(5), Bernoulli(0.1)), TrafficClass(1, 2, Anycast((6, 7)), Bernoulli(0.1))]
-    eng = _engine(g, classes, TandemMode())
-    routes = eng._routes({0: 1, 1: 2})
-    assert routes[0] is eng.idle_routes[0] and routes[1] is eng.idle_routes[1]
+    router = _Router(g, classes)
+    zeros = [0.0] * g.m
+    routes = router.routes({0: 1, 1: 2}, VirtualQueues(zeros, zeros), set())
+    assert routes[0] is router.idle_routes[0] and routes[1] is router.idle_routes[1]
     assert routes[0] == min_weight_path(g, [0.0] * g.m, 0, 5)
     assert routes[1] == anycast_route(g, [0.0] * g.m, 2, (6, 7))
 
@@ -488,7 +483,7 @@ def test_idle_tree_is_reused_while_the_class_sees_no_weight(kind, security, mask
     g = GraphConfig(kind="erdos_renyi", nodes=8, p=0.5, graph_seed=5,
                     qkd_fraction=0.6 if masked else 1.0).build()
     cls = TrafficClass(0, 1, kind, Bernoulli(0.1), security=security)
-    eng = _engine(g, [cls], MultilevelMode())
+    router = _Router(g, [cls])
     allowed = g.key_mask if security == "quantum" else None
     terminals = set(range(g.n)) if isinstance(kind, Broadcast) else set(kind.destinations)
     rng = np.random.default_rng(7)
@@ -502,19 +497,15 @@ def test_idle_tree_is_reused_while_the_class_sees_no_weight(kind, security, mask
             x[e] = float(rng.integers(1, 9))
 
     def routes():
-        eng.x_tilde[:] = x
-        eng.y_tilde[:] = y
-        eng.active_vq.clear()
-        eng.active_vq.update(e for e in range(g.m) if x[e] or y[e])
         with mock.patch("qkdsim.engine.select_routes", wraps=select_routes) as plain_selector, \
                 mock.patch("qkdsim.engine.multilevel_select_routes", wraps=multilevel_select_routes) as selector:
-            got = eng._routes({0: 1})[0]
+            got = router.routes({0: 1}, VirtualQueues(list(x), list(y)), _busy(x, y))[0]
         want = multilevel_select_routes(g, VirtualQueues(list(x), list(y)), {0: 1}, [cls])[0]
         assert got == want
         assert_tree_shape(g, got, cls.source, terminals, allowed)
         return got, plain_selector.call_count + selector.call_count
 
-    idle = eng._idle_route(cls)
+    idle = router.idle(cls)
     for _ in range(2):
         got, router_calls = routes()
         assert got is idle and router_calls == 0
