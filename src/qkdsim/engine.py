@@ -14,12 +14,14 @@ runs this one loop; the baselines skip the phases they do not have (see
 asks which of the two it runs, it reads the graph's ``key_mask`` and the
 classes' security levels.
 
-One key ledger (``KeyBank``) holds every link's keys as arrays.  With key
-storage, a link's keys are debited by its virtual unencrypted demand each
-slot; debited keys are held per link ("escrow") until a physical packet
-consumes them at encryption.  This is what keeps the residual and the
-virtual backlog from being positive at the same time, exactly, slot by
-slot.
+Where keys are carried between slots (tandem and multilevel with key
+storage, and backpressure), one key ledger (``KeyBank``) holds every
+link's keys as arrays; without storage a slot spends only its fresh keys,
+so no ledger is kept.  With key storage, a link's keys are debited by its
+virtual unencrypted demand each slot; debited keys are held per link
+("escrow") until a physical packet consumes them at encryption.  This is
+what keeps the residual and the virtual backlog from being positive at
+the same time, exactly, slot by slot.
 
 A slot costs what its traffic costs.  Arrivals and keys are drawn in blocks
 of slots (at most ``_BLOCK_CELLS`` key counts at a time), so memory does not
@@ -128,23 +130,25 @@ class FifoQueue(deque):
 
 
 class EntoQueue:
-    """Serve the copy that has traversed the fewest hops; ties by packet id."""
+    """Serve the copy that has traversed the fewest hops; ties by packet id.
 
-    __slots__ = ("heap", "_seq", "_deferred")
+    A packet crosses each link at most once, so (hops, packet id) never
+    ties within one queue and the heap never compares two copies.
+    """
+
+    __slots__ = ("heap", "_deferred")
 
     def __init__(self):
-        self.heap: list[tuple[int, int, int, Copy]] = []
-        self._seq = 0
-        self._deferred: list[tuple[int, int, int, Copy]] = []
+        self.heap: list[tuple[int, int, Copy]] = []
+        self._deferred: list[tuple[int, int, Copy]] = []
 
     def push(self, copy: Copy) -> None:
-        self._seq += 1
-        heapq.heappush(self.heap, (copy.hops, copy.record.id, self._seq, copy))
+        heapq.heappush(self.heap, (copy.hops, copy.record.id, copy))
 
     def pop_eligible(self, slot: int) -> Copy | None:
         while self.heap:
             entry = heapq.heappop(self.heap)
-            copy = entry[3]
+            copy = entry[2]
             if copy.record.dead:
                 continue
             if copy.moved_at == slot:
@@ -163,7 +167,7 @@ class EntoQueue:
 
     def __iter__(self):
         for entry in self.heap + self._deferred:
-            yield entry[3]
+            yield entry[2]
 
 
 # ---------------------------------------------------------------------------
@@ -453,8 +457,9 @@ class _Engine:
       queues (tandem, multilevel), its idle fewest-hop routes
       (single-queue), or none (backpressure keeps per-(node, class) queues
       instead of edge queues);
-    - the key phase: tandem reserves keys for the virtual demand, advances
-      the virtual queues and encrypts, backpressure caps each link's keys,
+    - the key phase: tandem reserves keys for the virtual demand (with
+      storage) or spends the slot's fresh keys (without), advances the
+      virtual queues and encrypts, backpressure caps each link's keys,
       single-queue banks nothing;
     - the service: a link sends up to its capacity (tandem), up to
       ``single_queue_service`` (single-queue), or what
@@ -501,7 +506,7 @@ class _Engine:
         # a slot's count never exceeds its process's cap; int32 holds every cap but absurd ones
         cap = max((s.process.cap for s in self.key_samplers), default=0)
         self.fresh_block = np.zeros((self.block_slots, m), dtype=np.int32 if cap < 2**31 else np.int64)
-        self.bank = None if self.fresh_only else KeyBank(m)
+        self.bank = None  # the key ledger, kept only where keys are carried between slots
         self.gamma = [e.gamma for e in g.edges]
 
         ids = [c.id for c in self.classes]
@@ -510,7 +515,6 @@ class _Engine:
         self.class_delivered = dict.fromkeys(ids, 0)
         self.class_dropped = dict.fromkeys(ids, 0)
         self.class_delay = dict.fromkeys(ids, 0)
-        self.live = dict.fromkeys(ids, 0)
         self.next_pid = 0
         self.arrivals_cum = 0
         self.delivered_cum = 0
@@ -527,6 +531,7 @@ class _Engine:
         self.key_cap = None
         self.node_q = None
         if isinstance(mode, BackpressureMode):
+            self.bank = KeyBank(m)
             self.key_cap = mode.key_cap
             self.misc_rng = misc_rng
             self.ids = ids
@@ -557,6 +562,8 @@ class _Engine:
             return
 
         self.storage = mode.key_storage
+        if self.storage:
+            self.bank = KeyBank(m)
         self.x_tilde = [0.0] * m
         self.y_tilde = [0.0] * m
         self.vq = VirtualQueues(self.x_tilde, self.y_tilde)
@@ -565,7 +572,6 @@ class _Engine:
         self.a_q: dict[int, int] = {}  # virtual arrivals per edge, encrypted classes
         self.a_c: dict[int, int] = {}  # virtual arrivals per edge, plain classes
         self.escrow = [0] * m
-        self.unbooked_moves: dict[int, int] = {}  # without storage: keys spent this block, per edge
         self.moved_total = [0] * m
         self.x_post_enc: dict[int, int] = {}
 
@@ -596,8 +602,6 @@ class _Engine:
                 else:
                     self._serve_edges(t, fresh)
                 self._record(t)
-            if self.virtual and not self.storage:
-                self._book_block(fresh_block)
         return self._metrics()
 
     def _draw_block(self, nslots: int) -> tuple[dict[int, list[int]], np.ndarray, list[int]]:
@@ -614,7 +618,6 @@ class _Engine:
     def _new_record(self, cid: int, slot: int, remaining: int) -> PacketRecord:
         rec = PacketRecord(self.next_pid, cid, slot, remaining)
         self.next_pid += 1
-        self.live[cid] += 1
         return rec
 
     def _drop(self, rec: PacketRecord) -> None:
@@ -623,14 +626,12 @@ class _Engine:
         rec.dead = True
         self.class_dropped[rec.cls_id] += 1
         self.dropped_cum += 1
-        self.live[rec.cls_id] -= 1
 
     def _deliver(self, rec: PacketRecord, slot: int) -> None:
         rec.delivered_slot = slot
         self.class_delivered[rec.cls_id] += 1
         self.delivered_cum += 1
         self.class_delay[rec.cls_id] += slot - rec.birth
-        self.live[rec.cls_id] -= 1
 
     # -- admission -------------------------------------------------------------
 
@@ -693,12 +694,13 @@ class _Engine:
         self.keys_total = int(bank.residual.sum())
 
     def _reserve_and_encrypt(self, fresh: np.ndarray, fresh_sum: int) -> None:
-        """Tandem's key phase: bank the fresh keys, advance the virtual
+        """Tandem's key phase: take the fresh keys, advance the virtual
         queues and encrypt.
 
-        With storage, keys are reserved for the virtual unencrypted demand
-        and encryption spends the reservation; without storage, encryption
-        spends the slot's keys and the rest is discarded.  The virtual
+        With storage, the fresh keys go into the ledger, keys are reserved
+        for the virtual unencrypted demand and encryption spends the
+        reservation; without storage, no ledger is kept: encryption spends
+        the slot's fresh keys and the rest are lost.  The virtual
         queues read only the slot's arrivals, its keys kappa (the bank
         after the deposit with storage, the fresh keys without) and gamma,
         so they advance in the reservation's pass over the edges with
@@ -712,7 +714,7 @@ class _Engine:
             self.keys_total += fresh_sum
             keys = bank.residual
         else:
-            keys = fresh  # booked by _book_block; keys_total stays 0
+            keys = fresh  # nothing is banked, so keys_total stays 0
         for e in busy.union(a_q, a_c):
             aq = a_q.get(e, 0)
             x_old, y_old = x_tilde[e], y_tilde[e]
@@ -740,27 +742,12 @@ class _Engine:
             if storage:
                 escrow[e] -= moved
                 self.keys_total -= moved
-            else:
-                self.unbooked_moves[e] = self.unbooked_moves.get(e, 0) + moved
             self.moved_total[e] += moved
         if self.check:
             self.x_post_enc = {
                 e: sum(0 if c.record.dead else 1 for level in self.x_q[e] for c in level)
                 for e in self.active_x
             }
-
-    def _book_block(self, fresh: np.ndarray) -> None:
-        """Book a block's keys without storage.
-
-        Nothing is carried from one slot to the next, so booking the block
-        at its end gives the per-slot totals: the keys are deposited, the
-        moved ones withdrawn and the rest discarded.
-        """
-        bank = self.bank
-        bank.deposit(fresh.sum(axis=0))
-        bank.withdraw_many(list(self.unbooked_moves), list(self.unbooked_moves.values()))
-        self.unbooked_moves.clear()
-        bank.discard_residual()
 
     def _encrypt(self, eid: int, budget: int) -> int:
         """Move up to ``budget`` waiting copies into the encrypted queue."""
@@ -879,7 +866,7 @@ class _Engine:
             backlog = vq = self.vq_total
             x, y = self.x_total, self.y_total
         else:
-            x = sum(self.live.values())
+            x = self.arrivals_cum - self.delivered_cum - self.dropped_cum
             backlog, vq, y = float(x), 0.0, 0
         self.backlog_running += backlog
         if self.rows is not None and not t % self.stride:
@@ -892,7 +879,7 @@ class _Engine:
             self._check_invariants(t)
 
     def _metrics(self) -> MetricsRecord:
-        in_flight = sum(self.live.values())
+        in_flight = self.arrivals_cum - self.delivered_cum - self.dropped_cum
         series = None
         if self.rows is not None:
             width = len(_SERIES) if self.drift else len(_SERIES) - 2
@@ -947,13 +934,10 @@ class _Engine:
                     f"slot {t}: class {cid} conservation broke: "
                     f"{self.class_arrivals[cid]} arrivals vs {total} accounted"
                 )
-            if live_by_class[cid] != self.live[cid]:
-                raise InvariantViolation(f"slot {t}: class {cid} live-count mismatch")
 
         bank = self.bank
-        if bank is None:
-            return
-        bank.check_ledger()
+        if bank is not None:
+            bank.check_ledger()
         if not self.virtual:
             return
         for e in self.qkd_ids:

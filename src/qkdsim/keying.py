@@ -42,8 +42,7 @@ class KeyBank:
     whole vector in a fixed number of numpy steps.  ``withdraw`` names one
     edge, so per-edge work is paid only where keys are spent;
     ``withdraw_many`` books the withdrawals of many distinct edges (a
-    slot's backpressure sends, a block's no-storage encryptions) as one
-    vector step.
+    slot's backpressure sends) as one vector step.
     """
 
     def __init__(self, m: int):
@@ -167,6 +166,18 @@ class KeySpec:
     overrides: tuple[tuple[tuple[int, int], "KeySpec"], ...] = ()
 
     def __post_init__(self):
+        # each message names the config field, as ``keys.<field>`` reads it
+        if self.kind not in ("truncated_poisson", "deterministic", "bb84"):
+            raise ValueError(f"process: unknown key process {self.kind!r}")
+        if self.kind == "deterministic" and (self.value is None or self.value < 0):
+            raise ValueError("value: deterministic keys need a value >= 0")
+        if self.k_max < 1:
+            raise ValueError("k_max: must be >= 1")
+        if self.photons < 0:
+            raise ValueError(f"photons: must be >= 0, got {self.photons}")
+        for key in ("eavesdrop_prob", "check_fraction"):
+            if not 0 <= getattr(self, key) <= 1:
+                raise ValueError(f"{key}: must be in [0, 1], got {getattr(self, key)}")
         links: dict[frozenset, int] = {}  # each overridden link, either direction -> its first index
         for i, ((u, v), _) in enumerate(self.overrides):
             first = links.setdefault(frozenset((u, v)), i)
@@ -177,12 +188,8 @@ class KeySpec:
         if self.kind == "truncated_poisson":
             return TruncatedPoisson(eta, self.k_max)
         if self.kind == "deterministic":
-            if self.value is None:
-                raise ValueError("deterministic key process needs an explicit value")
             return DeterministicKeys(self.value)
-        if self.kind == "bb84":
-            return BB84Toy(self.photons, self.eavesdrop_prob, self.check_fraction, self.k_max)
-        raise ValueError(f"unknown key process kind {self.kind!r}")
+        return BB84Toy(self.photons, self.eavesdrop_prob, self.check_fraction, self.k_max)
 
     def process_for_edge(self, u: int, v: int, eta: float) -> KeyProcess:
         for (a, b), spec in self.overrides:

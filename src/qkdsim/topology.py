@@ -188,10 +188,14 @@ def erdos_renyi(
     fraction of all links.  Fixed seeds give byte-identical edge lists.
     """
     if not 0 < p <= 1:
-        raise TopologyError(f"connection probability must be in (0, 1], got {p}")
+        raise TopologyError(f"p: must be in (0, 1], got {p}")
+    if gamma < 1:
+        raise TopologyError(f"gamma: must be >= 1, got {gamma}")
     lo, hi = eta_range
-    if not (0 < lo <= hi):
-        raise TopologyError(f"eta_range must be a positive interval, got {eta_range}")
+    if not 0 < lo <= hi:
+        raise TopologyError(f"eta_range: need 0 < low <= high, got {list(eta_range)}")
+    if not 0 <= qkd_fraction <= 1:
+        raise TopologyError(f"qkd_fraction: must be in [0, 1], got {qkd_fraction}")
     rng = np.random.default_rng(seed)
     links = [(i, j, float(rng.uniform(lo, hi))) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
     keyed = range(len(links))

@@ -141,6 +141,20 @@ _PYTHON_BUILT_REJECTED = {
                       "classes[0] at rate scale 0.5: unknown traffic kind 'unicst'"),
     "misspelt-process": (lambda cfg: {"classes": (dataclasses.replace(cfg.classes[0], process="bernouli"),)},
                          "classes[0] at rate scale 0.5: unknown process 'bernouli'"),
+    "unicast-two-destinations": (
+        lambda cfg: {"classes": (dataclasses.replace(cfg.classes[0], destinations=(1, 0)),)},
+        "classes[0] at rate scale 0.5: a unicast class has one destination, got [1, 0]"),
+    "unicast-no-destination": (lambda cfg: {"classes": (dataclasses.replace(cfg.classes[0], destinations=()),)},
+                               "classes[0] at rate scale 0.5: a unicast class has one destination, got []"),
+    "unknown-graph-kind": (lambda cfg: {"graph": GraphConfig(kind="bogus", nodes=4)},
+                           "graph.kind: unknown graph kind 'bogus'"),
+    "graph-p-above-1": (lambda cfg: {"graph": GraphConfig(kind="erdos_renyi", nodes=4, p=1.5)},
+                        "graph.p: must be in (0, 1], got 1.5"),
+    "graph-gamma-0": (lambda cfg: {"graph": GraphConfig(kind="erdos_renyi", nodes=4, p=1.0, gamma=0)},
+                      "graph.gamma: must be >= 1, got 0"),
+    "qkd-fraction-above-1": (
+        lambda cfg: {"graph": GraphConfig(kind="erdos_renyi", nodes=4, p=1.0, qkd_fraction=2.5)},
+        "graph.qkd_fraction: must be in [0, 1], got 2.5"),
 }
 
 
@@ -421,6 +435,33 @@ def test_rerun_into_a_directory_of_another_config_is_refused(tmp_path, capsys):
     assert main(args) == 2
     assert "--output" in capsys.readouterr().err
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_file_graph_errors_share_one_prefix(tmp_path, capsys):
+    # a build error and a load error of one file's edge both name graph.edges[0];
+    # the load error used to read graph.path.edges[0]
+    graph = tmp_path / "g.json"
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**_tiny_config(), "graph": {"kind": "file", "path": str(graph)}}))
+    for doc, error in (
+        ({"nodes": 2, "edges": [{"u": 0, "v": 5}]}, "graph.edges[0]: edge (0,5) endpoint out of range for n=2"),
+        ({"nodes": 2, "edges": [{"u": 0, "v": 1, "gamma": 1.5}]},
+         "graph.edges[0].gamma: expected an integer, got 1.5"),
+        ([0, 1], "graph.path: graph file"),  # a file that holds no graph object is the path's fault
+    ):
+        graph.write_text(json.dumps(doc))
+        assert main(["run", "--config", str(path), "--output", str(tmp_path / "runs")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {error}")
+        assert not (tmp_path / "runs").exists()
+
+
+def test_graph_ranges_are_checked_when_the_graph_is_built():
+    cfg = GraphConfig.from_dict(_er(p=1.5))  # loads; erdos_renyi owns the range
+    with pytest.raises(ConfigError, match=re.escape("graph.p: must be in (0, 1], got 1.5")):
+        cfg.build()
+    cfg = GraphConfig.from_dict(_er(eta_range=[0.5, 0.1]))
+    with pytest.raises(ConfigError, match=re.escape("graph.eta_range: need 0 < low <= high, got [0.5, 0.1]")):
+        cfg.build()
 
 
 def test_rerun_after_the_graph_file_changed_is_refused(tmp_path, capsys):

@@ -176,7 +176,8 @@ def test_instrumented_run_passes_invariants():
 
 
 @pytest.mark.parametrize(
-    "mode", [TandemMode(), MultilevelMode(), SingleQueueMode(), BackpressureMode()],
+    "mode", [TandemMode(), TandemMode(key_storage=False), MultilevelMode(), MultilevelMode(key_storage=False),
+             SingleQueueMode(), BackpressureMode()],
     ids=lambda m: m.label,
 )
 def test_conservation_holds_with_drops(mode):

@@ -191,6 +191,22 @@ def test_keyspec_per_edge_override():
     assert isinstance(spec.process_for_edge(1, 2, 0.5), TruncatedPoisson)
 
 
+@pytest.mark.parametrize("fields, error", [
+    ({"k_max": 0}, "k_max: must be >= 1"),
+    ({"kind": "bb84", "photons": -1}, "photons: must be >= 0, got -1"),
+    ({"kind": "bogus"}, "process: unknown key process 'bogus'"),
+    ({"kind": "deterministic"}, "value: deterministic keys need a value >= 0"),
+    ({"kind": "deterministic", "value": -1}, "value: deterministic keys need a value >= 0"),
+    ({"kind": "bb84", "eavesdrop_prob": 1.5}, "eavesdrop_prob: must be in [0, 1], got 1.5"),
+    ({"kind": "bb84", "check_fraction": -0.1}, "check_fraction: must be in [0, 1], got -0.1"),
+], ids=["k-max-0", "negative-photons", "unknown-kind", "deterministic-no-value", "deterministic-negative",
+        "eavesdrop-prob-above-1", "check-fraction-negative"])
+def test_keyspec_rejects_a_bad_field(fields, error):
+    # these used to pass until the engine built its key samplers
+    with pytest.raises(ValueError, match="^" + re.escape(error)):
+        KeySpec(**fields)
+
+
 @pytest.mark.parametrize("second", [(0, 1), (1, 0)])
 def test_keyspec_rejects_a_link_overridden_twice(second):
     # the first override used to win silently on a KeySpec built in Python

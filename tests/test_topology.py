@@ -125,6 +125,19 @@ def test_erdos_renyi_parameter_validation():
         erdos_renyi(5, 0.5, eta_range=(0.0, 1.0))
 
 
+@pytest.mark.parametrize("fields, error", [
+    ({"p": 1.5}, r"^p: must be in \(0, 1\], got 1\.5"),
+    ({"gamma": 0}, r"^gamma: must be >= 1, got 0"),
+    ({"eta_range": (0.5, 0.1)}, r"^eta_range: need 0 < low <= high, got \[0\.5, 0\.1\]"),
+    ({"qkd_fraction": 2.5}, r"^qkd_fraction: must be in \[0, 1\], got 2\.5"),
+    ({"qkd_fraction": -1.0}, r"^qkd_fraction: must be in \[0, 1\], got -1\.0"),
+], ids=["p", "gamma", "eta-range", "qkd-fraction-above-1", "qkd-fraction-negative"])
+def test_erdos_renyi_errors_name_the_parameter(fields, error):
+    # qkd_fraction 2.5 used to key every link, and gamma 0 was named as edges[0]
+    with pytest.raises(TopologyError, match=error):
+        erdos_renyi(**{"n": 5, "p": 0.5, **fields})
+
+
 @given(seed=st.integers(0, 10_000))
 @settings(max_examples=25, deadline=None)
 def test_eta_within_range_and_omega_dominated(seed):
