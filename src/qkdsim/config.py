@@ -204,10 +204,8 @@ class GraphConfig:
             edges = _list(_require(doc, "edges", ctx), f"{ctx}.edges")
             specs = (EdgeSpec(**_fields(e, EdgeSpec, f"{ctx}.edges[{i}]")) for i, e in enumerate(edges))
             return cls(kind="inline", nodes=nodes, edges=tuple(specs))
-        # the ranges are erdos_renyi's to check, in build
+        # the ranges and eta_range's shape are erdos_renyi's to check, in build
         eta = _list(doc.get("eta_range", [0.2, 1.0]), f"{ctx}.eta_range")
-        if len(eta) != 2:
-            raise ConfigError(f"{ctx}.eta_range: expected [low, high], got {eta!r}")
         return cls(
             kind="erdos_renyi",
             nodes=nodes,
@@ -351,10 +349,11 @@ def _policy_from_dict(doc: dict, ctx: str) -> PolicyMode:
     name = _str(_require(doc, "mode", ctx), f"{ctx}.mode")
     if name not in _MODES:
         raise ConfigError(f"{ctx}.mode: unknown policy mode {name!r}")
-    mode = _MODES[name](**_fields(doc, _MODES[name], ctx, extra=("mode",)))
-    if isinstance(mode, BackpressureMode) and mode.key_cap < 0:
-        raise ConfigError(f"{ctx}.key_cap: must be >= 0")
-    return mode
+    fields = _fields(doc, _MODES[name], ctx, extra=("mode",))
+    try:
+        return _MODES[name](**fields)
+    except ValueError as exc:  # the mode's own rules name the field
+        raise ConfigError(f"{ctx}.{exc}") from None
 
 
 def _keys_to_dict(spec: KeySpec) -> dict:

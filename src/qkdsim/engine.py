@@ -6,13 +6,14 @@ encryption: unencrypted queue -> encrypted queue, one key per packet),
 link transmission, and delivery bookkeeping.  The virtual queues read only
 the slot's arrivals, keys and link capacities, never the physical
 service, so they advance in the key phase's pass over the links.  A
-packet may pass straight through an edge (arrive, encrypt, transmit)
-within one slot, but a forwarded packet only becomes serviceable at the
-next hop from the following slot.  Every policy
-runs this one loop; the baselines skip the phases they do not have (see
-``_Engine``).  Multilevel is tandem under another name: the engine never
-asks which of the two it runs, it reads the graph's ``key_mask`` and the
-classes' security levels.
+fresh packet may pass straight through its first edge (arrive, encrypt,
+transmit) within one slot.  The copies a slot's links send join their
+next queues only once every link has sent, so a forwarded copy waits
+one slot per hop and a full queue is judged after its own sends.  Every
+policy runs this one loop; the baselines skip the phases they do not
+have (see ``_Engine``).  Multilevel is tandem under another name: the
+engine never asks which of the two it runs, it reads the graph's
+``key_mask`` and the classes' security levels.
 
 Where keys are carried between slots (tandem and multilevel with key
 storage, and backpressure), one key ledger (``KeyBank``) holds every
@@ -84,7 +85,7 @@ class InvariantViolation(AssertionError):
 # packets
 
 class PacketRecord:
-    __slots__ = ("id", "cls_id", "birth", "remaining", "dead", "delivered_slot")
+    __slots__ = ("id", "cls_id", "birth", "remaining", "dead")
 
     def __init__(self, pid: int, cls_id: int, birth: int, remaining: int):
         self.id = pid
@@ -92,19 +93,17 @@ class PacketRecord:
         self.birth = birth
         self.remaining = remaining
         self.dead = False
-        self.delivered_slot: int | None = None
 
 
 class Copy:
     """One physical instance of a packet sitting at (or crossing) an edge."""
 
-    __slots__ = ("record", "route", "hops", "moved_at")
+    __slots__ = ("record", "route", "hops")
 
-    def __init__(self, record: PacketRecord, route, hops: int, moved_at: int):
+    def __init__(self, record: PacketRecord, route, hops: int):
         self.record = record
         self.route = route
         self.hops = hops
-        self.moved_at = moved_at
 
 
 class FifoQueue(deque):
@@ -114,19 +113,12 @@ class FifoQueue(deque):
 
     push = deque.append
 
-    def pop_eligible(self, slot: int) -> Copy | None:
+    def pop_live(self) -> Copy | None:
         while self:
-            head = self[0]
-            if head.record.dead:
-                self.popleft()
-                continue
-            if head.moved_at == slot:
-                return None  # everything behind arrived this slot too
-            return self.popleft()
+            copy = self.popleft()
+            if not copy.record.dead:
+                return copy
         return None
-
-    def flush_deferred(self) -> None:
-        pass
 
 
 class EntoQueue:
@@ -136,37 +128,26 @@ class EntoQueue:
     ties within one queue and the heap never compares two copies.
     """
 
-    __slots__ = ("heap", "_deferred")
+    __slots__ = ("heap",)
 
     def __init__(self):
         self.heap: list[tuple[int, int, Copy]] = []
-        self._deferred: list[tuple[int, int, Copy]] = []
 
     def push(self, copy: Copy) -> None:
         heapq.heappush(self.heap, (copy.hops, copy.record.id, copy))
 
-    def pop_eligible(self, slot: int) -> Copy | None:
+    def pop_live(self) -> Copy | None:
         while self.heap:
-            entry = heapq.heappop(self.heap)
-            copy = entry[2]
-            if copy.record.dead:
-                continue
-            if copy.moved_at == slot:
-                self._deferred.append(entry)
-                continue
-            return copy
+            copy = heapq.heappop(self.heap)[2]
+            if not copy.record.dead:
+                return copy
         return None
 
-    def flush_deferred(self) -> None:
-        for entry in self._deferred:
-            heapq.heappush(self.heap, entry)
-        self._deferred.clear()
-
     def __len__(self) -> int:
-        return len(self.heap) + len(self._deferred)
+        return len(self.heap)
 
     def __iter__(self):
-        for entry in self.heap + self._deferred:
+        for entry in self.heap:
             yield entry[2]
 
 
@@ -621,14 +602,13 @@ class _Engine:
         return rec
 
     def _drop(self, rec: PacketRecord) -> None:
-        if rec.dead or rec.delivered_slot is not None:
+        if rec.dead:
             return
         rec.dead = True
         self.class_dropped[rec.cls_id] += 1
         self.dropped_cum += 1
 
     def _deliver(self, rec: PacketRecord, slot: int) -> None:
-        rec.delivered_slot = slot
         self.class_delivered[rec.cls_id] += 1
         self.delivered_cum += 1
         self.class_delay[rec.cls_id] += slot - rec.birth
@@ -649,7 +629,7 @@ class _Engine:
             for _ in range(n):
                 rec = self._new_record(cid, slot, len(route.terminals))
                 for child in root_edges:
-                    if not self._place(Copy(rec, route, 0, -1), child, encrypted):
+                    if not self._place(Copy(rec, route, 0), child, encrypted):
                         break
 
     def _enqueue_at_sources(self, counts: dict[int, int], slot: int) -> None:
@@ -774,7 +754,13 @@ class _Engine:
 
     def _serve_edges(self, t: int, fresh: np.ndarray | None = None) -> None:
         """Each link sends up to its budget from its transmission queue;
-        single-queue passes the slot's ``fresh`` keys."""
+        single-queue passes the slot's ``fresh`` keys.
+
+        The sent copies arrive once every link has sent, in send order (links
+        by id, each link's copies as popped), so a copy waits one slot per
+        hop and a full queue is judged after its own sends.
+        """
+        sent = []
         for e in sorted(self.active_y):
             q = self.y_q[e]
             if self.fresh_only:
@@ -782,25 +768,29 @@ class _Engine:
             else:
                 budget = self.gamma[e]
             while budget:
-                copy = q.pop_eligible(t)
+                copy = q.pop_live()
                 if copy is None:
                     break
                 budget -= 1
                 self.y_total -= 1
                 if self.encrypted[copy.record.cls_id]:
                     self.transmitted_encrypted[e] += 1
-                self._arrive(copy, e, t)
-            q.flush_deferred()
+                sent.append((copy, e))
             if not len(q):
                 self.active_y.discard(e)
+        for copy, e in sent:
+            self._arrive(copy, e, t)
 
     def _arrive(self, copy: Copy, eid: int, slot: int) -> None:
-        """Count a terminal at the edge's head, then move the copy on to the
-        head's first child edge and fork a copy for each other one."""
+        """Count a terminal at the edge's head, then place the copy at the
+        head's first child edge and fork a copy for each other one.  A copy
+        whose packet was dropped while the slot's copies arrived goes no
+        further."""
         rec = copy.record
+        if rec.dead:
+            return
         v = self.g.edges[eid].v
         copy.hops += 1
-        copy.moved_at = slot
         route = copy.route
         if v in route.terminals:
             rec.remaining -= 1
@@ -812,7 +802,7 @@ class _Engine:
         encrypted = self.encrypted[rec.cls_id]
         if self._place(copy, kids[0], encrypted):
             for child in kids[1:]:
-                if not self._place(Copy(rec, route, copy.hops, slot), child, encrypted):
+                if not self._place(Copy(rec, route, copy.hops), child, encrypted):
                     break
 
     def _serve_nodes(self, t: int) -> None:
@@ -922,7 +912,7 @@ class _Engine:
         live_by_class = dict.fromkeys(self.class_arrivals, 0)
         seen: set[int] = set()
         for rec in self._queued_records():
-            if rec.dead or rec.delivered_slot is not None or rec.id in seen:
+            if rec.dead or rec.id in seen:
                 continue
             seen.add(rec.id)
             live_by_class[rec.cls_id] += 1

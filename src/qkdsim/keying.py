@@ -79,17 +79,13 @@ class KeyBank:
         return int(granted.sum())
 
     def discard_residual(self, keep: int = 0) -> None:
-        """Throw away every edge's keys above ``keep`` (0: the no-storage
-        operation; a positive ``keep`` caps each bank)."""
+        """Throw away every edge's keys above ``keep``: backpressure's key
+        cap, where 0 empties every bank."""
         if keep < 0:
             raise ValueError(f"keep must be >= 0, got {keep}")
-        if keep:
-            kept = np.minimum(self.residual, keep)
-            self.discarded_total += self.residual - kept
-            self.residual[:] = kept
-        else:
-            self.discarded_total += self.residual
-            self.residual.fill(0)
+        kept = np.minimum(self.residual, keep)
+        self.discarded_total += self.residual - kept
+        self.residual[:] = kept
 
     def check_ledger(self) -> None:
         assert np.array_equal(

@@ -70,6 +70,10 @@ class BackpressureMode:
     mode = "backpressure"
     label = "backpressure"
 
+    def __post_init__(self):
+        if self.key_cap < 0:
+            raise ValueError(f"key_cap: must be >= 0, got {self.key_cap}")
+
 
 @dataclass(frozen=True)
 class MultilevelMode(TandemMode):

@@ -11,6 +11,7 @@ seeded runs reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Sequence
 
 import numpy as np
@@ -154,6 +155,8 @@ def build_graph(n: int, specs: list[EdgeSpec] | tuple[EdgeSpec, ...]) -> Network
             raise TopologyError(f"edges[{i}]: self-loop at node {spec.u} is forbidden")
         if spec.gamma < 1:
             raise TopologyError(f"edges[{i}]: edge ({spec.u},{spec.v}): gamma must be >= 1, got {spec.gamma}")
+        if not isinstance(spec.gamma, Integral):  # a link sends whole packets
+            raise TopologyError(f"edges[{i}]: edge ({spec.u},{spec.v}): gamma must be a whole number, got {spec.gamma}")
         if spec.has_qkd and not spec.eta > 0:
             raise TopologyError(f"edges[{i}]: edge ({spec.u},{spec.v}): eta must be > 0 on QKD edges")
         keys = [(spec.u, spec.v)] if spec.directed else [(spec.u, spec.v), (spec.v, spec.u)]
@@ -191,6 +194,10 @@ def erdos_renyi(
         raise TopologyError(f"p: must be in (0, 1], got {p}")
     if gamma < 1:
         raise TopologyError(f"gamma: must be >= 1, got {gamma}")
+    if not isinstance(gamma, Integral):
+        raise TopologyError(f"gamma: must be a whole number, got {gamma}")
+    if len(eta_range) != 2:
+        raise TopologyError(f"eta_range: expected [low, high], got {list(eta_range)}")
     lo, hi = eta_range
     if not 0 < lo <= hi:
         raise TopologyError(f"eta_range: need 0 < low <= high, got {list(eta_range)}")

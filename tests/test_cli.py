@@ -11,6 +11,7 @@ from qkdsim.cli import compare_runs, main, run_experiment
 from qkdsim.config import ConfigError, ExperimentConfig, GraphConfig, preset_config
 from qkdsim.engine import simulate
 from qkdsim.policy import TandemMode
+from qkdsim.topology import EdgeSpec
 
 
 def _tiny_config(name="tiny", policies=None, rate_scales=(0.5, 1.0)):
@@ -152,6 +153,15 @@ _PYTHON_BUILT_REJECTED = {
                         "graph.p: must be in (0, 1], got 1.5"),
     "graph-gamma-0": (lambda cfg: {"graph": GraphConfig(kind="erdos_renyi", nodes=4, p=1.0, gamma=0)},
                       "graph.gamma: must be >= 1, got 0"),
+    # a fractional capacity used to send a link's whole queue every slot
+    "graph-fractional-gamma": (lambda cfg: {"graph": GraphConfig(kind="erdos_renyi", nodes=4, p=1.0, gamma=1.5)},
+                               "graph.gamma: must be a whole number, got 1.5"),
+    "edge-fractional-gamma": (
+        lambda cfg: {"graph": GraphConfig(kind="inline", nodes=2, edges=(EdgeSpec(0, 1, gamma=1.5),))},
+        "graph.edges[0]: edge (0,1): gamma must be a whole number, got 1.5"),
+    "graph-eta-range-three-values": (
+        lambda cfg: {"graph": GraphConfig(kind="erdos_renyi", nodes=4, p=1.0, eta_range=(0.1, 0.2, 0.3))},
+        "graph.eta_range: expected [low, high], got [0.1, 0.2, 0.3]"),
     "qkd-fraction-above-1": (
         lambda cfg: {"graph": GraphConfig(kind="erdos_renyi", nodes=4, p=1.0, qkd_fraction=2.5)},
         "graph.qkd_fraction: must be in [0, 1], got 2.5"),
@@ -358,6 +368,8 @@ _REJECTED = {
     "edge-eta-0-on-keyed-link": ({"graph": _one_link(eta=0.0)}, {}, "error: graph.edges[0]: "),
     "graph-p-above-1": ({"graph": _er(p=1.5)}, {}, "graph.p"),
     "graph-eta-range-reversed": ({"graph": _er(eta_range=[0.5, 0.1])}, {}, "graph.eta_range"),
+    "graph-eta-range-three-values": ({"graph": _er(eta_range=[0.1, 0.2, 0.3])}, {},
+                                     "error: graph.eta_range: expected [low, high], got [0.1, 0.2, 0.3]"),
     "graph-gamma-0": ({"graph": _er(gamma=0)}, {}, "graph.gamma"),
     "graph-nodes-0": ({"graph": _er(nodes=0)}, {}, "graph.nodes"),
     "inline-graph-nodes-0": ({"graph": {**_one_link(), "nodes": 0}}, {}, "graph.nodes"),

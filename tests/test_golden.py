@@ -97,8 +97,8 @@ GOLDEN = {
         "ebfb508c19ac1da963d98d0e1f7b36a3141795aeda550eeb1b49c6dd2d834408",
     ),
     "multilevel-nostore": (
-        "fb0a3511ff12523ef24b7f84cbba292db4b7d709499f6def534bbfd9c787cceb",
-        "dca3bbf924151948f6a6a3c9f45d5ce4d9b1f730fd93033b244bde55f4b7398a",
+        "b3a468bea3e599be21b70a05d8fd8ca55677b8f8215b706a8f0f90179fc63990",
+        "94a6b24738db753f5df5d17f88ccaa6a933d4ff5f3acb35f32550fbc82f45e6f",
     ),
     "multilevel-store": (
         "a77a04c297ced8c670cd072588e7b585829f24209e0ddcd13f35205ab5572803",

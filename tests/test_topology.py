@@ -71,6 +71,9 @@ def test_duplicate_edge_rejected():
 def test_bad_gamma_and_eta_rejected():
     with pytest.raises(TopologyError, match="gamma"):
         build_graph(2, [EdgeSpec(0, 1, gamma=0)])
+    # a fractional capacity used to send a link's whole queue every slot
+    with pytest.raises(TopologyError, match=r"^edges\[1\]: edge \(1,2\): gamma must be a whole number, got 1\.5$"):
+        build_graph(3, [EdgeSpec(0, 1), EdgeSpec(1, 2, gamma=1.5)])
     with pytest.raises(TopologyError, match="eta"):
         build_graph(2, [EdgeSpec(0, 1, eta=0.0)])
 
@@ -128,10 +131,13 @@ def test_erdos_renyi_parameter_validation():
 @pytest.mark.parametrize("fields, error", [
     ({"p": 1.5}, r"^p: must be in \(0, 1\], got 1\.5"),
     ({"gamma": 0}, r"^gamma: must be >= 1, got 0"),
+    ({"gamma": 1.5}, r"^gamma: must be a whole number, got 1\.5"),
     ({"eta_range": (0.5, 0.1)}, r"^eta_range: need 0 < low <= high, got \[0\.5, 0\.1\]"),
+    ({"eta_range": (0.1, 0.2, 0.3)}, r"^eta_range: expected \[low, high\], got \[0\.1, 0\.2, 0\.3\]"),
     ({"qkd_fraction": 2.5}, r"^qkd_fraction: must be in \[0, 1\], got 2\.5"),
     ({"qkd_fraction": -1.0}, r"^qkd_fraction: must be in \[0, 1\], got -1\.0"),
-], ids=["p", "gamma", "eta-range", "qkd-fraction-above-1", "qkd-fraction-negative"])
+], ids=["p", "gamma", "fractional-gamma", "eta-range", "eta-range-three-values", "qkd-fraction-above-1",
+        "qkd-fraction-negative"])
 def test_erdos_renyi_errors_name_the_parameter(fields, error):
     # qkd_fraction 2.5 used to key every link, and gamma 0 was named as edges[0]
     with pytest.raises(TopologyError, match=error):
