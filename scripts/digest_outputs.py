@@ -9,7 +9,8 @@ through ``cli.run_experiment`` with one worker, into a temporary directory
 that is removed afterwards.  A last run, ``random sweep``, calls
 ``simulate`` on 600 small seeded random cells (4-8 nodes, queue caps 1-4,
 every policy, both schedulers, paths and trees, masked multilevel, three
-key processes with overrides, drift, ``check_invariants=True``), where a
+key processes with overrides, drift, ``check_invariants=True``, whose
+checks include the queue totals behind ``x_sum`` and ``y_sum``), where a
 full queue decides which copies drop; the presets' queues never fill.
 Every output file's path and bytes go into one digest, which is printed
 last on standard output; one digest per run goes to standard error, to

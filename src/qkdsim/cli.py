@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .analysis import stability_test, summarize
 from .config import ConfigError, ExperimentConfig, PRESETS, preset_config
-from .engine import MetricsRecord, _validate, simulate
+from .engine import MetricsRecord, _check_overrides, _validate, simulate
 from .topology import NetworkGraph
 from .traffic import TrafficClass
 
@@ -43,7 +43,6 @@ def _run_cell(job: tuple) -> MetricsRecord:
         record_series=cfg.record_series,
         series_stride=cfg.series_stride,
         record_drift=cfg.record_drift,
-        _checked=True,  # run_experiment has run _check_cells on every cell
     )
 
 
@@ -54,10 +53,10 @@ def _check_cells(cfg: ExperimentConfig, g: NetworkGraph, classes: list[TrafficCl
             _validate(g, classes, mode, cfg.scheduler)
         except ValueError as exc:
             raise ConfigError(f"policies[{i}]: {exc}") from None
-    links = {(e.u, e.v) for e in g.edges}
-    for i, ((u, v), _) in enumerate(cfg.keys.overrides):
-        if (u, v) not in links and (v, u) not in links:
-            raise ConfigError(f"keys.overrides[{i}]: ({u}, {v}) is not a link of the graph")
+    try:
+        _check_overrides(g, cfg.keys)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _summary_name(name: str, label: str, scale: float, chash: str) -> str:

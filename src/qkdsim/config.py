@@ -446,6 +446,22 @@ class ExperimentConfig:
                     f"policies[{i}]: label {label!r} repeats policies[{labels.index(label)}]; "
                     f"output files are named by label"
                 )
+        nodes = self.graph.nodes
+        for i, c in enumerate(self.classes):
+            for field, node in (("source", c.source), *(("destinations", d) for d in c.destinations)):
+                if not 0 <= node < nodes:
+                    raise ConfigError(f"classes[{i}].{field}: node {node} is not in the {nodes}-node graph")
+        if self.scheduler not in ("fifo", "ento"):
+            raise ConfigError(f"config.scheduler: unknown scheduler {self.scheduler!r}")
+        if self.scheduler == "ento" and any(p.mode == "backpressure" for p in self.policies):
+            raise ConfigError("config.scheduler: backpressure queues hold no hop counts; it runs 'fifo' only")
+        single_level = [p.mode for p in self.policies if p.mode != "multilevel"]
+        for i, c in enumerate(self.classes):
+            if single_level and c.security != "quantum":
+                raise ConfigError(
+                    f"classes[{i}].security: {single_level[0]} carries key-encrypted "
+                    f"traffic only; {c.security!r} classes need the multilevel policy"
+                )
 
     def to_dict(self) -> dict:
         return {
@@ -474,28 +490,9 @@ class ExperimentConfig:
         classes = tuple(
             ClassConfig.from_dict(c, f"classes[{i}]") for i, c in enumerate(raw_classes)
         )
-        for i, c in enumerate(classes):
-            for field, node in (("source", c.source), *(("destinations", d) for d in c.destinations)):
-                if not 0 <= node < graph.nodes:
-                    raise ConfigError(
-                        f"classes[{i}].{field}: node {node} is not in the {graph.nodes}-node graph"
-                    )
         raw_pol = _list(_require(doc, "policies", "config"), "config.policies")
         policies = tuple(_policy_from_dict(p, f"policies[{i}]") for i, p in enumerate(raw_pol))
         scheduler = _str(doc.get("scheduler", "fifo"), "config.scheduler")
-        if scheduler not in ("fifo", "ento"):
-            raise ConfigError(f"config.scheduler: unknown scheduler {scheduler!r}")
-        if scheduler == "ento" and any(p.mode == "backpressure" for p in policies):
-            raise ConfigError(
-                "config.scheduler: backpressure queues hold no hop counts; it runs 'fifo' only"
-            )
-        single_level = [p.mode for p in policies if p.mode != "multilevel"]
-        for i, c in enumerate(classes):
-            if single_level and c.security != "quantum":
-                raise ConfigError(
-                    f"classes[{i}].security: {single_level[0]} carries key-encrypted "
-                    f"traffic only; {c.security!r} classes need the multilevel policy"
-                )
         horizon = _int(_require(doc, "horizon", "config"), "config.horizon")
         seeds = tuple(_int(s, "config.seeds") for s in _list(doc.get("seeds", [1]), "config.seeds"))
         rate_scales = tuple(

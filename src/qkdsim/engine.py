@@ -35,7 +35,8 @@ on its links takes its idle route, kept per class: the fewest-hop path, or
 the tree the router built once on zero weights.  A path class whose idle
 route is busy takes the fewest-hop path around the busy links.  The routing
 kernels run only when backlog leaves no zero-weight route (see
-``_Router``, the TQD route rule, which the engine holds and calls).
+``_Router``, the TQD route rule, which the engine holds and calls; building
+it is every ``simulate`` call's routability check).
 """
 
 from __future__ import annotations
@@ -250,20 +251,6 @@ class MetricsRecord:
 # ---------------------------------------------------------------------------
 # shared helpers
 
-def _check_routability(g: NetworkGraph, classes: Sequence[TrafficClass]) -> None:
-    """Every class must reach its destinations over the links it may use:
-    key-encrypted classes over key-equipped links, plain ones over all.
-    An anycast class needs one of its candidates, every other kind all of
-    its destinations."""
-    for cls in classes:
-        if isinstance(cls.kind, (Broadcast, Multicast)) and not g.is_bidirectional:
-            raise RoutingError(f"class {cls.id}: tree routing needs a bidirectional graph")
-        reach = g.reachable(cls.source, g.key_mask if cls.security == "quantum" else None)
-        targets = cls.destination_nodes(g.n)
-        if not (targets & reach if isinstance(cls.kind, Anycast) else targets <= reach):
-            raise UnreachableError(f"class {cls.id}: destinations unreachable on its allowed subgraph")
-
-
 def _spawn_streams(seed: int, n_classes: int, m: int):
     children = np.random.SeedSequence(seed).spawn(n_classes + m + 1)
     class_rngs = [np.random.default_rng(s) for s in children[:n_classes]]
@@ -295,7 +282,8 @@ _BASELINE_KINDS = {
 }
 
 
-def _validate(g: NetworkGraph, classes: Sequence[TrafficClass], mode: PolicyMode, scheduler: str) -> None:
+def _validate(g: NetworkGraph, classes: Sequence[TrafficClass], mode: PolicyMode, scheduler: str) -> _Router:
+    """Check a run's arguments and return its router, whose building is the routability check."""
     if scheduler not in _QUEUES:
         raise ValueError(f"unknown scheduler {scheduler!r}; expected 'fifo' or 'ento'")
     if isinstance(mode, BackpressureMode) and scheduler == "ento":
@@ -314,7 +302,15 @@ def _validate(g: NetworkGraph, classes: Sequence[TrafficClass], mode: PolicyMode
         for node in (c.source, *(c.destination_nodes(None) or ())):
             if not 0 <= node < g.n:
                 raise ValueError(f"class {c.id}: node {node} is not in the {g.n}-node graph")
-    _check_routability(g, classes)
+    return _Router(g, classes)
+
+
+def _check_overrides(g: NetworkGraph, keys: KeySpec) -> None:
+    """Every key override must name a link of the graph, in either direction."""
+    links = {(e.u, e.v) for e in g.edges}
+    for i, ((u, v), _) in enumerate(keys.overrides):
+        if (u, v) not in links and (v, u) not in links:
+            raise ValueError(f"keys.overrides[{i}]: ({u}, {v}) is not a link of the graph")
 
 
 class _Router:
@@ -322,9 +318,11 @@ class _Router:
 
     An encrypted class weighs x̃ + ỹ on the keyed links, a plain one ỹ on
     every link.  Most of these weigh 0 in most slots, so the routing
-    kernels run only when backlog forces them.  The router keeps each
-    class's idle route; everything else it reads from the virtual queues
-    and the busy links (those with x̃ or ỹ above 0) it is passed.
+    kernels run only when backlog forces them.  The router builds each
+    class's idle route when it is made, so a class with no route over the
+    links it may use raises a ``RoutingError`` that names it.  Everything
+    else it reads from the virtual queues and the busy links (those with
+    x̃ or ỹ above 0) it is passed.
     """
 
     def __init__(self, g: NetworkGraph, classes: Sequence[TrafficClass]):
@@ -332,14 +330,14 @@ class _Router:
         self.classes = classes
         self.by_id = {c.id: c for c in classes}
         self.mixed = g.key_mask is not None or any(c.security != "quantum" for c in classes)
-        # each class's route while no link it may use carries weight, found when first needed
-        self.idle_routes: dict[int, Route] = {}
         # a path class's destinations: its one destination, or its anycast candidates
         self.path_dests = {
             c.id: c.destination_nodes(g.n) for c in classes if not isinstance(c.kind, (Broadcast, Multicast))
         }
+        # each class's route while no link it may use carries weight
+        self.idle_routes: dict[int, Route] = {c.id: self._idle(c) for c in classes}
 
-    def idle(self, cls: TrafficClass) -> Route:
+    def _idle(self, cls: TrafficClass) -> Route:
         """The class's route while no link it may use carries weight.
 
         A unicast or anycast class takes its fewest-hop route
@@ -355,18 +353,17 @@ class _Router:
         order, the Steiner closure and its pruning depend only on node and
         link ids.
         """
-        route = self.idle_routes.get(cls.id)
+        targets = self.path_dests.get(cls.id)
+        if targets is None:
+            zeros = [0.0] * self.g.m
+            try:
+                return self._select({cls.id: 1}, VirtualQueues(zeros, zeros))[cls.id]
+            except RoutingError as exc:
+                raise type(exc)(f"class {cls.id}: {exc}") from None
+        allowed = self.g.key_mask if cls.security == "quantum" else None  # encrypted: keyed links only
+        route = fewest_hop_path(self.g, cls.source, targets, allowed)
         if route is None:
-            targets = self.path_dests.get(cls.id)
-            if targets is None:
-                zeros = [0.0] * self.g.m
-                route = self._select({cls.id: 1}, VirtualQueues(zeros, zeros))[cls.id]
-            else:
-                allowed = self.g.key_mask if cls.security == "quantum" else None  # encrypted: keyed links only
-                route = fewest_hop_path(self.g, cls.source, targets, allowed)
-                if route is None:
-                    raise UnreachableError(f"class {cls.id}: no destination reachable on its allowed subgraph")
-            self.idle_routes[cls.id] = route
+            raise UnreachableError(f"class {cls.id}: no destination reachable on its allowed subgraph")
         return route
 
     def _select(self, counts: dict[int, int], vq: VirtualQueues) -> dict[int, Route]:
@@ -380,7 +377,7 @@ class _Router:
         """The route of each class in ``counts`` on the virtual queues ``vq``,
         whose links with weight are ``busy``:
 
-        - a class takes its idle route (``idle``) when no link on it
+        - a class takes its idle route (``idle_routes``) when no link on it
           carries weight; a tree class, when no link it may use does;
         - otherwise a path class takes the fewest-hop path that avoids the
           links with weight.  The router walks the same way over its tight
@@ -397,7 +394,7 @@ class _Router:
         w_quantum = None
         for cid, n in counts.items():
             cls = self.by_id[cid]
-            route = self.idle(cls)
+            route = self.idle_routes[cid]
             encrypted = cls.security == "quantum"
             allowed = g.key_mask if encrypted else None
             targets = self.path_dests.get(cid)
@@ -449,8 +446,7 @@ class _Engine:
 
     def __init__(
         self,
-        g: NetworkGraph,
-        classes: Sequence[TrafficClass],
+        router: _Router,
         mode: PolicyMode,
         keys: KeySpec,
         scheduler: str,
@@ -462,8 +458,9 @@ class _Engine:
         check_invariants: bool,
         record_drift: bool,
     ):
-        self.classes = sorted(classes, key=lambda c: c.id)
-        self.g = g
+        self.router = router
+        g = self.g = router.g
+        self.classes = sorted(router.classes, key=lambda c: c.id)
         self.mode = mode
         self.scheduler = scheduler
         self.horizon = horizon
@@ -536,10 +533,7 @@ class _Engine:
         self.x_total = 0
         self.y_total = 0
         self.transmitted_encrypted = [0] * m
-        self.router = _Router(g, self.classes)
         if self.fresh_only:
-            for c in self.classes:
-                self.router.idle(c)
             return
 
         self.storage = mode.key_storage
@@ -763,8 +757,9 @@ class _Engine:
         sent = []
         for e in sorted(self.active_y):
             q = self.y_q[e]
+            before = len(q)
             if self.fresh_only:
-                budget = single_queue_service(len(q), self.gamma[e], fresh.item(e))
+                budget = single_queue_service(before, self.gamma[e], fresh.item(e))
             else:
                 budget = self.gamma[e]
             while budget:
@@ -772,11 +767,13 @@ class _Engine:
                 if copy is None:
                     break
                 budget -= 1
-                self.y_total -= 1
                 if self.encrypted[copy.record.cls_id]:
                     self.transmitted_encrypted[e] += 1
                 sent.append((copy, e))
-            if not len(q):
+            # the dead copies that pop_live skipped leave the queue too
+            left = len(q)
+            self.y_total -= before - left
+            if not left:
                 self.active_y.discard(e)
         for copy, e in sent:
             self._arrive(copy, e, t)
@@ -928,6 +925,9 @@ class _Engine:
         bank = self.bank
         if bank is not None:
             bank.check_ledger()
+        # the edge queues' running totals count the copies they hold, dead or alive
+        if self.node_q is None and (self.x_total, self.y_total) != (sum(self.x_len), sum(map(len, self.y_q))):
+            raise InvariantViolation(f"slot {t}: the queue totals differ from the copies the queues hold")
         if not self.virtual:
             return
         for e in self.qkd_ids:
@@ -967,14 +967,12 @@ def simulate(
     series_stride: int = 1,
     check_invariants: bool = False,
     record_drift: bool = False,
-    _checked: bool = False,
 ) -> MetricsRecord:
     """Run one seeded simulation and return its metrics.
 
     Runs are deterministic: identical arguments yield identical records,
-    including series bytes.  ``_checked`` skips ``_validate`` for a caller
-    that has already run it on the same graph, classes, mode and scheduler
-    (the CLI checks every cell before it runs one).
+    including series bytes.  Every call checks its arguments in full, and
+    the run routes with the router that ``_validate`` built.
     """
     for name, value in (("horizon", horizon), ("series_stride", series_stride), ("queue_cap", queue_cap)):
         if value < 1:
@@ -983,9 +981,10 @@ def simulate(
         raise ValueError("at least one traffic class is required")
     if not isinstance(mode, (TandemMode, SingleQueueMode, BackpressureMode)):
         raise TypeError(f"unknown policy mode {mode!r}")
-    if not _checked:
-        _validate(g, sorted(classes, key=lambda c: c.id), mode, scheduler)
+    router = _validate(g, sorted(classes, key=lambda c: c.id), mode, scheduler)
+    keys = keys or KeySpec()
+    _check_overrides(g, keys)
     return _Engine(
-        g, classes, mode, keys or KeySpec(), scheduler, horizon, seed, queue_cap,
+        router, mode, keys, scheduler, horizon, seed, queue_cap,
         record_series, series_stride, check_invariants, record_drift,
     ).run()

@@ -10,7 +10,7 @@ from qkdsim.analysis import stability_test
 from qkdsim.cli import compare_runs, main, run_experiment
 from qkdsim.config import ConfigError, ExperimentConfig, GraphConfig, preset_config
 from qkdsim.engine import simulate
-from qkdsim.policy import TandemMode
+from qkdsim.policy import BackpressureMode, TandemMode
 from qkdsim.topology import EdgeSpec
 
 
@@ -165,6 +165,18 @@ _PYTHON_BUILT_REJECTED = {
     "qkd-fraction-above-1": (
         lambda cfg: {"graph": GraphConfig(kind="erdos_renyi", nodes=4, p=1.0, qkd_fraction=2.5)},
         "graph.qkd_fraction: must be in [0, 1], got 2.5"),
+    # rules that read only the config hold for a config built in Python too
+    "scheduler-unknown": (lambda cfg: {"scheduler": "lifo"}, "config.scheduler: unknown scheduler 'lifo'"),
+    "ento-with-backpressure": (lambda cfg: {"scheduler": "ento", "policies": (BackpressureMode(),)},
+                               "config.scheduler: backpressure queues hold no hop counts"),
+    "classical-class-under-tandem": (
+        lambda cfg: {"classes": (dataclasses.replace(cfg.classes[0], security="classical"),)},
+        "classes[0].security: tandem carries key-encrypted traffic only"),
+    "source-out-of-range": (lambda cfg: {"classes": (dataclasses.replace(cfg.classes[0], source=5),)},
+                            "classes[0].source: node 5 is not in the 2-node graph"),
+    "destination-out-of-range": (
+        lambda cfg: {"classes": (dataclasses.replace(cfg.classes[0], destinations=(7,)),)},
+        "classes[0].destinations: node 7 is not in the 2-node graph"),
 }
 
 
@@ -415,22 +427,29 @@ def test_run_builds_the_graph_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
-def test_run_validates_each_policy_once(tmp_path, monkeypatch):
-    import qkdsim.cli as cli
+def test_each_simulate_call_routes_with_the_router_it_checked(tmp_path, monkeypatch):
     import qkdsim.engine as engine
 
-    calls = []
-    for module in (cli, engine):
-        check = module._validate
-        monkeypatch.setattr(module, "_validate", lambda *a, _check=check, _m=module.__name__: calls.append(_m) or _check(*a))
+    built, ran = [], []
+
+    class Router(engine._Router):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    run = engine._Engine.run
+    monkeypatch.setattr(engine, "_Router", Router)
+    monkeypatch.setattr(engine._Engine, "run", lambda self: ran.append(self.router) or run(self))
     cfg = ExperimentConfig.from_dict(_tiny_config(policies=[{"mode": "tandem"}, {"mode": "backpressure"}]))
+    engine.simulate(cfg.graph.build(), cfg.build_classes(1.0), cfg.policies[0], horizon=5, seed=0)
+    # building the router is the check, and the run routes with the router it built
+    assert len(built) == 1 and ran == built
+    built.clear()
+    ran.clear()
     run_experiment(cfg, tmp_path / "out")
-    # one check per policy before the run, none again in its 4 cells
-    assert calls == ["qkdsim.cli"] * 2
-    # simulate called directly still checks its arguments
-    g = cfg.graph.build()
-    engine.simulate(g, cfg.build_classes(1.0), cfg.policies[0], horizon=5, seed=0)
-    assert calls[2:] == ["qkdsim.engine"]
+    # one router per policy in the checks before the run, then one per cell (2 policies x 2 scales x 2 seeds)
+    assert len(built) == 2 + 8
+    assert ran == built[2:]
 
 
 def test_rerun_into_a_directory_of_another_config_is_refused(tmp_path, capsys):

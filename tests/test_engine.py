@@ -1,12 +1,15 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
-from qkdsim.engine import Copy, EntoQueue, PacketRecord, _Engine, simulate
+from qkdsim.config import GraphConfig
+from qkdsim.engine import Copy, EntoQueue, PacketRecord, _Engine, _Router, simulate
 from qkdsim.keying import KeySpec
 from qkdsim.policy import BackpressureMode, MultilevelMode, SingleQueueMode, TandemMode
-from qkdsim.routing import Route
+from qkdsim.routing import Route, RoutingError
 from qkdsim.topology import EdgeSpec, build_graph, erdos_renyi
-from qkdsim.traffic import Bernoulli, Broadcast, TrafficClass, TruncatedPoisson, Unicast
+from qkdsim.traffic import Bernoulli, Broadcast, Multicast, TrafficClass, TruncatedPoisson, Unicast
 
 from .oracles import virtual_queue_trace
 
@@ -128,7 +131,7 @@ def test_copies_of_a_packet_dropped_in_the_same_slot_go_no_further():
     # broadcast tree 0 -> {1, 4}, 1 -> {2, 3}, 4 -> {5}; both copies cross in one slot,
     # and the fork toward 3 meets a full queue, so the copy at 4 takes no place toward 5
     g = build_graph(6, [EdgeSpec(0, 1), EdgeSpec(1, 2), EdgeSpec(1, 3), EdgeSpec(0, 4), EdgeSpec(4, 5)])
-    eng = _Engine(g, [TrafficClass(0, 0, Broadcast(), Bernoulli(0.0))], TandemMode(), AMPLE_KEYS, "fifo",
+    eng = _Engine(_Router(g, [TrafficClass(0, 0, Broadcast(), Bernoulli(0.0))]), TandemMode(), AMPLE_KEYS, "fifo",
                   1, 0, 1, False, 1, False, False)
     route = Route(0, (0, 2, 4, 6, 8), {0: (0, 6), 1: (2, 4), 4: (8,)}, frozenset(range(1, 6)))
     rec = PacketRecord(0, 0, 0, 5)
@@ -139,6 +142,44 @@ def test_copies_of_a_packet_dropped_in_the_same_slot_go_no_further():
     assert rec.dead and eng.class_dropped[0] == 1
     assert eng.x_len[2] == 1  # placed toward 2 before the fork dropped
     assert eng.x_len[8] == 0
+
+
+def test_queue_totals_match_the_queues():
+    # queues of one drop many tree packets; the dead copies pop_live skips
+    # leave the transmission queue, so y_sum must stop counting them
+    g = GraphConfig(kind="erdos_renyi", nodes=10, p=0.4, graph_seed=3, qkd_fraction=0.6).build()
+    classes = [
+        TrafficClass(0, 0, Unicast(6), Bernoulli(0.3), security="classical"),
+        TrafficClass(1, 4, Broadcast(), Bernoulli(0.3), security="classical"),
+        TrafficClass(2, 8, Multicast((1, 3)), Bernoulli(0.3), security="quantum"),
+        TrafficClass(3, 2, Broadcast(), Bernoulli(0.2), security="classical"),
+    ]
+    engines = []
+    metrics = _Engine._metrics
+    with mock.patch.object(_Engine, "_metrics", lambda self: engines.append(self) or metrics(self)):
+        # check_invariants also compares the totals with the queues every slot
+        r = simulate(g, classes, MultilevelMode(False), horizon=2000, seed=14, queue_cap=1, check_invariants=True)
+    (eng,) = engines
+    assert r.total_dropped > 0
+    assert r.series["x_sum"][-1] == sum(eng.x_len)
+    assert r.series["y_sum"][-1] == sum(map(len, eng.y_q))
+
+
+def test_simulate_rejects_an_override_on_a_missing_link():
+    g = build_graph(3, [EdgeSpec(0, 1), EdgeSpec(1, 2)])
+    keys = KeySpec(overrides=(((0, 2), KeySpec(kind="deterministic", value=0)),))
+    classes = [TrafficClass(0, 0, Unicast(2), Bernoulli(0.5))]
+    with pytest.raises(ValueError, match=r"^keys\.overrides\[0\]: \(0, 2\) is not a link of the graph$"):
+        simulate(g, classes, TandemMode(), keys=keys, horizon=100, seed=0)
+
+
+@pytest.mark.parametrize("g, kind", [
+    (build_graph(3, [EdgeSpec(0, 1), EdgeSpec(1, 2, directed=True)]), Broadcast()),
+    (build_graph(4, [EdgeSpec(0, 1), EdgeSpec(2, 3)]), Multicast((1, 3))),
+], ids=["broadcast-one-way-link", "multicast-terminal-out-of-reach"])
+def test_unroutable_tree_classes_are_named(g, kind):
+    with pytest.raises(RoutingError, match="^class 0: "):
+        simulate(g, [TrafficClass(0, 0, kind, Bernoulli(0.5))], TandemMode(), horizon=10, seed=0)
 
 
 def test_broadcast_delivery_rate_tracks_arrivals_at_interior_load():

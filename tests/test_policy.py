@@ -422,7 +422,7 @@ def test_zero_weight_shortcut_matches_the_router(seed, masked, case):
     router = _Router(g, classes)
     keyed = g.key_mask or [True] * g.m
     for cls in classes:
-        idle = router.idle(cls)
+        idle = router.idle_routes[cls.id]
         # a keyless link never holds encryption backlog
         x = [w if k else 0.0 for w, k in zip(_mostly_zero(rng, g.m), keyed)]
         y = _mostly_zero(rng, g.m)
@@ -505,7 +505,7 @@ def test_idle_tree_is_reused_while_the_class_sees_no_weight(kind, security, mask
         assert_tree_shape(g, got, cls.source, terminals, allowed)
         return got, plain_selector.call_count + selector.call_count
 
-    idle = router.idle(cls)
+    idle = router.idle_routes[cls.id]
     for _ in range(2):
         got, router_calls = routes()
         assert got is idle and router_calls == 0
