@@ -26,7 +26,10 @@ the same time, exactly, slot by slot.
 
 A slot costs what its traffic costs.  Arrivals and keys are drawn in blocks
 of slots (at most ``_BLOCK_CELLS`` key counts at a time), so memory does not
-grow with the horizon; a slot's deposit is one vector step, and Python work
+grow with the horizon.  Each class draws from its own generator; every
+link's keys come from one ``KeySampler``, whose truncated-Poisson links all
+share one generator, so a cell makes a handful of generators, not one per
+link.  A slot's deposit is one vector step, and Python work
 is done only on the links that hold packets, virtual backlog or this slot's
 arrivals.  Backpressure picks every link's commodity in one vector step per
 class and walks only the links that can send (see ``_Engine._serve_nodes``).
@@ -50,7 +53,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .keying import KeyBank, KeySampler, KeySpec
+from .keying import BB84Toy, KeyBank, KeySampler, KeySpec
 from .policy import (
     BackpressureMode,
     MultilevelMode,
@@ -251,12 +254,11 @@ class MetricsRecord:
 # ---------------------------------------------------------------------------
 # shared helpers
 
-def _spawn_streams(seed: int, n_classes: int, m: int):
-    children = np.random.SeedSequence(seed).spawn(n_classes + m + 1)
-    class_rngs = [np.random.default_rng(s) for s in children[:n_classes]]
-    edge_rngs = [np.random.default_rng(s) for s in children[n_classes : n_classes + m]]
-    misc_rng = np.random.default_rng(children[-1])
-    return class_rngs, edge_rngs, misc_rng
+def _spawn_streams(seed: int, n_classes: int, n_bb84: int):
+    """A cell's generators: one per class, one for every truncated-Poisson
+    link's keys, one for backpressure's link order, and one per BB84 link."""
+    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n_classes + 2 + n_bb84)]
+    return rngs[:n_classes], rngs[n_classes], rngs[n_classes + 1], rngs[n_classes + 2 :]
 
 
 # The per-slot series columns and their dtypes; the last two are recorded
@@ -273,8 +275,8 @@ _SERIES = (
 
 _QUEUES = {"fifo": FifoQueue, "ento": EntoQueue}
 # Key counts drawn per block: 4 MiB as int32.  A block holds
-# _BLOCK_CELLS // m slots (at least one); every stream is its own
-# Generator, so the block size never changes a draw.
+# _BLOCK_CELLS // m slots (at least one); every stream draws in slot
+# order, so the block size never changes a draw.
 _BLOCK_CELLS = 1 << 20
 _BASELINE_KINDS = {
     SingleQueueMode: ((Unicast, Anycast), "unicast/anycast"),
@@ -471,19 +473,16 @@ class _Engine:
         self.fresh_only = isinstance(mode, SingleQueueMode)
 
         m = g.m
-        class_rngs, edge_rngs, misc_rng = _spawn_streams(seed, len(self.classes), m)
+        processes = [keys.process_for_edge(e.u, e.v, e.eta) if e.has_qkd else None for e in g.edges]
+        class_rngs, key_rng, misc_rng, bb84_rngs = _spawn_streams(
+            seed, len(self.classes), sum(isinstance(p, BB84Toy) for p in processes)
+        )
         self.arrival_samplers = {
             cls.id: ArrivalSampler(cls.arrival, class_rngs[i]) for i, cls in enumerate(self.classes)
         }
         self.qkd_ids = list(g.qkd_edge_ids())
-        self.key_samplers = [
-            KeySampler(keys.process_for_edge(g.edges[e].u, g.edges[e].v, g.edges[e].eta), edge_rngs[e])
-            for e in self.qkd_ids
-        ]
+        self.key_sampler = KeySampler(processes, key_rng, bb84_rngs)
         self.block_slots = min(horizon, max(1, _BLOCK_CELLS // max(1, m)))
-        # a slot's count never exceeds its process's cap; int32 holds every cap but absurd ones
-        cap = max((s.process.cap for s in self.key_samplers), default=0)
-        self.fresh_block = np.zeros((self.block_slots, m), dtype=np.int32 if cap < 2**31 else np.int64)
         self.bank = None  # the key ledger, kept only where keys are carried between slots
         self.gamma = [e.gamma for e in g.edges]
 
@@ -583,9 +582,7 @@ class _Engine:
         """The next ``nslots`` slots of every stream: arrivals per class, the
         fresh keys as an (nslots, m) array, and each slot's key total."""
         arr = {cid: s.sample_batch(nslots).tolist() for cid, s in self.arrival_samplers.items()}
-        fresh = self.fresh_block[:nslots]
-        for e, sampler in zip(self.qkd_ids, self.key_samplers):
-            fresh[:, e] = sampler.sample_batch(nslots)
+        fresh = self.key_sampler.sample_batch(nslots)
         return arr, fresh, fresh.sum(axis=1).tolist()
 
     # -- packet bookkeeping ---------------------------------------------------

@@ -10,8 +10,9 @@ per-slot key counts, not a cryptographic implementation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -246,23 +247,96 @@ def bb84_round(
 # ---------------------------------------------------------------------------
 # samplers
 
+# Uniforms drawn at a time for the truncated-Poisson links: whole slot rows
+# of at most this many cells, so the temporaries stay small at any block
+# size.  Chunking by whole rows never changes a draw.
+_CHUNK_CELLS = 1 << 15
+
+
+def _poisson_cdf_rows(rates: np.ndarray, caps: np.ndarray) -> np.ndarray:
+    """Thresholds ``T[k, j] = P(X_j <= k)`` for X_j ~ Poisson(rates[j]),
+    k < caps[j], as a (rows, links) array; every other entry is 2.0, which
+    no uniform in [0, 1) reaches.
+
+    Rows stop where a link's Poisson tail is far below a uniform's
+    resolution (rate + 12 sqrt(rate) + 40), so an absurd cap costs no
+    memory: the tail beyond is folded into the last row's count.
+    """
+    ends = np.minimum(caps, np.ceil(rates + 12.0 * np.sqrt(rates)).astype(np.int64) + 40)
+    k = np.arange(int(ends.max(initial=0)))[:, None]
+    lgam = np.array([math.lgamma(i + 1.0) for i in range(len(k))]).reshape(-1, 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # k log(rate) is 0 * -inf at k = 0 for a rate-0 link, whose pmf is 1 there
+        log_pmf = np.where(k == 0, 0.0, k * np.log(rates)) - rates - lgam
+    rows = np.cumsum(np.exp(log_pmf), axis=0)
+    rows[k >= ends] = 2.0
+    return rows
+
+
 class KeySampler:
-    """Stateful per-edge key stream bound to one seeded generator."""
+    """Every link's key stream: the counts of all links, slot by slot.
 
-    __slots__ = ("process", "rng")
+    ``processes`` holds one entry per link (``None`` for a keyless link,
+    whose count is always 0).  Every truncated-Poisson link draws from the
+    one generator ``rng``: one uniform per (slot, link), in slot order and
+    link order within a slot, turned into a count by inverse CDF (the
+    number of the link's thresholds P(X <= k), k < cap, that it reaches).
+    So the links' counts are independent truncated-Poisson draws, and
+    drawing n slots then n' gives what drawing n + n' at once gives.  A
+    deterministic link needs no stream; each BB84 link runs its toy rounds
+    on its own generator from ``bb84_rngs``, one per BB84 link in link
+    order.
+    """
 
-    def __init__(self, process: KeyProcess, rng: np.random.Generator):
-        self.process = process
+    __slots__ = ("rng", "bb84", "poisson_cols", "thresholds", "row_min", "count_dtype", "constant", "dtype", "block")
+
+    def __init__(self, processes: Sequence[KeyProcess | None], rng: np.random.Generator,
+                 bb84_rngs: Sequence[np.random.Generator] = ()):
         self.rng = rng
+        bb84 = [(e, p) for e, p in enumerate(processes) if isinstance(p, BB84Toy)]
+        if len(bb84) != len(bb84_rngs):
+            raise ValueError(f"{len(bb84)} BB84 links need as many generators, got {len(bb84_rngs)}")
+        self.bb84 = [(e, p, r) for (e, p), r in zip(bb84, bb84_rngs)]
+        poisson = [(e, p) for e, p in enumerate(processes) if isinstance(p, TruncatedPoisson)]
+        ids = [e for e, _ in poisson]
+        # their columns of the block, as a slice when they run unbroken (a faster write)
+        self.poisson_cols = slice(ids[0], ids[-1] + 1) if ids and ids == list(range(ids[0], ids[-1] + 1)) else ids
+        self.thresholds = _poisson_cdf_rows(
+            np.array([p.rate for _, p in poisson], dtype=float), np.array([p.cap for _, p in poisson], dtype=np.int64)
+        )
+        self.row_min = self.thresholds.min(axis=1, initial=2.0)
+        # the counts of the keyless and deterministic links, which never change
+        self.constant = np.array([p.value if isinstance(p, DeterministicKeys) else 0 for p in processes], dtype=np.int64)
+        # a slot's count never exceeds its process's cap; int32 holds every cap but absurd ones
+        cap = max((p.cap for p in processes if p is not None), default=0)
+        self.dtype = np.int32 if cap < 2**31 else np.int64
+        # a count never exceeds the threshold rows, so a byte holds it unless a cap is absurd
+        self.count_dtype = np.uint8 if len(self.thresholds) < 256 else self.dtype
+        self.block = np.empty((0, len(processes)), dtype=self.dtype)
 
     def sample_batch(self, nslots: int) -> np.ndarray:
-        """Key counts of the next ``nslots`` slots."""
-        p = self.process
-        if isinstance(p, DeterministicKeys):
-            return np.full(nslots, p.value, dtype=np.int64)
-        if isinstance(p, TruncatedPoisson):
-            return np.minimum(self.rng.poisson(p.rate, nslots), p.cap).astype(np.int64)
-        out = np.empty(nslots, dtype=np.int64)
-        for t in range(nslots):
-            out[t] = min(bb84_round(p.photons, p.eavesdrop_prob, p.check_fraction, self.rng).sifted_keys, p.cap)
-        return out
+        """Key counts of the next ``nslots`` slots, an (nslots, links) array.
+
+        The array is the sampler's own buffer, overwritten by the next call.
+        """
+        if nslots > len(self.block):
+            self.block = np.empty((nslots, len(self.constant)), dtype=self.dtype)
+            self.block[:] = self.constant
+        block = self.block[:nslots]
+        ids, thresholds = self.poisson_cols, self.thresholds
+        links = thresholds.shape[1]
+        if links:
+            step = max(1, _CHUNK_CELLS // links)
+            for t0 in range(0, nslots, step):
+                u = self.rng.random((min(step, nslots - t0), links))
+                top = u.max()
+                counts = np.zeros(u.shape, dtype=self.count_dtype)
+                for row, low in zip(thresholds, self.row_min):
+                    if low > top:  # no uniform reaches this row, nor any row after it
+                        break
+                    counts += u >= row
+                block[t0 : t0 + len(u), ids] = counts
+        for e, p, rng in self.bb84:
+            for t in range(nslots):
+                block[t, e] = min(bb84_round(p.photons, p.eavesdrop_prob, p.check_fraction, rng).sifted_keys, p.cap)
+        return block

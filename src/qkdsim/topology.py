@@ -2,7 +2,7 @@
 
 Edges are stored directed; an undirected input link becomes two mirrored
 directed edges (a "pair") so that routing stays directional.  Each direction
-carries its own key generator and bank: pad material of a pairwise secret is
+has its own independent key counts and bank: pad material of a pairwise secret is
 partitioned per direction, so the endpoints never reuse key bits.  Edge ids
 are list positions and stay stable for the lifetime of a graph, which keeps
 seeded runs reproducible.

@@ -525,6 +525,41 @@ def test_block_size_never_changes_a_run(mode, monkeypatch):
     assert len(digests) == 1
 
 
+def test_a_cell_spawns_one_key_stream_and_one_per_bb84_link():
+    import qkdsim.engine as engine
+
+    g = erdos_renyi(6, 0.6, seed=2)
+    e = g.edges[0]
+    keys = KeySpec(overrides=(((e.u, e.v), KeySpec(kind="bb84", photons=4)),))  # two directed BB84 links
+    classes = [TrafficClass(3, 0, Unicast(5), Bernoulli(0.4)), TrafficClass(1, 2, Unicast(4), Bernoulli(0.3))]
+    with mock.patch.object(engine, "_spawn_streams", wraps=engine._spawn_streams) as spawn:
+        simulate(g, classes, TandemMode(), keys=keys, horizon=20, seed=9)
+    spawn.assert_called_once_with(9, 2, 2)
+    class_rngs, _, _, bb84_rngs = engine._spawn_streams(9, 2, 2)
+    assert len(bb84_rngs) == 2
+    # the class streams are the seed's first children, whatever else is spawned
+    children = np.random.SeedSequence(9).spawn(2)
+    assert [r.random() for r in class_rngs] == [np.random.default_rng(s).random() for s in children]
+
+
+def test_keyless_links_bank_no_keys():
+    g = GraphConfig(kind="erdos_renyi", nodes=10, p=0.4, graph_seed=3, qkd_fraction=0.6).build()
+    keyless = [e.id for e in g.edges if not e.has_qkd]
+    e = g.edges[keyless[0]]
+    # even an override gives a keyless link no keys
+    keys = KeySpec(overrides=(((e.u, e.v), KeySpec(kind="deterministic", value=5)),))
+    classes = [
+        TrafficClass(0, 0, Unicast(6), Bernoulli(0.3), security="classical"),
+        TrafficClass(1, 0, Unicast(6), Bernoulli(0.2)),
+        TrafficClass(2, 8, Multicast((1, 3)), Bernoulli(0.1)),
+    ]
+    eng = _Engine(_Router(g, classes), MultilevelMode(True), keys, "fifo", 300, 4, 100, False, 1, True, False)
+    eng.run()
+    generated = eng.bank.generated_total
+    assert keyless and not generated[keyless].any()
+    assert generated[list(g.qkd_edge_ids())].all()
+
+
 # ---------------------------------------------------------------------------
 # backpressure: the service phase's outputs, pinned across builds
 
@@ -548,12 +583,12 @@ BACKPRESSURE_DIGESTS = {
         "99baa74b483e433341ea50216794b7c70e9f4e0efd78287f809070677d640799",
     ),
     1: (
-        "07a0f0832c7fb20478e54aefbb09535d8ea74e9342385fec8a54dfe47b61d7e6",
-        "120bef1a1f4e7b5b4aecc47708767a4e59e5ecca608f53d7553c1abc5356fa0f",
+        "a9a0b73acc55143f241228efdd34e955e0e9efc4491dcc4447b9a65860a7477b",
+        "cc6399a8b379df611a14e969b7ec18cfb23ff3097046208aa495a50c195fec8d",
     ),
     50: (
-        "8e39a8a39cb12816518aa03556e1c355915e196728d22d7deb2e6e51009c0aa6",
-        "9f02d845ec9fafad8bcdaef7748bb20015bd23bc78931067b9a363668a5b6c3d",
+        "e339aad210436aee2e51783ea4a45a24f86f9c3c882266abda9d1d04a61cf20f",
+        "bc6dfdfd19f1fefc25e3ecfce3327f6c500c05ea97e12a8d60436c5e304a203e",
     ),
 }
 

@@ -93,28 +93,28 @@ CELLS = {
 
 GOLDEN = {
     "backpressure": (
-        "d2da0aaae1f7aafd6de942489645f88e4bf1f6740c94b51970df232d678ce693",
-        "ebfb508c19ac1da963d98d0e1f7b36a3141795aeda550eeb1b49c6dd2d834408",
+        "5480d81db7eb6de7bff7c5bc43d4e2096fa6c450a903945cc758fd29cc682f4b",
+        "1ba63b8505a6fed0fb50be1b7faa2ec13c1ebd544108a968b8193c5151eb0444",
     ),
     "multilevel-nostore": (
-        "b3a468bea3e599be21b70a05d8fd8ca55677b8f8215b706a8f0f90179fc63990",
-        "94a6b24738db753f5df5d17f88ccaa6a933d4ff5f3acb35f32550fbc82f45e6f",
+        "c66c0da0e2dce8f353e286693cef9005d6bb269237cdff869423418cf0ca4207",
+        "fa4aed054b2f28605646fa713a6adea9505ee55105baf7307f1f8763f96a74fd",
     ),
     "multilevel-store": (
-        "a77a04c297ced8c670cd072588e7b585829f24209e0ddcd13f35205ab5572803",
-        "7b65711ae9ca2d76e0c15d36d244873f4ef6ac642ef94123e4659c0d9460d824",
+        "6e82294ec879aac8544f7b73e047aecae34c01a1a5294d2131159daafa4d8fa3",
+        "f366a8e2b158fb19170d90870267cc9539476b0f403f42417d4cb41666d09b8a",
     ),
     "single-queue": (
-        "050ea82af139192fdfb884fcbca4391781108344f8fbe76a6181592ebabecc7f",
-        "cd58783998a4411314d4a6c7adcf6d7db4573495c938d7e01bcedf21c60c2840",
+        "2c7f4790a985f343a27599446a7ac86ccc6b86c3049fdf4c24d396fcc846bd63",
+        "4dfff6be5eec25b222b4c4b34fcce3a884a6c67f5fa924d59fbb2b2d87c38a3a",
     ),
     "tandem-nostore": (
-        "0b96f318e9d1e39c0d7fb9325557d051c3ae6bc093b6e3a4c553c981ed97226c",
-        "6efa4706c86f5ef6985002785940384729c73bbe96ef815518ab275af48c9dd9",
+        "82375f3e211458441044a73481cc8044eaaf1105d135b273a2fbfb4bea67f53c",
+        "cc5817bc09982bc561e51e68034955b470e768bba98d1f13db71f95cbb62419d",
     ),
     "tandem-store": (
-        "3c7567d9f666bab06edf55003bd28f5db48553a414ddf18facbb7313b0990b9c",
-        "e565b27c4082d88a5fdfcb652fd393b28f4ed5b37c415a60e246551ef9e8dfa9",
+        "7d242e8e5018f82239710aa613ddef634f69c0c801b3c68239ccf20ad50b7fc2",
+        "4e9d5dfc6b732dbf878cdb5c8a13f8ef3438a38097010eac945fb7a2708d620f",
     ),
 }
 

@@ -154,14 +154,14 @@ def test_bank_operations_on_one_edge_leave_the_others_alone(m, e, put, take, see
 # key processes
 
 def test_deterministic_keys():
-    s = KeySampler(DeterministicKeys(2), _rng())
+    s = KeySampler([DeterministicKeys(2)], _rng())
     assert (s.sample_batch(100) == 2).all()
 
 
 def test_truncated_poisson_mean_near_rate():
     # truncation mass above 20 is ~1e-22 at rate 0.5, so the mean is intact
     proc = TruncatedPoisson(0.5, cap=20)
-    counts = KeySampler(proc, _rng(1)).sample_batch(1_000_000)
+    counts = KeySampler([proc], _rng(1)).sample_batch(1_000_000)
     assert abs(counts.mean() - 0.5) < 0.005
     assert abs(proc.mean - 0.5) < 1e-12
     assert counts.max() <= 20
@@ -169,9 +169,101 @@ def test_truncated_poisson_mean_near_rate():
 
 def test_generate_keys_functional_form():
     # one slot's fresh keys for a single edge
-    assert KeySampler(DeterministicKeys(7), _rng()).sample_batch(1)[0] == 7
-    counts = KeySampler(TruncatedPoisson(3.0, cap=4), _rng(3)).sample_batch(200)
+    assert KeySampler([DeterministicKeys(7)], _rng()).sample_batch(1)[0, 0] == 7
+    counts = KeySampler([TruncatedPoisson(3.0, cap=4)], _rng(3)).sample_batch(200)
     assert ((0 <= counts) & (counts <= 4)).all()
+
+
+# One sampler over a mix of links: truncated-Poisson caps 20, 4 and 1 (the
+# last two from k_max overrides), a rate-0 link, a rate whose exp(-rate)
+# underflows, a deterministic link, a keyless link and a BB84 link.
+_MIX_SPEC = KeySpec(k_max=20, overrides=(
+    ((2, 3), KeySpec(k_max=4)),
+    ((4, 5), KeySpec(k_max=1)),
+    ((6, 7), KeySpec(kind="deterministic", value=3)),
+    ((8, 9), KeySpec(kind="bb84", photons=6, check_fraction=0.2, k_max=2)),
+))
+_MIX_LINKS = ((0, 1, 0.5), (2, 3, 3.0), (4, 5, 0.7), (10, 11, 0.0), (12, 13, 800.0), (6, 7, 1.0), (8, 9, 1.0))
+
+
+def _mix_sampler(seed=0):
+    processes = [_MIX_SPEC.process_for_edge(u, v, eta) for u, v, eta in _MIX_LINKS]
+    processes.insert(5, None)  # a keyless link
+    return processes, KeySampler(processes, _rng(seed), [_rng(seed + 1)])
+
+
+def _truncated_poisson_pmf(rate, cap):
+    pmf = [math.exp(-rate) * rate**k / math.factorial(k) for k in range(cap)]
+    return pmf + [max(0.0, 1.0 - sum(pmf))]
+
+
+def test_key_counts_fit_the_truncated_poisson_pmf():
+    # each count k in 0..cap of each link: |freq - pmf| within 5 standard
+    # errors plus one count; a count of probability 0 never occurs
+    n = 40_000
+    processes, sampler = _mix_sampler(1)
+    counts = sampler.sample_batch(n)
+    for e, p in enumerate(processes):
+        if not isinstance(p, TruncatedPoisson):
+            continue
+        freq = np.bincount(counts[:, e], minlength=p.cap + 1) / n
+        assert len(freq) == p.cap + 1
+        for k, want in enumerate(_truncated_poisson_pmf(p.rate, p.cap)):
+            assert abs(freq[k] - want) <= 5 * math.sqrt(want * (1 - want) / n) + 1 / n, (e, k, freq[k], want)
+    assert (counts[:, 3] == 0).all()  # rate 0
+    assert (counts[:, 4] == 20).all()  # rate 800: every slot reaches the cap
+    assert (counts[:, 5] == 0).all()  # keyless
+    assert (counts[:, 6] == 3).all()  # deterministic
+    assert counts[:, 7].max() <= 2 and counts[:, 7].min() >= 0  # BB84, capped at its k_max
+
+
+def test_key_counts_are_the_inverse_cdf_of_one_uniform_per_slot_and_link():
+    # an independent replay: the truncated-Poisson links take the stream's
+    # uniforms in slot order, then link order; the BB84 link runs its rounds
+    # on its own generator
+    n = 2_000
+    processes, sampler = _mix_sampler(2)
+    counts = sampler.sample_batch(n)
+    poisson = [e for e, p in enumerate(processes) if isinstance(p, TruncatedPoisson)]
+    u = _rng(2).random((n, len(poisson)))
+    for j, e in enumerate(poisson):
+        p = processes[e]
+        cdf = np.cumsum(_truncated_poisson_pmf(p.rate, p.cap)[:-1])
+        assert counts[:, e].tolist() == [sum(x >= c for c in cdf) for x in u[:, j]]
+    bb84, rng = processes[7], _rng(3)
+    assert counts[:, 7].tolist() == [
+        min(bb84_round(bb84.photons, bb84.eavesdrop_prob, bb84.check_fraction, rng).sifted_keys, bb84.cap)
+        for _ in range(n)
+    ]
+
+
+@pytest.mark.parametrize("chunk_cells", [1, 11, 1 << 15])
+def test_a_split_draw_equals_one_draw(chunk_cells, monkeypatch):
+    import qkdsim.keying as keying
+
+    monkeypatch.setattr(keying, "_CHUNK_CELLS", chunk_cells)
+    split = _mix_sampler(4)[1]
+    first = split.sample_batch(3).copy()
+    assert np.array_equal(np.vstack([first, split.sample_batch(4)]), _mix_sampler(4)[1].sample_batch(7))
+
+
+def test_key_sampler_needs_one_generator_per_bb84_link():
+    with pytest.raises(ValueError, match="1 BB84 links need as many generators, got 0"):
+        KeySampler([BB84Toy(), TruncatedPoisson(0.5)], _rng())
+
+
+def test_an_absurd_cap_costs_no_memory():
+    # the CDF rows stop where the tail is far below a uniform's resolution
+    sampler = KeySampler([TruncatedPoisson(0.5, cap=10**6)], _rng(5))
+    assert len(sampler.thresholds) < 100
+    assert sampler.sample_batch(1_000).max() < 15
+
+
+def test_counts_above_a_byte_do_not_wrap():
+    # 400 threshold rows: counts are accumulated wider than a byte
+    counts = KeySampler([TruncatedPoisson(300.0, cap=400)], _rng(6)).sample_batch(2_000)[:, 0]
+    assert abs(counts.mean() - 300.0) < 2.0
+    assert counts.max() <= 400
 
 
 def test_keyspec_dispatch():
@@ -277,5 +369,5 @@ def test_bb84_detection_discards_whole_key():
 
 
 def test_bb84_as_key_process_respects_cap():
-    counts = KeySampler(BB84Toy(photons=64, cap=10), _rng(7)).sample_batch(500)
+    counts = KeySampler([BB84Toy(photons=64, cap=10)], _rng(), [_rng(7)]).sample_batch(500)
     assert counts.max() <= 10
