@@ -52,7 +52,7 @@ SWEEP_SEED = 17
 SWEEP_MODES = (
     (TandemMode(key_storage=True), "uamb"), (TandemMode(key_storage=False), "uamb"),
     (MultilevelMode(key_storage=True), "uamb"), (MultilevelMode(key_storage=False), "uamb"),
-    (SingleQueueMode(), "ua"), (BackpressureMode(key_cap=3), "u"),
+    (SingleQueueMode(), "uamb"), (BackpressureMode(key_cap=3), "u"),
 )
 
 

@@ -324,6 +324,8 @@ class ClassConfig:
     def build(self, scale: float) -> TrafficClass:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown traffic kind {self.kind!r}")
+        if self.kind == "broadcast" and self.destinations:
+            raise ValueError(f"a broadcast class takes no destinations, got {list(self.destinations)}")
         if self.process not in _PROCESSES:
             raise ValueError(f"unknown process {self.process!r}")
         if self.process == "ppbp" and scale != 1.0:
@@ -612,7 +614,7 @@ def preset_unicast_sweep() -> ExperimentConfig:
 
 
 def preset_broadcast_sweep() -> ExperimentConfig:
-    """Broadcast delay for the two tandem storage variants on a small net."""
+    """Two-root broadcast under both tandem variants and single-queue, which saturates at scale 2.0."""
     gcfg = GraphConfig(kind="erdos_renyi", nodes=8, p=0.45, graph_seed=11)
     classes = (
         ClassConfig(id=0, source=0, kind="broadcast", process="bernoulli", rate=0.10,
@@ -627,10 +629,11 @@ def preset_broadcast_sweep() -> ExperimentConfig:
         policies=(
             TandemMode(key_storage=True),
             TandemMode(key_storage=False),
+            SingleQueueMode(),
         ),
         horizon=10_000,
         seeds=(1, 2, 3),
-        rate_scales=(0.4, 0.7, 1.0),
+        rate_scales=(0.4, 0.7, 1.0, 2.0),
         series_stride=10,
     )
 

@@ -76,7 +76,7 @@ from .routing import (
     min_weight_path,
 )
 from .topology import NetworkGraph
-from .traffic import Anycast, ArrivalSampler, Broadcast, Multicast, TrafficClass, Unicast
+from .traffic import ArrivalSampler, Broadcast, Multicast, TrafficClass, Unicast
 
 __all__ = ["MetricsRecord", "simulate", "InvariantViolation"]
 
@@ -278,10 +278,6 @@ _QUEUES = {"fifo": FifoQueue, "ento": EntoQueue}
 # _BLOCK_CELLS // m slots (at least one); every stream draws in slot
 # order, so the block size never changes a draw.
 _BLOCK_CELLS = 1 << 20
-_BASELINE_KINDS = {
-    SingleQueueMode: ((Unicast, Anycast), "unicast/anycast"),
-    BackpressureMode: ((Unicast,), "unicast"),
-}
 
 
 def _validate(g: NetworkGraph, classes: Sequence[TrafficClass], mode: PolicyMode, scheduler: str) -> _Router:
@@ -290,9 +286,8 @@ def _validate(g: NetworkGraph, classes: Sequence[TrafficClass], mode: PolicyMode
         raise ValueError(f"unknown scheduler {scheduler!r}; expected 'fifo' or 'ento'")
     if isinstance(mode, BackpressureMode) and scheduler == "ento":
         raise ValueError("backpressure queues hold no hop counts; it runs the 'fifo' scheduler only")
-    kinds = _BASELINE_KINDS.get(type(mode))
-    if kinds and any(not isinstance(c.kind, kinds[0]) for c in classes):
-        raise ValueError(f"{mode.label} baseline supports {kinds[1]} classes only")
+    if isinstance(mode, BackpressureMode) and any(not isinstance(c.kind, Unicast) for c in classes):
+        raise ValueError(f"{mode.label} baseline supports unicast classes only")
     if not isinstance(mode, MultilevelMode):
         if g.key_mask is not None:
             raise ValueError(f"{mode.label} needs key generation on every edge; use multilevel mode")
@@ -340,11 +335,12 @@ class _Router:
         self.idle_routes: dict[int, Route] = {c.id: self._idle(c) for c in classes}
 
     def _idle(self, cls: TrafficClass) -> Route:
-        """The class's route while no link it may use carries weight.
+        """The class's route while no link it may use carries weight, and
+        single-queue's fixed route for every kind.
 
         A unicast or anycast class takes its fewest-hop route
         (``fewest_hop_path`` with nothing blocked: the walk every path
-        router makes, unweighed), which is also single-queue's fixed route.
+        router makes, unweighed).
         A broadcast or multicast class takes the router's tree on all-zero
         weights, built once through the selectors.  That tree is the
         router's answer whenever every weight the class sees is 0, for two
@@ -434,9 +430,9 @@ class _Engine:
     and records the slot.  The policy supplies only what differs:
 
     - route choice: ``_Router``'s minimum-weight routes over the virtual
-      queues (tandem, multilevel), its idle fewest-hop routes
-      (single-queue), or none (backpressure keeps per-(node, class) queues
-      instead of edge queues);
+      queues (tandem, multilevel), its idle routes, fewest-hop paths and
+      zero-weight trees (single-queue), or none (backpressure keeps
+      per-(node, class) queues instead of edge queues);
     - the key phase: tandem reserves keys for the virtual demand (with
       storage) or spends the slot's fresh keys (without), advances the
       virtual queues and encrypts, backpressure caps each link's keys,

@@ -147,6 +147,9 @@ _PYTHON_BUILT_REJECTED = {
         "classes[0] at rate scale 0.5: a unicast class has one destination, got [1, 0]"),
     "unicast-no-destination": (lambda cfg: {"classes": (dataclasses.replace(cfg.classes[0], destinations=()),)},
                                "classes[0] at rate scale 0.5: a unicast class has one destination, got []"),
+    "broadcast-destinations": (
+        lambda cfg: {"classes": (dataclasses.replace(cfg.classes[0], kind="broadcast", destinations=(1,)),)},
+        "classes[0] at rate scale 0.5: a broadcast class takes no destinations, got [1]"),
     "unknown-graph-kind": (lambda cfg: {"graph": GraphConfig(kind="bogus", nodes=4)},
                            "graph.kind: unknown graph kind 'bogus'"),
     "graph-p-above-1": (lambda cfg: {"graph": GraphConfig(kind="erdos_renyi", nodes=4, p=1.5)},
@@ -308,8 +311,10 @@ _REJECTED = {
     "tandem-on-keyless-link": (
         {"graph": _KEYLESS_LINK, "policies": [{"mode": "multilevel"}, {"mode": "tandem"}]},
         {"destinations": [2]}, "policies[1]"),
-    "single-queue-broadcast": ({"policies": [{"mode": "single_queue"}]},
-                               {"kind": "broadcast", "destinations": []}, "policies[0]"),
+    "backpressure-broadcast": ({"policies": [{"mode": "backpressure"}]}, {"kind": "broadcast", "destinations": []},
+                               "policies[0]: backpressure baseline supports unicast"),
+    "broadcast-destinations": ({}, {"kind": "broadcast", "destinations": [1]},
+                               "classes[0] at rate scale 0.5: a broadcast class takes no destinations, got [1]"),
     "source-out-of-range": ({}, {"source": 5}, "classes[0].source"),
     "destination-out-of-range": ({}, {"destinations": [7]}, "classes[0].destinations"),
     "key-storage-string": ({"policies": [{"mode": "tandem", "key_storage": "false"}]}, {},

@@ -3,7 +3,8 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from qkdsim.config import GraphConfig
+from qkdsim.analysis import stability_test
+from qkdsim.config import GraphConfig, preset_config
 from qkdsim.engine import Copy, EntoQueue, PacketRecord, _Engine, _Router, simulate
 from qkdsim.keying import KeySpec
 from qkdsim.policy import BackpressureMode, MultilevelMode, SingleQueueMode, TandemMode
@@ -47,6 +48,18 @@ def test_single_link_singlequeue_saturates_below_offered_load():
     # backlog keeps climbing
     backlog = r.series["backlog_sum"]
     assert backlog[-1] > backlog[len(backlog) // 2] > backlog[len(backlog) // 4]
+
+
+def test_broadcast_singlequeue_saturates_where_tandem_is_stable():
+    # the counterexample on trees: two broadcast roots at 0.20 per class, 48%
+    # of their two-root bound of 0.4178, judged as `qkdsim run` judges a cell
+    cfg = preset_config("broadcast-sweep")
+    g, classes = cfg.graph.build(), cfg.build_classes(2.0)
+    store, single = (simulate(g, classes, mode, horizon=10_000, seed=1, series_stride=10)
+                     for mode in (TandemMode(), SingleQueueMode()))
+    for r, verdict in ((store, "stable"), (single, "unstable")):
+        assert stability_test(r.series["backlog_sum"], window=500, slope_tol=1e-2).verdict == verdict
+    assert single.total_delivered < 0.7 * single.total_arrivals
 
 
 def test_same_seed_gives_identical_bytes():
@@ -246,9 +259,16 @@ def test_instrumented_run_passes_invariants():
 def test_conservation_holds_with_drops(mode):
     g = build_graph(3, [EdgeSpec(0, 1, eta=0.4), EdgeSpec(1, 2, eta=0.4)])
     classes = [TrafficClass(0, 0, Unicast(2), TruncatedPoisson(2.0, cap=8))]
+    trees = not isinstance(mode, BackpressureMode)  # every edge-queue mode runs trees
+    if trees:
+        # sourced at the middle node, both trees fork there, so a drop can land at the fork
+        classes += [TrafficClass(1, 1, Broadcast(), TruncatedPoisson(1.0, cap=4)),
+                    TrafficClass(2, 1, Multicast((0, 2)), Bernoulli(0.5))]
     r = simulate(g, classes, mode, horizon=3000, seed=12, queue_cap=5,
                  check_invariants=True)
     assert r.total_dropped > 0
+    if trees:
+        assert r.class_dropped[1] > 0 and r.class_dropped[2] > 0
     assert r.total_arrivals == r.total_delivered + r.total_dropped + r.in_flight
 
 

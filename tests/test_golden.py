@@ -131,7 +131,7 @@ def test_golden_bytes(label):
 
 
 PRESET_HASHES = {
-    "broadcast-sweep": "58e26d0a6f46",
+    "broadcast-sweep": "d53d07c24157",
     "counterexample": "be120215b436",
     "mixed-security": "154fc2c3ed85",
     "unicast-full": "3772b4230ca5",
