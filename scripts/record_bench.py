@@ -4,10 +4,15 @@
     python scripts/record_bench.py --out BENCH_7.json --checkout parent=../parent --checkout change=.
 
 Runs ``bench/run.py`` of each checkout for every workload and seed, one
-process per run, and stores the median of each end-to-end metric per
-workload under the checkout's label.  Runs of several checkouts are
-interleaved (seed by seed, workload by workload), so that a busy spell of
-the machine falls on all of them alike.  ``--trace`` adds one traced run
+process per run, and stores the median and quartiles of each end-to-end
+metric per workload under the checkout's label.  Runs of several
+checkouts are interleaved (seed by seed, workload by workload), so that a
+busy spell of the machine falls on all of them alike, and the checkout
+that runs first turns over from one seed to the next, so that neither
+side always runs first.  The first ``--checkout`` is the base: for each
+other checkout, workload and metric, ``wins`` counts the seeds where it
+read better than the base (by ``BENCHMARK.json``'s ``better``), and
+``losses`` those where it read worse.  ``--trace`` adds one traced run
 per workload and checkout (the first seed) and stores its per-layer split.
 An existing output file is updated: labels not run this time are kept.
 """
@@ -61,11 +66,14 @@ def main(argv: list[str] | None = None) -> int:
         if not label or not path:
             parser.error(f"--checkout wants LABEL=DIR, got {item!r}")
         checkouts[label] = Path(path).resolve()
+    labels = list(checkouts)
+    better = {m["name"]: m["better"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
     results: dict[str, dict[str, list[dict]]] = {label: {w: [] for w in WORKLOADS} for label in checkouts}
-    for seed in args.seeds:
+    for k, seed in enumerate(args.seeds):
+        order = labels[k % len(labels):] + labels[:k % len(labels)]
         for w in WORKLOADS:
-            for label, checkout in checkouts.items():
-                run = _bench(checkout, w, seed, args.seconds, 0)
+            for label in order:
+                run = _bench(checkouts[label], w, seed, args.seconds, 0)
                 results[label][w].append(run)
                 value = run["metrics"]["slots_per_s"]["value"]
                 print(f"{label} {w} seed {seed}: {value:.1f} slots/s, failed {run['failed']}", file=sys.stderr)
@@ -84,15 +92,20 @@ def main(argv: list[str] | None = None) -> int:
         },
     })
     doc.setdefault("checkouts", {})
+    base = labels[0]
     for label, checkout in checkouts.items():
         entry = {"commit": _commit(checkout), "workloads": {}}
         for w, runs in results[label].items():
-            metrics = {
-                name: {"median": statistics.median(r["metrics"][name]["value"] for r in runs),
-                       "unit": runs[0]["metrics"][name]["unit"],
-                       "runs": [r["metrics"][name]["value"] for r in runs]}
-                for name in runs[0]["metrics"]
-            }
+            metrics = {}
+            for name in runs[0]["metrics"]:
+                values = [r["metrics"][name]["value"] for r in runs]
+                q1, _, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+                metrics[name] = {"median": statistics.median(values), "q1": q1, "q3": q3,
+                                 "unit": runs[0]["metrics"][name]["unit"], "runs": values}
+                if label != base:
+                    sign = 1 if better[name] == "higher" else -1
+                    diffs = [sign * (v - r["metrics"][name]["value"]) for v, r in zip(values, results[base][w])]
+                    metrics[name].update(base=base, wins=sum(d > 0 for d in diffs), losses=sum(d < 0 for d in diffs))
             entry["workloads"][w] = {
                 "metrics": metrics,
                 "attempted": sum(r["attempted"] for r in runs),

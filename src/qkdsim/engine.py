@@ -24,9 +24,11 @@ virtual unencrypted demand each slot; debited keys are held per link
 what keeps the residual and the virtual backlog from being positive at
 the same time, exactly, slot by slot.
 
-A slot costs what its traffic costs.  Arrivals and keys are drawn in blocks
-of slots (at most ``_BLOCK_CELLS`` key counts at a time), so memory does not
-grow with the horizon.  Each class draws from its own generator; every
+A slot costs what its traffic costs.  Queues are made at a link's first
+copy (backpressure's at a (node, class)'s first packet), so a link that no
+route crosses holds none.  Arrivals and keys are drawn in blocks of slots
+(at most ``_BLOCK_CELLS`` key counts at a time), so memory does not grow
+with the horizon.  Each class draws from its own generator; every
 link's keys come from one ``KeySampler``, whose truncated-Poisson links all
 share one generator, so a cell makes a handful of generators, not one per
 link.  A slot's deposit is one vector step, and Python work
@@ -47,7 +49,7 @@ from __future__ import annotations
 import heapq
 import io
 import json
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -304,6 +306,8 @@ def _validate(g: NetworkGraph, classes: Sequence[TrafficClass], mode: PolicyMode
 
 def _check_overrides(g: NetworkGraph, keys: KeySpec) -> None:
     """Every key override must name a link of the graph, in either direction."""
+    if not keys.overrides:
+        return
     links = {(e.u, e.v) for e in g.edges}
     for i, ((u, v), _) in enumerate(keys.overrides):
         if (u, v) not in links and (v, u) not in links:
@@ -469,7 +473,7 @@ class _Engine:
         self.fresh_only = isinstance(mode, SingleQueueMode)
 
         m = g.m
-        processes = [keys.process_for_edge(e.u, e.v, e.eta) if e.has_qkd else None for e in g.edges]
+        processes = keys.processes(g.edges)
         class_rngs, key_rng, misc_rng, bb84_rngs = _spawn_streams(
             seed, len(self.classes), sum(isinstance(p, BB84Toy) for p in processes)
         )
@@ -509,21 +513,22 @@ class _Engine:
             self.misc_rng = misc_rng
             self.ids = ids
             self.dest = {c.id: c.kind.destination for c in self.classes}
-            self.node_q = {(v, c): deque() for v in range(g.n) for c in ids}
+            self.node_q: dict[tuple[int, int], deque] = defaultdict(deque)  # (node, class) -> its packets
             self.lens = [[0] * (max(ids) + 1) for _ in range(g.n)]
             self.tails = np.array([e.u for e in g.edges])
             self.heads = np.array([e.v for e in g.edges])
             self.gammas = np.array(self.gamma)
             return
 
-        # edge queues: encryption queue per priority level, then transmission
+        # edge queues, made at an edge's first copy: an encryption queue per
+        # priority level, then the transmission queue
         self.encrypted = {c.id: self.virtual and c.security == "quantum" for c in self.classes}
         prios = sorted({c.priority for c in self.classes}, reverse=True)
         self.prio_rank = {p: i for i, p in enumerate(prios)}
-        self.x_q: list[list] = [[deque() for _ in prios] for _ in range(m)]
+        self.x_q: dict[int, list[deque]] = defaultdict(lambda: [deque() for _ in prios])
         self.x_len = [0] * m
         self.active_x: set[int] = set()
-        self.y_q = [_QUEUES[scheduler]() for _ in range(m)]
+        self.y_q: dict[int, FifoQueue | EntoQueue] = defaultdict(_QUEUES[scheduler])
         self.active_y: set[int] = set()
         self.x_total = 0
         self.y_total = 0
@@ -643,10 +648,11 @@ class _Engine:
             self.x_total += 1
             self.active_x.add(eid)
         else:
-            if len(self.y_q[eid]) >= self.queue_cap:
+            q = self.y_q[eid]
+            if len(q) >= self.queue_cap:
                 self._drop(copy.record)
                 return False
-            self.y_q[eid].push(copy)
+            q.push(copy)
             self.y_total += 1
             self.active_y.add(eid)
         return True
@@ -719,6 +725,7 @@ class _Engine:
     def _encrypt(self, eid: int, budget: int) -> int:
         """Move up to ``budget`` waiting copies into the encrypted queue."""
         moved = 0
+        q = self.y_q[eid]
         for level in self.x_q[eid]:
             while level and moved < budget:
                 copy = level.popleft()
@@ -726,14 +733,14 @@ class _Engine:
                 self.x_total -= 1
                 if copy.record.dead:
                     continue
-                self.y_q[eid].push(copy)
+                q.push(copy)
                 self.y_total += 1
                 moved += 1
             if moved >= budget:
                 break
         if not self.x_len[eid]:
             self.active_x.discard(eid)
-        if moved and len(self.y_q[eid]):
+        if moved and len(q):
             self.active_y.add(eid)
         return moved
 
@@ -891,11 +898,12 @@ class _Engine:
             for dq in self.node_q.values():
                 yield from dq
             return
-        for e in range(self.g.m):
-            for level in self.x_q[e]:
+        for levels in self.x_q.values():
+            for level in levels:
                 for c in level:
                     yield c.record
-            for c in self.y_q[e]:
+        for q in self.y_q.values():
+            for c in q:
                 yield c.record
 
     def _check_invariants(self, t: int) -> None:
@@ -919,7 +927,7 @@ class _Engine:
         if bank is not None:
             bank.check_ledger()
         # the edge queues' running totals count the copies they hold, dead or alive
-        if self.node_q is None and (self.x_total, self.y_total) != (sum(self.x_len), sum(map(len, self.y_q))):
+        if self.node_q is None and (self.x_total, self.y_total) != (sum(self.x_len), sum(map(len, self.y_q.values()))):
             raise InvariantViolation(f"slot {t}: the queue totals differ from the copies the queues hold")
         if not self.virtual:
             return

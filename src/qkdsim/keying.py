@@ -16,6 +16,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
+from .topology import Edge
 from .traffic import TruncatedPoisson
 
 __all__ = [
@@ -188,11 +189,25 @@ class KeySpec:
             return DeterministicKeys(self.value)
         return BB84Toy(self.photons, self.eavesdrop_prob, self.check_fraction, self.k_max)
 
-    def process_for_edge(self, u: int, v: int, eta: float) -> KeyProcess:
-        for (a, b), spec in self.overrides:
-            if {a, b} == {u, v}:
-                return spec.process_for(eta)
-        return self.process_for(eta)
+    def processes(self, edges: Sequence[Edge]) -> list[KeyProcess | None]:
+        """Each edge's key process, for a graph's edges in id order: ``None``
+        on a keyless edge, else the process of its link's override (either
+        direction) or of this spec.
+
+        One pass over the edges, with the overrides read from a map by
+        unordered endpoint pair.  A link's two directions share its eta and
+        its override, so the second takes the first's (immutable) process.
+        """
+        by_link = {(min(a, b), max(a, b)): spec for (a, b), spec in self.overrides}
+        out: list[KeyProcess | None] = []
+        for e in edges:
+            if not e.has_qkd:
+                out.append(None)
+            elif e.twin is not None and e.twin < e.id:
+                out.append(out[e.twin])
+            else:
+                out.append(by_link.get((e.u, e.v) if e.u < e.v else (e.v, e.u), self).process_for(e.eta))
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -293,22 +308,27 @@ class KeySampler:
     def __init__(self, processes: Sequence[KeyProcess | None], rng: np.random.Generator,
                  bb84_rngs: Sequence[np.random.Generator] = ()):
         self.rng = rng
-        bb84 = [(e, p) for e, p in enumerate(processes) if isinstance(p, BB84Toy)]
+        # sort the links into the Poisson columns, the BB84 links and the constant counts in one pass
+        ids, rates, caps, bb84 = [], [], [], []
+        self.constant = np.zeros(len(processes), dtype=np.int64)  # keyless and deterministic links' counts
+        for e, p in enumerate(processes):
+            if isinstance(p, TruncatedPoisson):
+                ids.append(e)
+                rates.append(p.rate)
+                caps.append(p.cap)
+            elif isinstance(p, BB84Toy):
+                bb84.append((e, p))
+            elif p is not None:
+                self.constant[e] = p.value
         if len(bb84) != len(bb84_rngs):
             raise ValueError(f"{len(bb84)} BB84 links need as many generators, got {len(bb84_rngs)}")
         self.bb84 = [(e, p, r) for (e, p), r in zip(bb84, bb84_rngs)]
-        poisson = [(e, p) for e, p in enumerate(processes) if isinstance(p, TruncatedPoisson)]
-        ids = [e for e, _ in poisson]
         # their columns of the block, as a slice when they run unbroken (a faster write)
         self.poisson_cols = slice(ids[0], ids[-1] + 1) if ids and ids == list(range(ids[0], ids[-1] + 1)) else ids
-        self.thresholds = _poisson_cdf_rows(
-            np.array([p.rate for _, p in poisson], dtype=float), np.array([p.cap for _, p in poisson], dtype=np.int64)
-        )
+        self.thresholds = _poisson_cdf_rows(np.array(rates, dtype=float), np.array(caps, dtype=np.int64))
         self.row_min = self.thresholds.min(axis=1, initial=2.0)
-        # the counts of the keyless and deterministic links, which never change
-        self.constant = np.array([p.value if isinstance(p, DeterministicKeys) else 0 for p in processes], dtype=np.int64)
         # a slot's count never exceeds its process's cap; int32 holds every cap but absurd ones
-        cap = max((p.cap for p in processes if p is not None), default=0)
+        cap = max(max(caps, default=0), max((p.cap for _, p in bb84), default=0), self.constant.max(initial=0))
         self.dtype = np.int32 if cap < 2**31 else np.int64
         # a count never exceeds the threshold rows, so a byte holds it unless a cap is absurd
         self.count_dtype = np.uint8 if len(self.thresholds) < 256 else self.dtype

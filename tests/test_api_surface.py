@@ -20,7 +20,7 @@ PACKAGE = ROOT / "src" / "qkdsim"
 
 # Exported names allowed to have test callers only, with the reason.
 EXCEPTIONS = {
-    "unicast_capacity": "single-class max-flow oracle; ROADMAP item 4 makes it the "
+    "unicast_capacity": "single-class max-flow oracle; ROADMAP item 3 makes it the "
     "K=1 case of a multi-class capacity solver",
 }
 

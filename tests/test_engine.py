@@ -175,7 +175,7 @@ def test_queue_totals_match_the_queues():
     (eng,) = engines
     assert r.total_dropped > 0
     assert r.series["x_sum"][-1] == sum(eng.x_len)
-    assert r.series["y_sum"][-1] == sum(map(len, eng.y_q))
+    assert r.series["y_sum"][-1] == sum(map(len, eng.y_q.values()))
 
 
 def test_simulate_rejects_an_override_on_a_missing_link():
@@ -236,6 +236,47 @@ def test_per_edge_key_override_changes_service():
     r2 = simulate(g, classes, TandemMode(), keys=KeySpec(kind="deterministic", value=10),
                   horizon=500, seed=23)
     assert r2.total_delivered > 0
+
+
+def test_overriding_every_link_with_the_default_process_keeps_the_bytes():
+    # every link's override read from the map, named in either direction
+    g = erdos_renyi(12, 0.5, seed=4)
+    links = [(e.u, e.v) if e.pair % 2 else (e.v, e.u) for e in g.edges[::2]]
+    same = KeySpec(overrides=tuple((link, KeySpec(photons=9)) for link in links))  # photons: unread by Poisson
+    classes = [TrafficClass(0, 0, Unicast(7), Bernoulli(0.4)), TrafficClass(1, 3, Unicast(10), Bernoulli(0.3))]
+    runs = [simulate(g, classes, TandemMode(), keys=keys, horizon=400, seed=5) for keys in (KeySpec(), same)]
+    assert runs[0].to_json_bytes() == runs[1].to_json_bytes()
+    assert runs[0].to_csv_bytes() == runs[1].to_csv_bytes()
+    numbered = KeySpec(overrides=tuple((link, KeySpec(kind="deterministic", value=i)) for i, link in enumerate(links)))
+    assert [p.value for p in numbered.processes(g.edges)] == [e.pair for e in g.edges]
+
+
+@pytest.mark.parametrize("mode, scheduler, kinds", [
+    (TandemMode(), "fifo", (Unicast(17), Unicast(9))),
+    (MultilevelMode(), "ento", (Unicast(17), Multicast((9, 20)))),
+], ids=["tandem-store", "multilevel-ento"])
+def test_idle_links_hold_no_queue(mode, scheduler, kinds):
+    # queues are made at a link's first copy: a link no route crosses holds none
+    g = erdos_renyi(24, 0.4, seed=6)
+    classes = [TrafficClass(i, 2 * i, kind, Bernoulli(0.3), security=("quantum", "classical")[i])
+               if isinstance(mode, MultilevelMode) else TrafficClass(i, 2 * i, kind, Bernoulli(0.3))
+               for i, kind in enumerate(kinds)]
+    crossed, engines = set(), []
+    routes, metrics = _Router.routes, _Engine._metrics
+
+    def recording_routes(router, *args):
+        chosen = routes(router, *args)
+        crossed.update(e for route in chosen.values() for e in route.edges)
+        return chosen
+
+    with mock.patch.object(_Router, "routes", recording_routes), \
+            mock.patch.object(_Engine, "_metrics", lambda self: engines.append(self) or metrics(self)):
+        r = simulate(g, classes, mode, scheduler=scheduler, horizon=300, seed=2, check_invariants=True)
+    (eng,) = engines
+    held = set(eng.x_q) | set(eng.y_q)
+    assert r.total_delivered > 0
+    assert held and held <= crossed
+    assert len(held) < g.m // 4
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from qkdsim.keying import (
     KeySpec,
     bb84_round,
 )
+from qkdsim.topology import Edge
 from qkdsim.traffic import TruncatedPoisson
 
 
@@ -183,13 +184,20 @@ _MIX_SPEC = KeySpec(k_max=20, overrides=(
     ((6, 7), KeySpec(kind="deterministic", value=3)),
     ((8, 9), KeySpec(kind="bb84", photons=6, check_fraction=0.2, k_max=2)),
 ))
-_MIX_LINKS = ((0, 1, 0.5), (2, 3, 3.0), (4, 5, 0.7), (10, 11, 0.0), (12, 13, 800.0), (6, 7, 1.0), (8, 9, 1.0))
+_MIX_LINKS = (
+    (0, 1, 0.5), (2, 3, 3.0), (4, 5, 0.7), (10, 11, 0.0), (12, 13, 800.0), (14, 15, 1.0, False), (6, 7, 1.0),
+    (8, 9, 1.0),
+)
 
 
 def _mix_sampler(seed=0):
-    processes = [_MIX_SPEC.process_for_edge(u, v, eta) for u, v, eta in _MIX_LINKS]
-    processes.insert(5, None)  # a keyless link
+    processes = _MIX_SPEC.processes([_edge(i, *link) for i, link in enumerate(_MIX_LINKS)])
+    assert processes[5] is None  # the keyless link
     return processes, KeySampler(processes, _rng(seed), [_rng(seed + 1)])
+
+
+def _edge(eid, u, v, eta, has_qkd=True):
+    return Edge(eid, u, v, 1, eta, has_qkd, None, eid)
 
 
 def _truncated_poisson_pmf(rate, cap):
@@ -278,9 +286,10 @@ def test_keyspec_dispatch():
 
 def test_keyspec_per_edge_override():
     spec = KeySpec(overrides=(((0, 1), KeySpec(kind="deterministic", value=9)),))
-    assert spec.process_for_edge(0, 1, 0.5).value == 9
-    assert spec.process_for_edge(1, 0, 0.5).value == 9  # either direction
-    assert isinstance(spec.process_for_edge(1, 2, 0.5), TruncatedPoisson)
+    fwd, back, other = spec.processes([_edge(0, 0, 1, 0.5), _edge(1, 1, 0, 0.5), _edge(2, 1, 2, 0.5)])
+    assert fwd.value == 9
+    assert back.value == 9  # either direction
+    assert isinstance(other, TruncatedPoisson)
 
 
 @pytest.mark.parametrize("fields, error", [
