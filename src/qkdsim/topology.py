@@ -48,10 +48,8 @@ class Edge:
     """A stored directed edge.  ``twin`` is the mirrored direction, if any.
 
     Read-only by convention: nothing writes an edge after ``build_graph``.
-    It is not frozen because a graph stores thousands of edges, and a
-    frozen dataclass takes about four times as long to build (a named
-    tuple builds fast too, but its fields read at half the speed of
-    slots, and the routing kernels and the slot loop read them often)."""
+    Not frozen, because a graph stores thousands of edges and a frozen
+    dataclass takes about four times as long to build."""
 
     id: int
     u: int

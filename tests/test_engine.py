@@ -251,16 +251,15 @@ def test_overriding_every_link_with_the_default_process_keeps_the_bytes():
     assert [p.value for p in numbered.processes(g.edges)] == [e.pair for e in g.edges]
 
 
-@pytest.mark.parametrize("mode, scheduler, kinds", [
-    (TandemMode(), "fifo", (Unicast(17), Unicast(9))),
-    (MultilevelMode(), "ento", (Unicast(17), Multicast((9, 20)))),
+@pytest.mark.parametrize("mode, scheduler, classes", [
+    (TandemMode(), "fifo", [TrafficClass(0, 0, Unicast(17), Bernoulli(0.3)),
+                            TrafficClass(1, 2, Unicast(9), Bernoulli(0.3))]),
+    (MultilevelMode(), "ento", [TrafficClass(0, 0, Unicast(17), Bernoulli(0.3)),
+                                TrafficClass(1, 2, Multicast((9, 20)), Bernoulli(0.3), security="classical")]),
 ], ids=["tandem-store", "multilevel-ento"])
-def test_idle_links_hold_no_queue(mode, scheduler, kinds):
+def test_idle_links_hold_no_queue(mode, scheduler, classes):
     # queues are made at a link's first copy: a link no route crosses holds none
     g = erdos_renyi(24, 0.4, seed=6)
-    classes = [TrafficClass(i, 2 * i, kind, Bernoulli(0.3), security=("quantum", "classical")[i])
-               if isinstance(mode, MultilevelMode) else TrafficClass(i, 2 * i, kind, Bernoulli(0.3))
-               for i, kind in enumerate(kinds)]
     crossed, engines = set(), []
     routes, metrics = _Router.routes, _Engine._metrics
 
