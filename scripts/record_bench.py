@@ -2,10 +2,13 @@
 """Record benchmark medians in BENCH_<n>.json at the repository root.
 
     python scripts/record_bench.py --out BENCH_7.json --checkout parent=../parent --checkout change=.
+    python scripts/record_bench.py --out BENCH_7.json --workload full-unicast --seeds 321 322 ...
 
-Runs ``bench/run.py`` of each checkout for every workload and seed, one
-process per run, and stores the median and quartiles of each end-to-end
-metric per workload under the checkout's label.  Runs of several
+Runs ``bench/run.py`` of each checkout for every seed and every workload
+that ``BENCHMARK.json`` declares (or only those named by ``--workload``),
+one process per run, and stores the median and quartiles of each
+end-to-end metric per workload under the checkout's label, with the seeds
+and seconds it ran.  Runs of several
 checkouts are interleaved (seed by seed, workload by workload), so that a
 busy spell of the machine falls on all of them alike, and the checkout
 that runs first turns over from one seed to the next, so that neither
@@ -14,7 +17,8 @@ other checkout, workload and metric, ``wins`` counts the seeds where it
 read better than the base (by ``BENCHMARK.json``'s ``better``), and
 ``losses`` those where it read worse.  ``--trace`` adds one traced run
 per workload and checkout (the first seed) and stores its per-layer split.
-An existing output file is updated: labels not run this time are kept.
+An existing output file is updated: labels and workloads not run this
+time are kept, unless the label's commit changed.
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ from pathlib import Path
 import numpy
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("full-unicast", "desk-unicast", "desk-multiclass")
 
 
 def _bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -51,6 +54,8 @@ def _commit(checkout: Path) -> str | None:
 
 
 def main(argv: list[str] | None = None) -> int:
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = [w["name"] for w in declared["workloads"]]
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", required=True, help="file name at the repo root, e.g. BENCH_7.json")
     parser.add_argument("--checkout", action="append", default=[], metavar="LABEL=DIR",
@@ -58,7 +63,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seeds", type=int, nargs="+", default=[101, 102, 103])
     parser.add_argument("--seconds", type=float, default=35.0)
     parser.add_argument("--trace", action="store_true", help="also record one traced run per workload")
+    parser.add_argument("--workload", action="append", choices=workloads, metavar="NAME",
+                        help=f"run only this workload (repeatable; default: all of {', '.join(workloads)})")
     args = parser.parse_args(argv)
+    chosen = [w for w in workloads if w in (args.workload or workloads)]
 
     checkouts = {}
     for item in args.checkout or [f"change={ROOT}"]:
@@ -67,11 +75,11 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(f"--checkout wants LABEL=DIR, got {item!r}")
         checkouts[label] = Path(path).resolve()
     labels = list(checkouts)
-    better = {m["name"]: m["better"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
-    results: dict[str, dict[str, list[dict]]] = {label: {w: [] for w in WORKLOADS} for label in checkouts}
+    better = {m["name"]: m["better"] for m in declared["end_to_end"]}
+    results: dict[str, dict[str, list[dict]]] = {label: {w: [] for w in chosen} for label in checkouts}
     for k, seed in enumerate(args.seeds):
         order = labels[k % len(labels):] + labels[:k % len(labels)]
-        for w in WORKLOADS:
+        for w in chosen:
             for label in order:
                 run = _bench(checkouts[label], w, seed, args.seconds, 0)
                 results[label][w].append(run)
@@ -82,8 +90,6 @@ def main(argv: list[str] | None = None) -> int:
     doc = json.loads(out_path.read_text()) if out_path.exists() else {}
     doc.update({
         "bench": "bench/run.py --trace 0",
-        "seeds": args.seeds,
-        "seconds": args.seconds,
         "machine": {
             "python": platform.python_version(),
             "numpy": numpy.__version__,
@@ -94,7 +100,10 @@ def main(argv: list[str] | None = None) -> int:
     doc.setdefault("checkouts", {})
     base = labels[0]
     for label, checkout in checkouts.items():
-        entry = {"commit": _commit(checkout), "workloads": {}}
+        commit = _commit(checkout)
+        entry = doc["checkouts"].get(label, {})
+        if entry.get("commit") != commit:
+            entry = {"commit": commit, "workloads": {}}
         for w, runs in results[label].items():
             metrics = {}
             for name in runs[0]["metrics"]:
@@ -107,6 +116,8 @@ def main(argv: list[str] | None = None) -> int:
                     diffs = [sign * (v - r["metrics"][name]["value"]) for v, r in zip(values, results[base][w])]
                     metrics[name].update(base=base, wins=sum(d > 0 for d in diffs), losses=sum(d < 0 for d in diffs))
             entry["workloads"][w] = {
+                "seeds": args.seeds,
+                "seconds": args.seconds,
                 "metrics": metrics,
                 "attempted": sum(r["attempted"] for r in runs),
                 "failed": sum(r["failed"] for r in runs),

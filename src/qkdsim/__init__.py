@@ -11,7 +11,7 @@ from .analysis import (
 )
 from .config import ExperimentConfig, preset_config
 from .engine import MetricsRecord, simulate
-from .keying import BB84Toy, DeterministicKeys, KeyBank, KeySpec, bb84_round
+from .keying import KeyBank, KeySpec, bb84_round
 from .policy import (
     BackpressureMode,
     MultilevelMode,

@@ -55,7 +55,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .keying import BB84Toy, KeyBank, KeySampler, KeySpec
+from .keying import KeyBank, KeySampler, KeySpec
 from .policy import (
     BackpressureMode,
     MultilevelMode,
@@ -256,11 +256,14 @@ class MetricsRecord:
 # ---------------------------------------------------------------------------
 # shared helpers
 
-def _spawn_streams(seed: int, n_classes: int, n_bb84: int):
+def _spawn_streams(seed: int, n_classes: int):
     """A cell's generators: one per class, one for every truncated-Poisson
-    link's keys, one for backpressure's link order, and one per BB84 link."""
-    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n_classes + 2 + n_bb84)]
-    return rngs[:n_classes], rngs[n_classes], rngs[n_classes + 1], rngs[n_classes + 2 :]
+    link's keys and one for backpressure's link order; then the seed's
+    sequence, whose next children are the BB84 links' generators (the
+    ``KeySampler`` spawns one per BB84 link once it has counted them)."""
+    seeds = np.random.SeedSequence(seed)
+    rngs = [np.random.default_rng(s) for s in seeds.spawn(n_classes + 2)]
+    return rngs[:n_classes], rngs[n_classes], rngs[n_classes + 1], seeds
 
 
 # The per-slot series columns and their dtypes; the last two are recorded
@@ -473,15 +476,11 @@ class _Engine:
         self.fresh_only = isinstance(mode, SingleQueueMode)
 
         m = g.m
-        processes = keys.processes(g.edges)
-        class_rngs, key_rng, misc_rng, bb84_rngs = _spawn_streams(
-            seed, len(self.classes), sum(isinstance(p, BB84Toy) for p in processes)
-        )
+        class_rngs, key_rng, misc_rng, seeds = _spawn_streams(seed, len(self.classes))
         self.arrival_samplers = {
             cls.id: ArrivalSampler(cls.arrival, class_rngs[i]) for i, cls in enumerate(self.classes)
         }
-        self.qkd_ids = list(g.qkd_edge_ids())
-        self.key_sampler = KeySampler(processes, key_rng, bb84_rngs)
+        self.key_sampler = KeySampler(keys, g.edges, key_rng, seeds)
         self.block_slots = min(horizon, max(1, _BLOCK_CELLS // max(1, m)))
         self.bank = None  # the key ledger, kept only where keys are carried between slots
         self.gamma = [e.gamma for e in g.edges]
@@ -931,7 +930,7 @@ class _Engine:
             raise InvariantViolation(f"slot {t}: the queue totals differ from the copies the queues hold")
         if not self.virtual:
             return
-        for e in self.qkd_ids:
+        for e in self.g.qkd_edge_ids():
             if self.transmitted_encrypted[e] > self.moved_total[e]:
                 raise InvariantViolation(f"slot {t}: edge {e} transmitted more than was encrypted")
             if self.storage:

@@ -3,27 +3,28 @@
 Keys are fungible counters: one key unit encrypts exactly one packet.  One
 ``KeyBank`` holds the ledger of every edge (residual / generated / consumed
 / discarded) as arrays, so conservation can be checked after every
-operation.  The BB84 backend models only basis
-sifting and intercept-resend detection; it is an alternative source of
-per-slot key counts, not a cryptographic implementation.
+operation.  A ``KeySpec`` names each link's key process: truncated
+Poisson at the link's own rate, a deterministic count, or toy BB84 rounds.
+``KeySampler`` resolves every edge's process from the spec in one pass over
+the edges, with no object per link, and computes each truncated-Poisson
+link's inverse-CDF thresholds once, shared by its two directions.  The
+BB84 backend models only basis sifting and intercept-resend detection; it
+is an alternative source of per-slot key counts, not a cryptographic
+implementation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
 from .topology import Edge
-from .traffic import TruncatedPoisson
 
 __all__ = [
     "KeyBank",
-    "DeterministicKeys",
-    "BB84Toy",
-    "KeyProcess",
     "KeySpec",
     "KeySampler",
     "BB84Round",
@@ -100,52 +101,6 @@ class KeyBank:
 # key processes
 
 @dataclass(frozen=True)
-class DeterministicKeys:
-    value: int
-
-    def __post_init__(self):
-        if self.value < 0:
-            raise ValueError("value must be >= 0")
-
-    @property
-    def mean(self) -> float:
-        return float(self.value)
-
-    @property
-    def cap(self) -> int:
-        return self.value
-
-
-@dataclass(frozen=True)
-class BB84Toy:
-    """Per-slot key counts from repeated toy BB84 rounds."""
-
-    photons: int = 8
-    eavesdrop_prob: float = 0.0
-    check_fraction: float = 0.0
-    cap: int = 20
-
-    def __post_init__(self):
-        if self.photons < 0:
-            raise ValueError("photons must be >= 0")
-        if not 0.0 <= self.eavesdrop_prob <= 1.0:
-            raise ValueError("eavesdrop_prob must be in [0,1]")
-        if not 0.0 <= self.check_fraction <= 1.0:
-            raise ValueError("check_fraction must be in [0,1]")
-
-    @property
-    def mean(self) -> float:
-        # Sifting keeps half the photons; checked bits are revealed and, if
-        # eavesdropping was detected, the whole round is discarded.
-        p_clean_bit = 1.0 - self.eavesdrop_prob * 0.25 * self.check_fraction
-        p_round_clean = p_clean_bit ** (self.photons * 0.5)
-        return 0.5 * self.photons * (1.0 - self.check_fraction) * p_round_clean
-
-
-KeyProcess = Union[DeterministicKeys, TruncatedPoisson, BB84Toy]
-
-
-@dataclass(frozen=True)
 class KeySpec:
     """Config-level selection of the per-edge key generation backend.
 
@@ -181,33 +136,6 @@ class KeySpec:
             first = links.setdefault(frozenset((u, v)), i)
             if first != i:
                 raise ValueError(f"overrides[{i}]: link ({u}, {v}) is already overridden by overrides[{first}]")
-
-    def process_for(self, eta: float) -> KeyProcess:
-        if self.kind == "truncated_poisson":
-            return TruncatedPoisson(eta, self.k_max)
-        if self.kind == "deterministic":
-            return DeterministicKeys(self.value)
-        return BB84Toy(self.photons, self.eavesdrop_prob, self.check_fraction, self.k_max)
-
-    def processes(self, edges: Sequence[Edge]) -> list[KeyProcess | None]:
-        """Each edge's key process, for a graph's edges in id order: ``None``
-        on a keyless edge, else the process of its link's override (either
-        direction) or of this spec.
-
-        One pass over the edges, with the overrides read from a map by
-        unordered endpoint pair.  A link's two directions share its eta and
-        its override, so the second takes the first's (immutable) process.
-        """
-        by_link = {(min(a, b), max(a, b)): spec for (a, b), spec in self.overrides}
-        out: list[KeyProcess | None] = []
-        for e in edges:
-            if not e.has_qkd:
-                out.append(None)
-            elif e.twin is not None and e.twin < e.id:
-                out.append(out[e.twin])
-            else:
-                out.append(by_link.get((e.u, e.v) if e.u < e.v else (e.v, e.u), self).process_for(e.eta))
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -289,53 +217,70 @@ def _poisson_cdf_rows(rates: np.ndarray, caps: np.ndarray) -> np.ndarray:
 
 
 class KeySampler:
-    """Every link's key stream: the counts of all links, slot by slot.
+    """Every link's key stream: the counts of all edges, slot by slot.
 
-    ``processes`` holds one entry per link (``None`` for a keyless link,
-    whose count is always 0).  Every truncated-Poisson link draws from the
-    one generator ``rng``: one uniform per (slot, link), in slot order and
-    link order within a slot, turned into a count by inverse CDF (the
-    number of the link's thresholds P(X <= k), k < cap, that it reaches).
-    So the links' counts are independent truncated-Poisson draws, and
-    drawing n slots then n' gives what drawing n + n' at once gives.  A
-    deterministic link needs no stream; each BB84 link runs its toy rounds
-    on its own generator from ``bb84_rngs``, one per BB84 link in link
-    order.
+    Each edge's process is resolved from ``spec`` in one pass over
+    ``edges``, a graph's edges in id order (an edge's id is its column of
+    the block): none on a keyless edge (its count is always 0), else the
+    process of its link's override (either direction) or of ``spec``.  A
+    truncated-Poisson link's inverse-CDF thresholds P(X <= k), k < cap, are
+    computed once per link: the edges that share a ``pair`` (an undirected
+    link's two directions, with one rate and one override) share one
+    threshold column, copied to each edge's column of the block.
+
+    Every truncated-Poisson edge draws from the one generator ``rng``: one
+    uniform per (slot, edge), in slot order and edge order within a slot,
+    turned into a count by inverse CDF (the number of its thresholds that
+    the uniform reaches).  So the edges' counts are independent
+    truncated-Poisson draws, and drawing n slots then n' gives what drawing
+    n + n' at once gives.  A deterministic edge needs no stream; each BB84
+    edge runs its toy rounds on its own generator, spawned from ``seeds``
+    once the pass has counted them, one per BB84 edge in edge order.
     """
 
     __slots__ = ("rng", "bb84", "poisson_cols", "thresholds", "row_min", "count_dtype", "constant", "dtype", "block")
 
-    def __init__(self, processes: Sequence[KeyProcess | None], rng: np.random.Generator,
-                 bb84_rngs: Sequence[np.random.Generator] = ()):
+    def __init__(self, spec: KeySpec, edges: Sequence[Edge], rng: np.random.Generator,
+                 seeds: np.random.SeedSequence):
         self.rng = rng
-        # sort the links into the Poisson columns, the BB84 links and the constant counts in one pass
-        ids, rates, caps, bb84 = [], [], [], []
-        self.constant = np.zeros(len(processes), dtype=np.int64)  # keyless and deterministic links' counts
-        for e, p in enumerate(processes):
-            if isinstance(p, TruncatedPoisson):
-                ids.append(e)
-                rates.append(p.rate)
-                caps.append(p.cap)
-            elif isinstance(p, BB84Toy):
-                bb84.append((e, p))
-            elif p is not None:
-                self.constant[e] = p.value
-        if len(bb84) != len(bb84_rngs):
-            raise ValueError(f"{len(bb84)} BB84 links need as many generators, got {len(bb84_rngs)}")
-        self.bb84 = [(e, p, r) for (e, p), r in zip(bb84, bb84_rngs)]
+        by_link = {(min(a, b), max(a, b)): sub for (a, b), sub in spec.overrides}
+        self.constant = np.zeros(len(edges), dtype=np.int64)  # keyless and deterministic edges' counts
+        ids, cols, rates, caps, bb84 = [], [], [], [], []
+        link_col: dict[int, int] = {}  # a truncated-Poisson link's pair -> its threshold column
+        for e in edges:
+            if not e.has_qkd:
+                continue
+            col = link_col.get(e.pair)
+            if col is None:
+                sub = by_link.get((e.u, e.v) if e.u < e.v else (e.v, e.u), spec)
+                if sub.kind == "deterministic":
+                    self.constant[e.id] = sub.value
+                    continue
+                if sub.kind == "bb84":
+                    bb84.append((e.id, sub))
+                    continue
+                col = link_col[e.pair] = len(rates)
+                rates.append(e.eta)
+                caps.append(sub.k_max)
+            ids.append(e.id)
+            cols.append(col)
+        self.bb84 = [(e, sub, np.random.default_rng(s)) for (e, sub), s in zip(bb84, seeds.spawn(len(bb84)))]
         # their columns of the block, as a slice when they run unbroken (a faster write)
-        self.poisson_cols = slice(ids[0], ids[-1] + 1) if ids and ids == list(range(ids[0], ids[-1] + 1)) else ids
-        self.thresholds = _poisson_cdf_rows(np.array(rates, dtype=float), np.array(caps, dtype=np.int64))
-        self.row_min = self.thresholds.min(axis=1, initial=2.0)
+        # (ids rise, so they run unbroken when they span no more than their count)
+        self.poisson_cols = slice(ids[0], ids[-1] + 1) if ids and ids[-1] - ids[0] == len(ids) - 1 else ids
+        per_link = _poisson_cdf_rows(np.array(rates, dtype=float), np.array(caps, dtype=np.int64))
+        # take keeps the rows contiguous (per_link[:, cols] would not), which each slot's row compares read
+        self.thresholds = per_link.take(cols, axis=1)
+        self.row_min = per_link.min(axis=1, initial=2.0)
         # a slot's count never exceeds its process's cap; int32 holds every cap but absurd ones
-        cap = max(max(caps, default=0), max((p.cap for _, p in bb84), default=0), self.constant.max(initial=0))
+        cap = max(max(caps, default=0), max((sub.k_max for _, sub in bb84), default=0), self.constant.max(initial=0))
         self.dtype = np.int32 if cap < 2**31 else np.int64
         # a count never exceeds the threshold rows, so a byte holds it unless a cap is absurd
-        self.count_dtype = np.uint8 if len(self.thresholds) < 256 else self.dtype
-        self.block = np.empty((0, len(processes)), dtype=self.dtype)
+        self.count_dtype = np.uint8 if len(per_link) < 256 else self.dtype
+        self.block = np.empty((0, len(edges)), dtype=self.dtype)
 
     def sample_batch(self, nslots: int) -> np.ndarray:
-        """Key counts of the next ``nslots`` slots, an (nslots, links) array.
+        """Key counts of the next ``nslots`` slots, an (nslots, edges) array.
 
         The array is the sampler's own buffer, overwritten by the next call.
         """
@@ -344,11 +289,11 @@ class KeySampler:
             self.block[:] = self.constant
         block = self.block[:nslots]
         ids, thresholds = self.poisson_cols, self.thresholds
-        links = thresholds.shape[1]
-        if links:
-            step = max(1, _CHUNK_CELLS // links)
+        width = thresholds.shape[1]
+        if width:
+            step = max(1, _CHUNK_CELLS // width)
             for t0 in range(0, nslots, step):
-                u = self.rng.random((min(step, nslots - t0), links))
+                u = self.rng.random((min(step, nslots - t0), width))
                 top = u.max()
                 counts = np.zeros(u.shape, dtype=self.count_dtype)
                 for row, low in zip(thresholds, self.row_min):
@@ -356,7 +301,8 @@ class KeySampler:
                         break
                     counts += u >= row
                 block[t0 : t0 + len(u), ids] = counts
-        for e, p, rng in self.bb84:
+        for e, sub, rng in self.bb84:
             for t in range(nslots):
-                block[t, e] = min(bb84_round(p.photons, p.eavesdrop_prob, p.check_fraction, rng).sifted_keys, p.cap)
+                block[t, e] = min(bb84_round(sub.photons, sub.eavesdrop_prob, sub.check_fraction, rng).sifted_keys,
+                                  sub.k_max)
         return block

@@ -14,12 +14,14 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import itertools
+import math
 from typing import Sequence
 from unittest import mock
 
 import numpy as np
 
 from qkdsim.engine import _Engine
+from qkdsim.keying import KeySpec, bb84_round
 from qkdsim.routing import Route, RoutingError
 from qkdsim.topology import EdgeSpec, build_graph
 
@@ -307,6 +309,55 @@ def backpressure_scan(queue_lens, g, kappa, class_ids, edge_order, live):
         n = min(e.gamma, kappa[eid], live[e.u][best_c])
         if n > 0:
             yield eid, best_c, n
+
+
+def edge_key_spec(spec: KeySpec, edge) -> KeySpec | None:
+    """The key spec that one edge runs, resolved on its own: None on a
+    keyless edge, else the override that names the edge's link in either
+    direction (a scan of every override), or ``spec`` when none does."""
+    if not edge.has_qkd:
+        return None
+    for (a, b), sub in spec.overrides:
+        if {a, b} == {edge.u, edge.v}:
+            return sub
+    return spec
+
+
+def truncated_poisson_pmf(rate: float, cap: int) -> list[float]:
+    """P(min(X, cap) = k), k = 0..cap, for X ~ Poisson(rate), term by term."""
+    pmf = [math.exp(-rate) * rate**k / math.factorial(k) for k in range(cap)]
+    return pmf + [max(0.0, 1.0 - sum(pmf))]
+
+
+def key_counts_replay(spec: KeySpec, edges, nslots: int, rng, seeds) -> np.ndarray:
+    """The first ``nslots`` slots of every edge's key counts, replayed edge by edge.
+
+    Each edge runs ``edge_key_spec``.  The truncated-Poisson edges take
+    ``rng``'s uniforms in slot order, then edge order; each counts the
+    terms of its own rate's and cap's CDF that its uniform reaches.  Each
+    BB84 edge runs one round per slot on its own generator, spawned from
+    ``seeds`` in edge order, and keeps at most ``k_max`` keys.
+    Deterministic edges count their value, keyless edges 0.
+    """
+    resolved = [edge_key_spec(spec, e) for e in edges]
+    kinds = [None if s is None else s.kind for s in resolved]
+    out = np.zeros((nslots, len(edges)), dtype=np.int64)
+    poisson = [i for i, k in enumerate(kinds) if k == "truncated_poisson"]
+    u = rng.random((nslots, len(poisson)))
+    for j, i in enumerate(poisson):
+        cdf = np.cumsum(truncated_poisson_pmf(edges[i].eta, resolved[i].k_max)[:-1])
+        out[:, i] = [sum(x >= c for c in cdf) for x in u[:, j]]
+    bb84 = [i for i, k in enumerate(kinds) if k == "bb84"]
+    for i, seed in zip(bb84, seeds.spawn(len(bb84))):
+        s, own = resolved[i], np.random.default_rng(seed)
+        out[:, i] = [
+            min(bb84_round(s.photons, s.eavesdrop_prob, s.check_fraction, own).sifted_keys, s.k_max)
+            for _ in range(nslots)
+        ]
+    for i, k in enumerate(kinds):
+        if k == "deterministic":
+            out[:, i] = resolved[i].value
+    return out
 
 
 @contextlib.contextmanager

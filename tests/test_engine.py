@@ -6,7 +6,7 @@ import pytest
 from qkdsim.analysis import stability_test
 from qkdsim.config import GraphConfig, preset_config
 from qkdsim.engine import Copy, EntoQueue, PacketRecord, _Engine, _Router, simulate
-from qkdsim.keying import KeySpec
+from qkdsim.keying import KeySampler, KeySpec
 from qkdsim.policy import BackpressureMode, MultilevelMode, SingleQueueMode, TandemMode
 from qkdsim.routing import Route, RoutingError
 from qkdsim.topology import EdgeSpec, build_graph, erdos_renyi
@@ -248,7 +248,8 @@ def test_overriding_every_link_with_the_default_process_keeps_the_bytes():
     assert runs[0].to_json_bytes() == runs[1].to_json_bytes()
     assert runs[0].to_csv_bytes() == runs[1].to_csv_bytes()
     numbered = KeySpec(overrides=tuple((link, KeySpec(kind="deterministic", value=i)) for i, link in enumerate(links)))
-    assert [p.value for p in numbered.processes(g.edges)] == [e.pair for e in g.edges]
+    sampler = KeySampler(numbered, g.edges, np.random.default_rng(0), np.random.SeedSequence(0))
+    assert sampler.constant.tolist() == [e.pair for e in g.edges]
 
 
 @pytest.mark.parametrize("mode, scheduler, classes", [
@@ -593,13 +594,16 @@ def test_a_cell_spawns_one_key_stream_and_one_per_bb84_link():
     keys = KeySpec(overrides=(((e.u, e.v), KeySpec(kind="bb84", photons=4)),))  # two directed BB84 links
     classes = [TrafficClass(3, 0, Unicast(5), Bernoulli(0.4)), TrafficClass(1, 2, Unicast(4), Bernoulli(0.3))]
     with mock.patch.object(engine, "_spawn_streams", wraps=engine._spawn_streams) as spawn:
-        simulate(g, classes, TandemMode(), keys=keys, horizon=20, seed=9)
-    spawn.assert_called_once_with(9, 2, 2)
-    class_rngs, _, _, bb84_rngs = engine._spawn_streams(9, 2, 2)
-    assert len(bb84_rngs) == 2
-    # the class streams are the seed's first children, whatever else is spawned
-    children = np.random.SeedSequence(9).spawn(2)
-    assert [r.random() for r in class_rngs] == [np.random.default_rng(s).random() for s in children]
+        eng = _Engine(_Router(g, classes), TandemMode(), keys, "fifo", 20, 9, 100, False, 1, False, False)
+    spawn.assert_called_once_with(9, 2)
+    # the class streams are the seed's first children, whatever else is spawned;
+    # after the key and misc streams, the BB84 links take one child each
+    children = np.random.SeedSequence(9).spawn(6)
+    assert [s.rng.random() for s in eng.arrival_samplers.values()] == [
+        np.random.default_rng(s).random() for s in children[:2]
+    ]
+    assert [e for e, _, _ in eng.key_sampler.bb84] == [0, 1]
+    assert [r.random() for _, _, r in eng.key_sampler.bb84] == [np.random.default_rng(s).random() for s in children[4:]]
 
 
 def test_keyless_links_bank_no_keys():

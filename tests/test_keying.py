@@ -1,21 +1,16 @@
+import dataclasses
 import math
 import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qkdsim.keying import (
-    BB84Toy,
-    DeterministicKeys,
-    KeyBank,
-    KeySampler,
-    KeySpec,
-    bb84_round,
-)
-from qkdsim.topology import Edge
+from qkdsim.keying import KeyBank, KeySampler, KeySpec, bb84_round
+from qkdsim.topology import Edge, EdgeSpec, build_graph
 from qkdsim.traffic import TruncatedPoisson
+from .oracles import edge_key_spec, key_counts_replay, truncated_poisson_pmf
 
 
 def _rng(seed=0):
@@ -154,24 +149,36 @@ def test_bank_operations_on_one_edge_leave_the_others_alone(m, e, put, take, see
 # ---------------------------------------------------------------------------
 # key processes
 
+def _edge(eid, u, v, eta, has_qkd=True):
+    return Edge(eid, u, v, 1, eta, has_qkd, None, eid)
+
+
+def _sampler(spec, edges, seed=0):
+    """The sampler over ``edges``: key stream ``_rng(seed)``, BB84 streams spawned from seed + 1."""
+    return KeySampler(spec, edges, _rng(seed), np.random.SeedSequence(seed + 1))
+
+
+def _one_link(spec, eta=0.5, seed=0):
+    return _sampler(spec, [_edge(0, 0, 1, eta)], seed)
+
+
 def test_deterministic_keys():
-    s = KeySampler([DeterministicKeys(2)], _rng())
+    s = _one_link(KeySpec(kind="deterministic", value=2))
     assert (s.sample_batch(100) == 2).all()
 
 
 def test_truncated_poisson_mean_near_rate():
     # truncation mass above 20 is ~1e-22 at rate 0.5, so the mean is intact
-    proc = TruncatedPoisson(0.5, cap=20)
-    counts = KeySampler([proc], _rng(1)).sample_batch(1_000_000)
+    counts = _one_link(KeySpec(k_max=20), 0.5, seed=1).sample_batch(1_000_000)
     assert abs(counts.mean() - 0.5) < 0.005
-    assert abs(proc.mean - 0.5) < 1e-12
+    assert abs(TruncatedPoisson(0.5, cap=20).mean - 0.5) < 1e-12
     assert counts.max() <= 20
 
 
 def test_generate_keys_functional_form():
     # one slot's fresh keys for a single edge
-    assert KeySampler([DeterministicKeys(7)], _rng()).sample_batch(1)[0, 0] == 7
-    counts = KeySampler([TruncatedPoisson(3.0, cap=4)], _rng(3)).sample_batch(200)
+    assert _one_link(KeySpec(kind="deterministic", value=7)).sample_batch(1)[0, 0] == 7
+    counts = _one_link(KeySpec(k_max=4), 3.0, seed=3).sample_batch(200)
     assert ((0 <= counts) & (counts <= 4)).all()
 
 
@@ -184,40 +191,30 @@ _MIX_SPEC = KeySpec(k_max=20, overrides=(
     ((6, 7), KeySpec(kind="deterministic", value=3)),
     ((8, 9), KeySpec(kind="bb84", photons=6, check_fraction=0.2, k_max=2)),
 ))
-_MIX_LINKS = (
+_MIX_EDGES = [_edge(i, *link) for i, link in enumerate((
     (0, 1, 0.5), (2, 3, 3.0), (4, 5, 0.7), (10, 11, 0.0), (12, 13, 800.0), (14, 15, 1.0, False), (6, 7, 1.0),
     (8, 9, 1.0),
-)
+))]
 
 
 def _mix_sampler(seed=0):
-    processes = _MIX_SPEC.processes([_edge(i, *link) for i, link in enumerate(_MIX_LINKS)])
-    assert processes[5] is None  # the keyless link
-    return processes, KeySampler(processes, _rng(seed), [_rng(seed + 1)])
-
-
-def _edge(eid, u, v, eta, has_qkd=True):
-    return Edge(eid, u, v, 1, eta, has_qkd, None, eid)
-
-
-def _truncated_poisson_pmf(rate, cap):
-    pmf = [math.exp(-rate) * rate**k / math.factorial(k) for k in range(cap)]
-    return pmf + [max(0.0, 1.0 - sum(pmf))]
+    return _sampler(_MIX_SPEC, _MIX_EDGES, seed)
 
 
 def test_key_counts_fit_the_truncated_poisson_pmf():
     # each count k in 0..cap of each link: |freq - pmf| within 5 standard
     # errors plus one count; a count of probability 0 never occurs
     n = 40_000
-    processes, sampler = _mix_sampler(1)
-    counts = sampler.sample_batch(n)
-    for e, p in enumerate(processes):
-        if not isinstance(p, TruncatedPoisson):
+    counts = _mix_sampler(1).sample_batch(n)
+    assert edge_key_spec(_MIX_SPEC, _MIX_EDGES[5]) is None  # the keyless link
+    for e in _MIX_EDGES:
+        spec = edge_key_spec(_MIX_SPEC, e)
+        if spec is None or spec.kind != "truncated_poisson":
             continue
-        freq = np.bincount(counts[:, e], minlength=p.cap + 1) / n
-        assert len(freq) == p.cap + 1
-        for k, want in enumerate(_truncated_poisson_pmf(p.rate, p.cap)):
-            assert abs(freq[k] - want) <= 5 * math.sqrt(want * (1 - want) / n) + 1 / n, (e, k, freq[k], want)
+        freq = np.bincount(counts[:, e.id], minlength=spec.k_max + 1) / n
+        assert len(freq) == spec.k_max + 1
+        for k, want in enumerate(truncated_poisson_pmf(e.eta, spec.k_max)):
+            assert abs(freq[k] - want) <= 5 * math.sqrt(want * (1 - want) / n) + 1 / n, (e.id, k, freq[k], want)
     assert (counts[:, 3] == 0).all()  # rate 0
     assert (counts[:, 4] == 20).all()  # rate 800: every slot reaches the cap
     assert (counts[:, 5] == 0).all()  # keyless
@@ -230,19 +227,8 @@ def test_key_counts_are_the_inverse_cdf_of_one_uniform_per_slot_and_link():
     # uniforms in slot order, then link order; the BB84 link runs its rounds
     # on its own generator
     n = 2_000
-    processes, sampler = _mix_sampler(2)
-    counts = sampler.sample_batch(n)
-    poisson = [e for e, p in enumerate(processes) if isinstance(p, TruncatedPoisson)]
-    u = _rng(2).random((n, len(poisson)))
-    for j, e in enumerate(poisson):
-        p = processes[e]
-        cdf = np.cumsum(_truncated_poisson_pmf(p.rate, p.cap)[:-1])
-        assert counts[:, e].tolist() == [sum(x >= c for c in cdf) for x in u[:, j]]
-    bb84, rng = processes[7], _rng(3)
-    assert counts[:, 7].tolist() == [
-        min(bb84_round(bb84.photons, bb84.eavesdrop_prob, bb84.check_fraction, rng).sifted_keys, bb84.cap)
-        for _ in range(n)
-    ]
+    counts = _mix_sampler(2).sample_batch(n)
+    assert np.array_equal(counts, key_counts_replay(_MIX_SPEC, _MIX_EDGES, n, _rng(2), np.random.SeedSequence(3)))
 
 
 @pytest.mark.parametrize("chunk_cells", [1, 11, 1 << 15])
@@ -250,46 +236,125 @@ def test_a_split_draw_equals_one_draw(chunk_cells, monkeypatch):
     import qkdsim.keying as keying
 
     monkeypatch.setattr(keying, "_CHUNK_CELLS", chunk_cells)
-    split = _mix_sampler(4)[1]
+    split = _mix_sampler(4)
     first = split.sample_batch(3).copy()
-    assert np.array_equal(np.vstack([first, split.sample_batch(4)]), _mix_sampler(4)[1].sample_batch(7))
+    assert np.array_equal(np.vstack([first, split.sample_batch(4)]), _mix_sampler(4).sample_batch(7))
 
 
-def test_key_sampler_needs_one_generator_per_bb84_link():
-    with pytest.raises(ValueError, match="1 BB84 links need as many generators, got 0"):
-        KeySampler([BB84Toy(), TruncatedPoisson(0.5)], _rng())
+def test_bb84_generators_continue_the_seed_sequence():
+    # the engine spawns its own streams first; the BB84 links take the next
+    # children, one per BB84 edge in edge order
+    spec = KeySpec(overrides=(((1, 2), KeySpec(kind="bb84")), ((0, 3), KeySpec(kind="bb84"))))
+    g = build_graph(4, [EdgeSpec(0, 1), EdgeSpec(1, 2), EdgeSpec(2, 3, directed=True), EdgeSpec(3, 0)])
+    seeds = np.random.SeedSequence(5)
+    seeds.spawn(3)
+    sampler = KeySampler(spec, g.edges, _rng(), seeds)
+    children = np.random.SeedSequence(5).spawn(7)[3:]
+    assert [e for e, _, _ in sampler.bb84] == [2, 3, 5, 6]
+    assert [r.random() for _, _, r in sampler.bb84] == [np.random.default_rng(c).random() for c in children]
+
+
+def test_thresholds_are_computed_once_per_link(monkeypatch):
+    # a link's two directions share one threshold column; a one-way edge has its own
+    import qkdsim.keying as keying
+
+    widths = []
+    rows = keying._poisson_cdf_rows
+    monkeypatch.setattr(keying, "_poisson_cdf_rows", lambda rates, caps: widths.append(len(rates)) or rows(rates, caps))
+    g = build_graph(4, [EdgeSpec(0, 1, eta=0.5), EdgeSpec(1, 2, eta=2.0), EdgeSpec(2, 3, eta=1.0, directed=True),
+                        EdgeSpec(3, 2, eta=3.0, directed=True), EdgeSpec(3, 0, has_qkd=False)])
+    sampler = KeySampler(KeySpec(), g.edges, _rng(), np.random.SeedSequence(0))
+    assert widths == [4]
+    assert sampler.poisson_cols == slice(0, 6)
+    assert sampler.thresholds.flags.c_contiguous  # each slot compares whole rows
+    assert np.array_equal(sampler.thresholds[:, 0], sampler.thresholds[:, 1])
+    assert np.array_equal(sampler.thresholds[:, 2], sampler.thresholds[:, 3])
+    assert not np.array_equal(sampler.thresholds[:, 4], sampler.thresholds[:, 5])
+
+
+_KEY_SPECS = st.one_of(
+    st.builds(KeySpec, k_max=st.integers(1, 25)),
+    st.builds(KeySpec, kind=st.just("deterministic"), value=st.integers(0, 9)),
+    st.builds(KeySpec, kind=st.just("bb84"), photons=st.integers(0, 12),
+              eavesdrop_prob=st.sampled_from((0.0, 0.5, 1.0)), check_fraction=st.sampled_from((0.0, 0.3, 1.0)),
+              k_max=st.integers(1, 8)),
+)
+_RATES = st.floats(0.01, 30.0)
+_KEYED = st.sampled_from((True, True, False))
+
+
+@st.composite
+def _keyed_graphs(draw):
+    """A random graph with undirected, one-way and keyless links (a one-way
+    link may have its reverse too), and a spec overriding some of its links
+    with every kind, each named in either direction."""
+    n = draw(st.integers(2, 6))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] < p[1]),
+                          min_size=1, max_size=8, unique=True))
+    edges, links = [], []
+    for u, v in pairs:
+        eta, has_qkd = draw(_RATES), draw(_KEYED)
+        shape = draw(st.sampled_from(("undirected", "both ways", "one-way")))
+        if shape == "undirected":
+            edges.append(EdgeSpec(u, v, eta=eta, has_qkd=has_qkd))
+        else:
+            edges.append(EdgeSpec(u, v, eta=eta, has_qkd=has_qkd, directed=True))
+            if shape == "both ways":
+                edges.append(EdgeSpec(v, u, eta=draw(_RATES), has_qkd=draw(_KEYED), directed=True))
+        links.append((v, u) if draw(st.booleans()) else (u, v))
+    named = draw(st.lists(st.sampled_from(links), unique=True))
+    overrides = tuple((link, draw(_KEY_SPECS)) for link in named)
+    spec = dataclasses.replace(draw(_KEY_SPECS), overrides=overrides)
+    return build_graph(n, edges), spec
+
+
+# one-way links both ways at different rates, a link overridden in its
+# reverse direction, an overridden keyless link and a BB84 link
+@example((build_graph(4, [EdgeSpec(0, 1, eta=0.2, directed=True), EdgeSpec(1, 0, eta=9.0, directed=True),
+                          EdgeSpec(1, 2, eta=1.5), EdgeSpec(2, 3, has_qkd=False), EdgeSpec(3, 0, eta=4.0)]),
+          KeySpec(k_max=12, overrides=(((2, 1), KeySpec(kind="deterministic", value=2)),
+                                       ((3, 2), KeySpec(kind="deterministic", value=5)),
+                                       ((0, 3), KeySpec(kind="bb84", photons=10, k_max=3))))), 7, 10)
+@given(_keyed_graphs(), st.integers(0, 1000), st.integers(1, 12))
+@settings(max_examples=80, deadline=None)
+def test_the_sampler_matches_a_replay_edge_by_edge(graph_spec, seed, nslots):
+    g, spec = graph_spec
+    counts = _sampler(spec, g.edges, seed).sample_batch(nslots)
+    replay = key_counts_replay(spec, g.edges, nslots, _rng(seed), np.random.SeedSequence(seed + 1))
+    assert np.array_equal(counts, replay)
 
 
 def test_an_absurd_cap_costs_no_memory():
     # the CDF rows stop where the tail is far below a uniform's resolution
-    sampler = KeySampler([TruncatedPoisson(0.5, cap=10**6)], _rng(5))
+    sampler = _one_link(KeySpec(k_max=10**6), 0.5, seed=5)
     assert len(sampler.thresholds) < 100
     assert sampler.sample_batch(1_000).max() < 15
 
 
 def test_counts_above_a_byte_do_not_wrap():
     # 400 threshold rows: counts are accumulated wider than a byte
-    counts = KeySampler([TruncatedPoisson(300.0, cap=400)], _rng(6)).sample_batch(2_000)[:, 0]
+    counts = _one_link(KeySpec(k_max=400), 300.0, seed=6).sample_batch(2_000)[:, 0]
     assert abs(counts.mean() - 300.0) < 2.0
     assert counts.max() <= 400
 
 
 def test_keyspec_dispatch():
-    assert isinstance(KeySpec().process_for(0.5), TruncatedPoisson)
-    assert KeySpec(kind="deterministic", value=3).process_for(0.5).value == 3
-    assert isinstance(KeySpec(kind="bb84").process_for(0.5), BB84Toy)
+    poisson = _one_link(KeySpec())
+    assert poisson.thresholds.shape[1] == 1 and not poisson.bb84
+    assert _one_link(KeySpec(kind="deterministic", value=3)).constant.tolist() == [3]
+    bb84 = _one_link(KeySpec(kind="bb84"))
+    assert [e for e, _, _ in bb84.bb84] == [0] and bb84.thresholds.shape[1] == 0
     with pytest.raises(ValueError):
-        KeySpec(kind="deterministic").process_for(0.5)
+        KeySpec(kind="deterministic")
     with pytest.raises(ValueError):
-        KeySpec(kind="carrier-pigeon").process_for(0.5)
+        KeySpec(kind="carrier-pigeon")
 
 
 def test_keyspec_per_edge_override():
     spec = KeySpec(overrides=(((0, 1), KeySpec(kind="deterministic", value=9)),))
-    fwd, back, other = spec.processes([_edge(0, 0, 1, 0.5), _edge(1, 1, 0, 0.5), _edge(2, 1, 2, 0.5)])
-    assert fwd.value == 9
-    assert back.value == 9  # either direction
-    assert isinstance(other, TruncatedPoisson)
+    sampler = _sampler(spec, [_edge(0, 0, 1, 0.5), _edge(1, 1, 0, 0.5), _edge(2, 1, 2, 0.5)])
+    assert sampler.constant.tolist() == [9, 9, 0]  # either direction
+    assert sampler.poisson_cols == slice(2, 3)
 
 
 @pytest.mark.parametrize("fields, error", [
@@ -378,5 +443,5 @@ def test_bb84_detection_discards_whole_key():
 
 
 def test_bb84_as_key_process_respects_cap():
-    counts = KeySampler([BB84Toy(photons=64, cap=10)], _rng(), [_rng(7)]).sample_batch(500)
+    counts = _one_link(KeySpec(kind="bb84", photons=64, k_max=10)).sample_batch(500)
     assert counts.max() <= 10
