@@ -25,7 +25,7 @@ what keeps the residual and the virtual backlog from being positive at
 the same time, exactly, slot by slot.
 
 A slot costs what its traffic costs.  Queues are made at a link's first
-copy (backpressure's at a (node, class)'s first packet), so a link that no
+copy (backpressure's at a (class, node)'s first packet), so a link that no
 route crosses holds none.  Arrivals and keys are drawn in blocks of slots
 (at most ``_BLOCK_CELLS`` key counts at a time), so memory does not grow
 with the horizon.  Each class draws from its own generator; every
@@ -33,8 +33,10 @@ link's keys come from one ``KeySampler``, whose truncated-Poisson links all
 share one generator, so a cell makes a handful of generators, not one per
 link.  A slot's deposit is one vector step, and Python work
 is done only on the links that hold packets, virtual backlog or this slot's
-arrivals.  Backpressure picks every link's commodity in one vector step per
-class and walks only the links that can send (see ``_Engine._serve_nodes``).
+arrivals.  Backpressure keeps its queue lengths in one flat, class-major
+table (class c's queue at node u has the key ``c * n + u``), picks every
+link's commodity with one running maximum over the classes, and walks
+only the links that can send (see ``_Engine._serve_nodes``).
 Routes go over the zero-weight links first.  A class that sees no weight
 on its links takes its idle route, kept per class: the fewest-hop path, or
 the tree the router built once on zero weights.  A path class whose idle
@@ -511,11 +513,19 @@ class _Engine:
             self.key_cap = mode.key_cap
             self.misc_rng = misc_rng
             self.ids = ids
-            self.dest = {c.id: c.kind.destination for c in self.classes}
-            self.node_q: dict[tuple[int, int], deque] = defaultdict(deque)  # (node, class) -> its packets
-            self.lens = [[0] * (max(ids) + 1) for _ in range(g.n)]
+            # the (class, node) queues, class-major: class c's queue at node u
+            # has the flat key c * n + u, in the length table and in node_q
+            n, width = g.n, max(ids) + 1
+            self.table_shape = (width, n)
+            self.src_key = {c.id: c.id * n + c.source for c in self.classes}
+            self.sink = [False] * (width * n)  # a class's destination: packets delivered, never queued
+            for c in self.classes:
+                self.sink[c.id * n + c.kind.destination] = True
+            self.node_q: dict[int, deque] = defaultdict(deque)  # flat key -> its packets
+            self.lens = [0] * (width * n)
             self.tails = np.array([e.u for e in g.edges])
             self.heads = np.array([e.v for e in g.edges])
+            self.head_list = self.heads.tolist()
             self.gammas = np.array(self.gamma)
             return
 
@@ -624,17 +634,17 @@ class _Engine:
                         break
 
     def _enqueue_at_sources(self, counts: dict[int, int], slot: int) -> None:
+        lens = self.lens
         for cid, n in counts.items():
-            src = self.by_id[cid].source
-            dq = self.node_q[(src, cid)]
-            lens = self.lens[src]
+            key = self.src_key[cid]
+            dq = self.node_q[key]
             for _ in range(n):
                 rec = self._new_record(cid, slot, 1)
-                if lens[cid] >= self.queue_cap:
+                if lens[key] >= self.queue_cap:
                     self._drop(rec)
                     continue
                 dq.append(rec)
-                lens[cid] += 1
+                lens[key] += 1
 
     def _place(self, copy: Copy, eid: int, encrypted: bool) -> bool:
         """Enqueue a copy at an edge; drops the packet when the queue is full."""
@@ -805,40 +815,41 @@ class _Engine:
         """Backpressure's service: links in random order, commodities by differential backlog.
 
         ``backpressure_activations`` picks every link's commodity on the
-        start-of-slot queue table in one vector step per class, and walks
-        only the links that can send.  Each link appears once in the order
-        and spends only its own keys, so its cap min(gamma, residual) is
-        read before the walk, and the slot's withdrawals are booked at its
-        end in one vector step.
+        start-of-slot (class, node) length table with one running maximum
+        over the classes, and walks only the links that can send.  Each
+        activation names its source queue by flat key, and the head's key
+        is the same class's row at the link's head.  Each link appears once in the
+        order and spends only its own keys, so its cap min(gamma, residual)
+        is read before the walk, and the slot's withdrawals are booked at
+        its end in one vector step.
         """
-        edges, node_q, lens, dest = self.g.edges, self.node_q, self.lens, self.dest
+        node_q, lens, heads, sink, queue_cap = self.node_q, self.lens, self.head_list, self.sink, self.queue_cap
+        nodes = self.g.n
         # unnamed here, so the kernel can free the table, caps and order before its walk
         acts = backpressure_activations(
-            np.array(lens, dtype=np.int64), self.tails, self.heads,
+            np.array(lens, dtype=np.int64).reshape(self.table_shape), self.tails, self.heads,
             np.minimum(self.gammas, self.bank.residual), self.ids, self.misc_rng.permutation(self.g.m), lens,
         )
         sent_edges, sent = [], []
-        for eid, c, n in acts:
+        for eid, key, n in acts:
             sent_edges.append(eid)
             sent.append(n)
-            e = edges[eid]
-            u, v = e.u, e.v
-            src = node_q[(u, c)]
-            lens[u][c] -= n
-            if v == dest[c]:
+            src = node_q[key]
+            lens[key] -= n
+            head = key - key % nodes + heads[eid]
+            if sink[head]:
                 for _ in range(n):
                     self._deliver(src.popleft(), t)
                 continue
-            # the queue at v only grows during the loop: the first packets fit, the rest drop
-            kept = min(n, self.queue_cap - lens[v][c])
-            lens[v][c] += kept
-            dst = node_q[(v, c)]
-            for i in range(n):
-                rec = src.popleft()
-                if i < kept:
-                    dst.append(rec)
-                else:
-                    self._drop(rec)
+            # the queue at the head only grows during the loop: the first packets fit, the rest drop
+            room = queue_cap - lens[head]
+            kept = n if n < room else room
+            lens[head] += kept
+            dst = node_q[head]
+            for _ in range(kept):
+                dst.append(src.popleft())
+            for _ in range(n - kept):
+                self._drop(src.popleft())
         if sent_edges:
             self.keys_total -= self.bank.withdraw_many(sent_edges, sent)
 
@@ -925,8 +936,17 @@ class _Engine:
         bank = self.bank
         if bank is not None:
             bank.check_ledger()
+        # backpressure's length table counts the packets each (class, node) queue holds
+        if self.node_q is not None:
+            n = self.g.n
+            for key, length in enumerate(self.lens):
+                if length != len(self.node_q.get(key, ())):
+                    raise InvariantViolation(
+                        f"slot {t}: the length table holds {length} for class {key // n} at node {key % n}, "
+                        f"whose queue holds {len(self.node_q.get(key, ()))}"
+                    )
         # the edge queues' running totals count the copies they hold, dead or alive
-        if self.node_q is None and (self.x_total, self.y_total) != (sum(self.x_len), sum(map(len, self.y_q.values()))):
+        elif (self.x_total, self.y_total) != (sum(self.x_len), sum(map(len, self.y_q.values()))):
             raise InvariantViolation(f"slot {t}: the queue totals differ from the copies the queues hold")
         if not self.virtual:
             return

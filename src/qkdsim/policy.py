@@ -177,37 +177,67 @@ def backpressure_activations(
     cap: np.ndarray,
     class_ids: Sequence[int],
     edge_order: np.ndarray,
-    live: Sequence[Sequence[int]],
+    live: Sequence[int],
 ) -> Iterator[tuple[int, int, int]]:
     """Per-link service decisions from differential backlogs.
 
-    ``queue_lens`` is the start-of-slot (node, class) queue table, and edge
-    e runs from ``tails[e]`` to ``heads[e]`` with ``cap[e]`` sendable
-    packets (min(gamma, kappa)).  Every link picks, on the table, the
-    commodity with the largest positive backlog differential (ties to the
-    lower class id); this is one vector step per class over all links.
-    Then only the links with a commodity and a positive cap are walked, in
-    ``edge_order`` (a permutation of the edge ids): each serves up to its
-    cap of its commodity, clamped by the source queue in ``live``.  Yields
-    (edge id, class id, count).  ``live`` is read as each activation is
+    ``queue_lens`` is the start-of-slot queue table, class-major: row c
+    holds class c's queue length at every node, so the queue of class c at
+    node u has the flat key ``c * n + u`` (n nodes).  Edge e runs from
+    ``tails[e]`` to ``heads[e]`` with ``cap[e]`` sendable packets
+    (min(gamma, kappa)).  Every link picks, on the table, the commodity
+    with the largest positive backlog differential, ties to the lower
+    class id.  The pick is one running maximum over the classes of the
+    encoded differential ``B * (q[c, tail] - q[c, head]) + B - 1 - rank(c)``,
+    where B is the smallest power of two at least the number of classes
+    and rank(c) is c's position among the sorted ids: the low bits rank
+    equal differentials, lower ids higher, and a link has a commodity iff
+    its maximum is at least B (a positive differential); its class is read
+    back from the low bits.  Each class costs two gathers from its
+    contiguous rows of the scaled table, a subtraction and a maximum, over
+    only the links with a positive cap whose tail holds a packet (no other
+    link can send).  A queue holds packets kept in memory, far fewer than
+    2**63 / B, so ``B * q`` cannot overflow int64.  Then only the links
+    with a commodity are walked, in ``edge_order`` (a permutation of the
+    edge ids): each serves up to its cap of its commodity, clamped by the
+    source queue's live length ``live[key]``.  Yields (edge id, the source
+    queue's flat key, count).  ``live`` is read as each activation is
     produced, so a caller that applies an activation before asking for the
     next sees a link drain or refill a source queue that a later link reads.
     """
-    best_c = np.full(len(tails), -1)
-    best_diff = np.zeros(len(tails), dtype=queue_lens.dtype)
-    diff = np.empty_like(best_diff)
-    for c in sorted(class_ids):  # a later class wins only with a strictly larger differential
-        col = queue_lens[:, c]
-        np.subtract(col[tails], col[heads], out=diff)
-        np.putmask(best_c, diff > best_diff, c)
-        np.maximum(best_diff, diff, out=best_diff)
-    walk = edge_order[((best_c >= 0) & (cap > 0))[edge_order]]
-    walk = zip(walk.tolist(), tails[walk].tolist(), best_c[walk].tolist(), cap[walk].tolist())
+    nodes = queue_lens.shape[1]
+    cids = sorted(class_ids)
+    # a link can send only from a node that holds a packet, with a positive cap
+    links = edge_order[(queue_lens.any(axis=0)[tails] & (cap > 0))[edge_order]]  # in walk order
+    B = 1 << (len(cids) - 1).bit_length()
+    low = [0] * len(queue_lens)  # each class's low bits: higher for lower ids
+    first_key = [0] * B  # the low bits -> the class's first flat key, c * n
+    for rank, c in enumerate(cids):
+        low[c] = B - 1 - rank
+        first_key[B - 1 - rank] = c * nodes
+    head_table = queue_lens * B
+    tail_table = head_table + np.array(low)[:, None]
+    link_tails, link_heads = tails[links], heads[links]
+    best = np.empty(len(links), dtype=np.int64)
+    enc = np.empty_like(best)
+    at_head = np.empty_like(best)
+    for rank, c in enumerate(cids):
+        out = enc if rank else best
+        tail_table[c].take(link_tails, out=out, mode="clip")
+        head_table[c].take(link_heads, out=at_head, mode="clip")
+        np.subtract(out, at_head, out=out)
+        if rank:
+            np.maximum(best, enc, out=best)
+    has = best >= B
+    walk = links[has]
+    keys = np.array(first_key)[best[has] & (B - 1)] + link_tails[has]
+    walk = zip(walk.tolist(), keys.tolist(), cap[walk].tolist())
     # Free the edge-sized arrays before the walk: the caller's queue growth
     # during the walk would otherwise pin their heap space (with glibc
     # malloc, a 1,000-slot unicast-full cell's peak RSS grew by 4 MB).
-    del best_c, best_diff, diff, cap, edge_order, queue_lens
-    for eid, u, c, k in walk:
-        n = live[u][c]  # never negative; a test is cheaper than a min() call
+    del links, link_tails, link_heads, best, enc, at_head, has, keys, cap, edge_order, queue_lens
+    del head_table, tail_table
+    for eid, key, k in walk:
+        n = live[key]  # never negative; a test is cheaper than a min() call
         if n:
-            yield eid, c, k if k < n else n
+            yield eid, key, k if k < n else n

@@ -211,8 +211,25 @@ def erdos_renyi(
         raise TopologyError(f"eta_range: need 0 < low <= high, got {list(eta_range)}")
     if not 0 <= qkd_fraction <= 1:
         raise TopologyError(f"qkd_fraction: must be in [0, 1], got {qkd_fraction}")
-    rng = np.random.default_rng(seed)
-    links = [(i, j, float(rng.uniform(lo, hi))) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+    # One double per node pair, in pair order, says whether it is linked; a
+    # linked pair's key rate takes the next double.  The stream is local to
+    # this call, so drawing the most it can use at once changes no draw.
+    # Only the comparisons become a Python list (of shared bools), so no
+    # float object is made for a double that is not a key rate.
+    draws = np.random.default_rng(seed).random(n * (n - 1))
+    linked = (draws < p).tolist()
+    pairs = []
+    k = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            if linked[k]:
+                pairs.append((i, j, k + 1))
+                k += 2
+            else:
+                k += 1
+    lo, span = float(lo), float(hi) - float(lo)
+    etas = draws[[at for _, _, at in pairs]].tolist()
+    links = [(i, j, lo + span * u) for (i, j, _), u in zip(pairs, etas)]
     keyed = range(len(links))
     if qkd_fraction < 1.0:
         order = list(np.random.default_rng(seed + 1).permutation(len(links)))

@@ -311,6 +311,21 @@ def backpressure_scan(queue_lens, g, kappa, class_ids, edge_order, live):
             yield eid, best_c, n
 
 
+def erdos_renyi_links(n: int, p: float, eta_range, seed: int) -> list[tuple[int, int, float]]:
+    """The G(n, p) links ``erdos_renyi`` draws, replayed pair by pair with
+    two scalar Generator calls: for each pair in order, ``random() < p``
+    links it, and a linked pair's key rate is the next ``uniform(lo, hi)``.
+    Returns (u, v, eta) per link, u < v, in pair order."""
+    rng = np.random.default_rng(seed)
+    lo, hi = eta_range
+    links = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < p:
+                links.append((i, j, float(rng.uniform(lo, hi))))
+    return links
+
+
 def edge_key_spec(spec: KeySpec, edge) -> KeySpec | None:
     """The key spec that one edge runs, resolved on its own: None on a
     keyless edge, else the override that names the edge's link in either

@@ -5,7 +5,7 @@ import pytest
 
 from qkdsim.analysis import stability_test
 from qkdsim.config import GraphConfig, preset_config
-from qkdsim.engine import Copy, EntoQueue, PacketRecord, _Engine, _Router, simulate
+from qkdsim.engine import Copy, EntoQueue, InvariantViolation, PacketRecord, _Engine, _Router, simulate
 from qkdsim.keying import KeySampler, KeySpec
 from qkdsim.policy import BackpressureMode, MultilevelMode, SingleQueueMode, TandemMode
 from qkdsim.routing import Route, RoutingError
@@ -627,16 +627,21 @@ def test_keyless_links_bank_no_keys():
 # ---------------------------------------------------------------------------
 # backpressure: the service phase's outputs, pinned across builds
 
-def _backpressure_cell(key_cap):
+def _backpressure_net():
     # gamma 2 and key rates up to 3 let a link send two packets a slot, so one
     # link can drain or refill a source queue that a later link reads; class
-    # ids 1 and 2 are unused columns of the queue table
+    # ids 1 and 2 are unused rows of the queue table
     g = erdos_renyi(9, 0.4, gamma=2, eta_range=(0.5, 3.0), seed=21)
     classes = [
         TrafficClass(0, 0, Unicast(8), TruncatedPoisson(1.2, cap=4)),
         TrafficClass(3, 5, Unicast(1), Bernoulli(0.8)),
         TrafficClass(4, 0, Unicast(5), Bernoulli(0.6)),
     ]
+    return g, classes
+
+
+def _backpressure_cell(key_cap):
+    g, classes = _backpressure_net()
     return simulate(g, classes, BackpressureMode(key_cap=key_cap), horizon=400, seed=30 + key_cap,
                     queue_cap=4, check_invariants=True)
 
@@ -664,3 +669,35 @@ def test_backpressure_bytes_pinned(key_cap):
     r = _backpressure_cell(key_cap)
     got = (hashlib.sha256(r.to_json_bytes()).hexdigest(), hashlib.sha256(r.to_csv_bytes()).hexdigest())
     assert got == BACKPRESSURE_DIGESTS[key_cap]
+
+
+def _backpressure_engine(horizon):
+    g, classes = _backpressure_net()
+    return _Engine(_Router(g, classes), BackpressureMode(), KeySpec(), "fifo", horizon, 7, 4, False, 1, True, False)
+
+
+def test_each_backpressure_slot_calls_the_kernel_once():
+    import qkdsim.engine as engine
+    import qkdsim.policy as policy
+
+    # the kernel the policy tests check is the one the slot loop runs
+    assert engine.backpressure_activations is policy.backpressure_activations
+    eng = _backpressure_engine(57)
+    with mock.patch.object(engine, "backpressure_activations", wraps=policy.backpressure_activations) as kernel:
+        r = eng.run()
+    assert kernel.call_count == 57
+    assert r.total_delivered > 0
+
+
+@pytest.mark.parametrize("corrupt", ["held+1", "held-1", "unmade+1"])
+def test_a_corrupt_backpressure_length_table_raises(corrupt):
+    eng = _backpressure_engine(200)
+    eng.run()  # checks every slot, the length table included
+    held = [key for key, dq in eng.node_q.items() if dq]
+    unmade = [key for key in range(len(eng.lens)) if key not in eng.node_q]
+    assert held and unmade
+    key = unmade[0] if corrupt.startswith("unmade") else held[0]
+    eng.lens[key] += 1 if corrupt.endswith("+1") else -1
+    # packet conservation still holds; only the length table is wrong
+    with pytest.raises(InvariantViolation, match=f"class {key // eng.g.n} at node {key % eng.g.n}"):
+        eng._check_invariants(eng.horizon)

@@ -145,32 +145,44 @@ def _line_graph():
     return build_graph(3, [EdgeSpec(0, 1), EdgeSpec(1, 2)])
 
 
-def _activations(lens, g, kappa, class_ids, order=None, live=None):
-    """The kernel on a list-of-lists queue table, called as ``_serve_nodes`` calls it."""
+def _flat(table):
+    """A class-major table (``table[c][u]``) as the engine's flat list, keyed ``c * n + u``."""
+    return [x for row in table for x in row]
+
+
+def _activations(table, g, kappa, class_ids, order=None, live=None):
+    """The kernel called as ``_serve_nodes`` calls it: the class-major queue
+    table (one row per class id, one column per node) as an array, the
+    live lengths as a flat list.  Yields (edge id, class id, count), and
+    checks that each activation's flat key is its link's tail queue."""
     tails, heads, gamma = (np.array([getattr(e, f) for e in g.edges]) for f in ("u", "v", "gamma"))
     order = np.arange(g.m) if order is None else np.asarray(order)
-    return backpressure_activations(np.array(lens), tails, heads, np.minimum(gamma, kappa),
-                                    class_ids, order, lens if live is None else live)
+    acts = backpressure_activations(np.array(table, dtype=np.int64), tails, heads, np.minimum(gamma, kappa),
+                                    class_ids, order, _flat(table) if live is None else live)
+    for eid, key, n in acts:
+        c, u = divmod(key, g.n)
+        assert u == g.edges[eid].u
+        yield eid, c, n
 
 
 def test_backpressure_no_transmission_on_equal_backlog():
     g = _line_graph()
-    lens = [[5], [5], [0]]
-    acts = list(_activations(lens, g, kappa=[9] * g.m, class_ids=[0]))
+    table = [[5, 5, 0]]
+    acts = list(_activations(table, g, kappa=[9] * g.m, class_ids=[0]))
     assert all(g.edges[e].u != 0 or g.edges[e].v != 1 for e, _, _ in acts)
 
 
 def test_backpressure_forwards_downhill():
     g = _line_graph()
-    lens = [[10], [0], [0]]
-    acts = list(_activations(lens, g, kappa=[9] * g.m, class_ids=[0]))
+    table = [[10, 0, 0]]
+    acts = list(_activations(table, g, kappa=[9] * g.m, class_ids=[0]))
     assert (edge_between(g, 0, 1), 0, 1) in acts
 
 
 def test_backpressure_respects_gamma_and_keys():
     g = build_graph(2, [EdgeSpec(0, 1, gamma=3)])
-    lens = [[10], [0]]
-    acts = list(_activations(lens, g, kappa=[2, 2], class_ids=[0]))
+    table = [[10, 0]]
+    acts = list(_activations(table, g, kappa=[2, 2], class_ids=[0]))
     assert acts == [(edge_between(g, 0, 1), 0, 2)]
 
 
@@ -179,8 +191,8 @@ def test_backpressure_commodity_choice_exhaustive():
     g = build_graph(2, [EdgeSpec(0, 1, gamma=1, eta=1.0, directed=True)])
     for q0 in range(4):
         for q1 in range(4):
-            lens = [[q0, q1], [0, 0]]
-            acts = list(_activations(lens, g, kappa=[5], class_ids=[0, 1]))
+            table = [[q0, 0], [q1, 0]]
+            acts = list(_activations(table, g, kappa=[5], class_ids=[0, 1]))
             expect_cls = None
             if q0 or q1:
                 expect_cls = 0 if q0 >= q1 else 1
@@ -194,39 +206,55 @@ def test_backpressure_picks_on_snapshot_and_clamps_by_live_queue():
     # two links leave node 0; both pick class 0 on the snapshot, and the
     # second is clamped by what the first left in the live source queue
     g = build_graph(3, [EdgeSpec(0, 1, gamma=2, directed=True), EdgeSpec(0, 2, gamma=2, directed=True)])
-    snapshot = [[3, 0], [0, 0], [0, 0]]
-    live = [row[:] for row in snapshot]
+    snapshot = [[3, 0, 0], [0, 0, 0]]
+    live = _flat(snapshot)
     acts = []
     for eid, c, n in _activations(snapshot, g, kappa=[5, 5], class_ids=[0, 1], live=live):
         acts.append((eid, c, n))
-        live[g.edges[eid].u][c] -= n
-        live[0][1] += 1  # a live change the commodity choice must not see
+        live[c * g.n + g.edges[eid].u] -= n
+        live[1 * g.n + 0] += 1  # a live change the commodity choice must not see
     assert acts == [(0, 0, 2), (1, 0, 1)]
 
 
+class _ByNode:
+    """``view[u][c]`` reads ``flat[c * n + u]``: the engine's flat table as the
+    scalar oracle indexes its node-major one."""
+
+    def __init__(self, flat, n, u=None):
+        self.flat, self.n, self.u = flat, n, u
+
+    def __getitem__(self, i):
+        if self.u is None:
+            return _ByNode(self.flat, self.n, i)
+        return self.flat[i * self.n + self.u]
+
+
 def _serve(activations, g, live, dest, queue_cap):
-    """Apply each activation to ``live`` before asking for the next, as
-    ``_serve_nodes`` does: the source loses what the link sends, and the
-    head gains what fits unless it is the class's destination."""
+    """Apply each activation to the flat ``live`` list before asking for the
+    next, as ``_serve_nodes`` does: the source loses what the link sends,
+    and the head gains what fits unless it is the class's destination."""
     out = []
     for eid, c, n in activations:
         out.append((eid, c, n))
         e = g.edges[eid]
-        live[e.u][c] -= n
+        live[c * g.n + e.u] -= n
         if e.v != dest[c]:
-            live[e.v][c] += min(n, queue_cap - live[e.v][c])
+            head = c * g.n + e.v
+            live[head] += min(n, queue_cap - live[head])
     return out
 
 
-def _both_scans(g, class_ids, lens, kappa, order, dest, queue_cap):
-    """(activations, final live table) of the scalar oracle, then of the kernel."""
+def _both_scans(g, class_ids, table, kappa, order, dest, queue_cap):
+    """(activations, final flat live table) of the scalar oracle, then of the
+    kernel.  The oracle reads the table node-major, as it always has."""
     runs = []
     for vector in (False, True):
-        live = [row[:] for row in lens]
+        live = _flat(table)
         if vector:
-            acts = _activations(lens, g, kappa, class_ids, order, live)
+            acts = _activations(table, g, kappa, class_ids, order, live)
         else:
-            acts = backpressure_scan(lens, g, kappa, class_ids, order, live)
+            by_node = [list(col) for col in zip(*table)]
+            acts = backpressure_scan(by_node, g, kappa, class_ids, order, _ByNode(live, g.n))
         runs.append((_serve(acts, g, live, dest, queue_cap), live))
     return runs
 
@@ -235,30 +263,71 @@ def test_backpressure_refilled_source_sends_more_than_its_snapshot():
     # 0->1 runs first and refills node 1, so 1->2 sends three packets
     # although node 1 held one at the start of the slot
     g = build_graph(3, [EdgeSpec(0, 1, gamma=2, directed=True), EdgeSpec(1, 2, gamma=3, directed=True)])
-    oracle, vector = _both_scans(g, [0], [[3], [1], [0]], [5, 5], [0, 1], {0: 2}, queue_cap=5)
+    oracle, vector = _both_scans(g, [0], [[3, 1, 0]], [5, 5], [0, 1], {0: 2}, queue_cap=5)
     assert oracle == vector
     assert vector[0] == [(0, 0, 2), (1, 0, 3)]
 
 
+@pytest.mark.parametrize("k", range(1, 11))
+def test_backpressure_ties_go_to_the_lowest_id_at_every_class_count(k):
+    # k classes with gapped ids (B = 1, 2, 4, 8, 16 as k grows), passed in
+    # reverse: on link 0->1 every class but the highest ties, on 1->0 and
+    # 0->2 only the highest id's differential is positive
+    g = build_graph(3, [EdgeSpec(0, 1, gamma=9, directed=True), EdgeSpec(1, 0, gamma=9, directed=True),
+                        EdgeSpec(0, 2, gamma=9, directed=True)])
+    ids = [3 * i + 1 for i in range(k)]
+    table = [[0, 0, 0] for _ in range(max(ids) + 1)]
+    for c in ids:
+        table[c] = [4, 1, 4]
+    table[ids[-1]] = [4, 6, 3]
+    acts = list(_activations(table, g, kappa=[9] * g.m, class_ids=ids[::-1]))
+    if k == 1:
+        assert acts == [(1, ids[0], 6), (2, ids[0], 4)]
+    else:
+        assert acts == [(0, ids[0], 4), (1, ids[-1], 6), (2, ids[-1], 4)]
+    oracle, vector = _both_scans(g, ids, table, [9] * g.m, range(g.m), {c: 2 for c in ids}, queue_cap=10)
+    assert vector == oracle
+
+
+def test_backpressure_kernel_handles_queues_near_2_to_the_40():
+    # ten classes (B = 16): lengths near 2**40 times B stay far inside int64,
+    # and differentials of 0 and 1 at that size are still told apart
+    g = build_graph(2, [EdgeSpec(0, 1, gamma=3, directed=True), EdgeSpec(1, 0, gamma=3, directed=True)])
+    big = 2**40
+    ids = list(range(0, 20, 2))
+    table = [[0, 0] for _ in range(max(ids) + 1)]
+    for c in ids:
+        table[c] = [big + 5, big + 5]  # differential 0 both ways
+    table[6] = [big + 7, big + 6]  # 0->1 by one
+    table[14] = [big + 6, big + 5]  # 0->1 by one, a higher id
+    table[18] = [big - 3, big]  # 1->0 by three
+    table[2] = [big - 1, big + 2]  # 1->0 by three, a lower id: it wins the tie
+    acts = list(_activations(table, g, kappa=[5, 5], class_ids=ids))
+    assert acts == [(0, 6, 3), (1, 2, 3)]
+    oracle, vector = _both_scans(g, ids, table, [5, 5], [1, 0], {c: 1 for c in ids}, queue_cap=2**41)
+    assert vector == oracle
+
+
 @st.composite
 def _backpressure_slots(draw):
-    """A random directed graph and one slot's queue table, key counts, link
-    order and destinations.  Class ids leave gaps; small queues make tied
+    """A random directed graph and one slot's class-major queue table, key
+    counts, link order and destinations.  Up to ten classes with gapped ids,
+    so the kernel's tie bits span B = 1 to 16; small queues make tied
     differentials and shared, drained and refilled source queues common."""
     n = draw(st.integers(2, 6))
     pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
     links = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=14, unique=True))
     g = build_graph(n, [EdgeSpec(u, v, gamma=draw(st.integers(1, 3)), directed=True) for u, v in links])
-    class_ids = draw(st.lists(st.integers(0, 5), min_size=1, max_size=4, unique=True))
+    class_ids = draw(st.lists(st.integers(0, 13), min_size=1, max_size=10, unique=True))
     queue_cap = draw(st.integers(1, 5))
-    lens = [
-        [draw(st.integers(0, queue_cap)) if c in class_ids else 0 for c in range(max(class_ids) + 1)]
-        for _ in range(n)
+    table = [
+        [draw(st.integers(0, queue_cap)) if c in class_ids else 0 for _ in range(n)]
+        for c in range(max(class_ids) + 1)
     ]
     kappa = draw(st.lists(st.integers(0, 3), min_size=g.m, max_size=g.m))
     order = draw(st.permutations(range(g.m)))
     dest = {c: draw(st.integers(0, n - 1)) for c in class_ids}
-    return g, class_ids, lens, kappa, order, dest, queue_cap
+    return g, class_ids, table, kappa, order, dest, queue_cap
 
 
 @given(_backpressure_slots())

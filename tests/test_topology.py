@@ -13,7 +13,7 @@ from qkdsim.topology import (
     erdos_renyi,
 )
 
-from .oracles import edge_between, specs
+from .oracles import edge_between, erdos_renyi_links, specs
 
 
 def graph_to_dict(g) -> dict:
@@ -108,6 +108,25 @@ def test_erdos_renyi_determinism():
     assert specs(g1) == specs(g2)
     g3 = erdos_renyi(10, 0.5, seed=8)
     assert specs(g1) != specs(g3)
+
+
+@given(
+    st.integers(1, 40),
+    st.one_of(st.sampled_from([1.0, 0.5, 1e-9]), st.floats(0.001, 1.0)),
+    st.one_of(st.sampled_from([(0.2, 1.0), (1, 3), (0.5, 0.5)]),
+              st.tuples(st.floats(1e-6, 5.0), st.floats(0.0, 1e6)).map(lambda t: (t[0], t[0] + t[1]))),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([1.0, 0.6, 0.0]),
+)
+@settings(max_examples=300, deadline=None)
+def test_erdos_renyi_links_match_a_pair_by_pair_replay(n, p, eta_range, seed, fraction):
+    g = erdos_renyi(n, p, eta_range=eta_range, seed=seed, qkd_fraction=fraction)
+    assert [(s.u, s.v, s.eta) for s in specs(g)] == erdos_renyi_links(n, p, eta_range, seed)
+
+
+def test_erdos_renyi_links_at_paper_scale_match_the_replay():
+    g = erdos_renyi(150, 0.3, eta_range=(0.2, 1.0), seed=42)
+    assert [(s.u, s.v, s.eta) for s in specs(g)] == erdos_renyi_links(150, 0.3, (0.2, 1.0), 42)
 
 
 def test_erdos_renyi_edge_count_plausible():
