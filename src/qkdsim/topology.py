@@ -214,22 +214,22 @@ def erdos_renyi(
     # One double per node pair, in pair order, says whether it is linked; a
     # linked pair's key rate takes the next double.  The stream is local to
     # this call, so drawing the most it can use at once changes no draw.
-    # Only the comparisons become a Python list (of shared bools), so no
-    # float object is made for a double that is not a key rate.
+    # Node i's pairs read at most two doubles each, and only those become
+    # Python floats at a time, so the walk's temporaries stay small.
     draws = np.random.default_rng(seed).random(n * (n - 1))
-    linked = (draws < p).tolist()
-    pairs = []
+    lo, span = float(lo), float(hi) - float(lo)
+    links = []
     k = 0
     for i in range(n):
+        row = draws[k:k + 2 * (n - 1 - i)].tolist()
+        r = 0
         for j in range(i + 1, n):
-            if linked[k]:
-                pairs.append((i, j, k + 1))
-                k += 2
+            if row[r] < p:
+                links.append((i, j, lo + span * row[r + 1]))
+                r += 2
             else:
-                k += 1
-    lo, span = float(lo), float(hi) - float(lo)
-    etas = draws[[at for _, _, at in pairs]].tolist()
-    links = [(i, j, lo + span * u) for (i, j, _), u in zip(pairs, etas)]
+                r += 1
+        k += r
     keyed = range(len(links))
     if qkd_fraction < 1.0:
         order = list(np.random.default_rng(seed + 1).permutation(len(links)))
