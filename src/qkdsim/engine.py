@@ -817,11 +817,11 @@ class _Engine:
         ``backpressure_activations`` picks every link's commodity on the
         start-of-slot (class, node) length table with one running maximum
         over the classes, and walks only the links that can send.  Each
-        activation names its source queue by flat key, and the head's key
-        is the same class's row at the link's head.  Each link appears once in the
-        order and spends only its own keys, so its cap min(gamma, residual)
-        is read before the walk, and the slot's withdrawals are booked at
-        its end in one vector step.
+        activation names its source queue by flat key; the head's key is
+        the same class's entry at the link's head.  Each link appears once
+        in the order and spends only its own keys, so its cap
+        min(gamma, residual) is read before the walk, and the slot's
+        withdrawals are booked at its end in one vector step.
         """
         node_q, lens, heads, sink, queue_cap = self.node_q, self.lens, self.head_list, self.sink, self.queue_cap
         nodes = self.g.n
