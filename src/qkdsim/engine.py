@@ -35,8 +35,9 @@ link.  A slot's deposit is one vector step, and Python work
 is done only on the links that hold packets, virtual backlog or this slot's
 arrivals.  Backpressure keeps its queue lengths in one flat, class-major
 table (class c's queue at node u has the key ``c * n + u``), picks every
-link's commodity with one running maximum over the classes, and walks
-only the links that can send (see ``_Engine._serve_nodes``).
+link's commodity with one running maximum, in a few numpy calls whatever
+the class count, and walks only the links that can send, clamping each
+send by its live source queue (see ``_Engine._serve_nodes``).
 Routes go over the zero-weight links first.  A class that sees no weight
 on its links takes its idle route, kept per class: the fewest-hop path, or
 the tree the router built once on zero weights.  A path class whose idle
@@ -448,7 +449,8 @@ class _Engine:
       single-queue banks nothing;
     - the service: a link sends up to its capacity (tandem), up to
       ``single_queue_service`` (single-queue), or what
-      ``backpressure_activations`` picks (backpressure).
+      ``backpressure_activations`` picks, clamped by the live source queue
+      (backpressure).
     """
 
     def __init__(
@@ -525,8 +527,13 @@ class _Engine:
             self.lens = [0] * (width * n)
             self.tails = np.array([e.u for e in g.edges])
             self.heads = np.array([e.v for e in g.edges])
-            self.head_list = self.heads.tolist()
-            self.gammas = np.array(self.gamma)
+            # a source key + shift[e] is the key at e's head; the list shares one int per value in
+            # (-n, n), so at N=150 it costs 100 KB less than one int per edge
+            self.shift = np.array(range(1 - n, n), dtype=object)[self.heads - self.tails + (n - 1)].tolist()
+            # a cap is min(gamma, residual) and the residual is int64, so clipping gamma there changes no send
+            top = 2**63 - 1
+            self.gammas = np.array(self.gamma if max(self.gamma) <= top else [min(x, top) for x in self.gamma],
+                                   dtype=np.int64)
             return
 
         # edge queues, made at an edge's first copy: an encryption queue per
@@ -815,28 +822,35 @@ class _Engine:
         """Backpressure's service: links in random order, commodities by differential backlog.
 
         ``backpressure_activations`` picks every link's commodity on the
-        start-of-slot (class, node) length table with one running maximum
-        over the classes, and walks only the links that can send.  Each
-        activation names its source queue by flat key; the head's key is
-        the same class's entry at the link's head.  Each link appears once
-        in the order and spends only its own keys, so its cap
-        min(gamma, residual) is read before the walk, and the slot's
-        withdrawals are booked at its end in one vector step.
+        start-of-slot (class, node) length table, in a few numpy calls
+        whatever the class count, and returns the walk: each link with a
+        commodity, in a random order, with its source queue's flat key and
+        its cap.  Each link appears once in the order and spends only its
+        own keys, so its cap min(gamma, residual) is read before the walk.
+        The walk clamps each send by the live source queue, which an
+        earlier link may have drained (a drained queue sends nothing) or
+        refilled; the head's key is ``key + shift[eid]``, the same class's
+        entry at the link's head.  The slot's withdrawals are booked at its
+        end in one vector step.
         """
-        node_q, lens, heads, sink, queue_cap = self.node_q, self.lens, self.head_list, self.sink, self.queue_cap
-        nodes = self.g.n
-        # unnamed here, so the kernel can free the table, caps and order before its walk
-        acts = backpressure_activations(
+        node_q, lens, shift, sink, queue_cap = self.node_q, self.lens, self.shift, self.sink, self.queue_cap
+        # unnamed here, so the kernel can free the table, caps and order before it builds the walk
+        walk, keys, caps = backpressure_activations(
             np.array(lens, dtype=np.int64).reshape(self.table_shape), self.tails, self.heads,
-            np.minimum(self.gammas, self.bank.residual), self.ids, self.misc_rng.permutation(self.g.m), lens,
+            np.minimum(self.gammas, self.bank.residual), self.ids, self.misc_rng.permutation(self.g.m),
         )
         sent_edges, sent = [], []
-        for eid, key, n in acts:
+        for eid, key, n in zip(walk, keys, caps):
+            held = lens[key]
+            if not held:
+                continue
+            if held < n:
+                n = held
             sent_edges.append(eid)
             sent.append(n)
             src = node_q[key]
-            lens[key] -= n
-            head = key - key % nodes + heads[eid]
+            lens[key] = held - n
+            head = key + shift[eid]
             if sink[head]:
                 for _ in range(n):
                     self._deliver(src.popleft(), t)
@@ -846,10 +860,14 @@ class _Engine:
             kept = n if n < room else room
             lens[head] += kept
             dst = node_q[head]
-            for _ in range(kept):
+            if kept == 1:  # a gamma-1 link's every send: no loop to set up
                 dst.append(src.popleft())
-            for _ in range(n - kept):
-                self._drop(src.popleft())
+            else:
+                for _ in range(kept):
+                    dst.append(src.popleft())
+            if kept < n:
+                for _ in range(n - kept):
+                    self._drop(src.popleft())
         if sent_edges:
             self.keys_total -= self.bank.withdraw_many(sent_edges, sent)
 

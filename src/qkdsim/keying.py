@@ -203,9 +203,10 @@ def _poisson_cdf_rows(rates: np.ndarray, caps: np.ndarray) -> np.ndarray:
 
     Rows stop where a link's Poisson tail is far below a uniform's
     resolution (rate + 12 sqrt(rate) + 40), so an absurd cap costs no
-    memory: the tail beyond is folded into the last row's count.
+    memory: the tail beyond is folded into the last row's count.  The bound
+    is capped in floats before its cast, so a huge rate keeps its cap's rows.
     """
-    ends = np.minimum(caps, np.ceil(rates + 12.0 * np.sqrt(rates)).astype(np.int64) + 40)
+    ends = np.minimum(caps, np.minimum(np.ceil(rates + 12.0 * np.sqrt(rates)) + 40, 2.0**62).astype(np.int64))
     k = np.arange(int(ends.max(initial=0)))[:, None]
     lgam = np.array([math.lgamma(i + 1.0) for i in range(len(k))]).reshape(-1, 1)
     with np.errstate(divide="ignore", invalid="ignore"):

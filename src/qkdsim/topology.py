@@ -10,6 +10,7 @@ seeded runs reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from numbers import Integral
 from typing import Sequence
@@ -162,8 +163,9 @@ def build_graph(n: int, specs: list[EdgeSpec] | tuple[EdgeSpec, ...]) -> Network
         # a link sends whole packets; the exact-int test spares most links the slower ABC check
         if type(gamma) is not int and not isinstance(gamma, Integral):
             raise TopologyError(f"edges[{i}]: edge ({u},{v}): gamma must be a whole number, got {gamma}")
-        if has_qkd and not eta > 0:
-            raise TopologyError(f"edges[{i}]: edge ({u},{v}): eta must be > 0 on QKD edges")
+        # an infinite rate's Poisson CDF is NaN, which no uniform reaches: the link would draw no keys
+        if has_qkd and not 0 < eta < math.inf:
+            raise TopologyError(f"edges[{i}]: edge ({u},{v}): eta must be finite and > 0 on QKD edges, got {eta}")
         # directed edge (a, b) is seen as a * n + b
         if u * n + v in seen:
             raise TopologyError(f"edges[{i}]: duplicate edge {(u, v)}")
@@ -209,6 +211,8 @@ def erdos_renyi(
     lo, hi = eta_range
     if not 0 < lo <= hi:
         raise TopologyError(f"eta_range: need 0 < low <= high, got {list(eta_range)}")
+    if not hi < math.inf:
+        raise TopologyError(f"eta_range: the bounds must be finite, got {list(eta_range)}")
     if not 0 <= qkd_fraction <= 1:
         raise TopologyError(f"qkd_fraction: must be in [0, 1], got {qkd_fraction}")
     # One double per node pair, in pair order, says whether it is linked; a

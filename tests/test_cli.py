@@ -383,8 +383,12 @@ _REJECTED = {
     "edge-duplicate": ({"graph": _inline(3, (0, 1), (1, 2), (1, 0))}, {}, "error: graph.edges[2]: "),
     "edge-gamma-0": ({"graph": _one_link(gamma=0)}, {}, "error: graph.edges[0]: "),
     "edge-eta-0-on-keyed-link": ({"graph": _one_link(eta=0.0)}, {}, "error: graph.edges[0]: "),
+    "edge-eta-infinite-on-keyed-link": ({"graph": _one_link(eta=float("inf"))}, {},
+                                        "error: graph.edges[0]: edge (0,1): eta must be finite"),
     "graph-p-above-1": ({"graph": _er(p=1.5)}, {}, "graph.p"),
     "graph-eta-range-reversed": ({"graph": _er(eta_range=[0.5, 0.1])}, {}, "graph.eta_range"),
+    "graph-eta-range-infinite": ({"graph": _er(eta_range=[0.5, float("inf")])}, {},
+                                 "error: graph.eta_range: the bounds must be finite"),
     "graph-eta-range-three-values": ({"graph": _er(eta_range=[0.1, 0.2, 0.3])}, {},
                                      "error: graph.eta_range: expected [low, high], got [0.1, 0.2, 0.3]"),
     "graph-gamma-0": ({"graph": _er(gamma=0)}, {}, "graph.gamma"),

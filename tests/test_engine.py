@@ -671,6 +671,21 @@ def test_backpressure_bytes_pinned(key_cap):
     assert got == BACKPRESSURE_DIGESTS[key_cap]
 
 
+def test_backpressure_runs_links_whose_capacity_exceeds_int64():
+    # gamma 2**63 made the engine's capacity array uint64 and the caps
+    # floats, which crashed the walk; 10**30 made it an object array.  A cap
+    # is min(gamma, residual) and the residual is at most key_cap, so every
+    # byte matches gamma 10**6
+    _, classes = _backpressure_net()
+    digests = set()
+    for gamma in (10**6, 2**63, 10**30):
+        g = erdos_renyi(9, 0.4, gamma=gamma, eta_range=(0.5, 3.0), seed=21)
+        r = simulate(g, classes, BackpressureMode(), horizon=300, seed=31, queue_cap=4, check_invariants=True)
+        assert r.total_delivered > 0
+        digests.add((r.to_json_bytes(), r.to_csv_bytes()))
+    assert len(digests) == 1
+
+
 def _backpressure_engine(horizon):
     g, classes = _backpressure_net()
     return _Engine(_Router(g, classes), BackpressureMode(), KeySpec(), "fifo", horizon, 7, 4, False, 1, True, False)
@@ -687,6 +702,38 @@ def test_each_backpressure_slot_calls_the_kernel_once():
         r = eng.run()
     assert kernel.call_count == 57
     assert r.total_delivered > 0
+
+
+@pytest.mark.parametrize("order, sent, held", [
+    # 0->1 drains node 0, so 0->2 sends nothing and spends no keys; 3->0 refills it
+    ([0, 1, 2], [3, 0, 2], {0: [3, 4], 2: [], 3: [5, 6, 7]}),
+    # 3->0 refills node 0 before 0->2 runs, which then sends its whole cap
+    ([0, 2, 1], [3, 2, 2], {0: [], 2: [3, 4], 3: [5, 6, 7]}),
+    # 0->2 leaves one packet, so 0->1 is clamped from its cap of 3 to 1
+    ([1, 0, 2], [1, 2, 2], {0: [3, 4], 2: [0, 1], 3: [5, 6, 7]}),
+], ids=["drained", "refilled", "clamped"])
+def test_backpressure_walk_clamps_each_send_by_the_live_source_queue(order, sent, held):
+    # one hand-built slot: node 0 holds packets 0-2 of the class, node 3
+    # packets 3-7.  On the start-of-slot table every link picks the class,
+    # and each send is clamped by what its source queue holds when the walk
+    # reaches the link
+    g = build_graph(4, [EdgeSpec(0, 1, gamma=3, directed=True), EdgeSpec(0, 2, gamma=2, directed=True),
+                        EdgeSpec(3, 0, gamma=2, directed=True)])
+    classes = [TrafficClass(0, 3, Unicast(1), Bernoulli(0.5))]
+    eng = _Engine(_Router(g, classes), BackpressureMode(), KeySpec(), "fifo", 1, 7, 10, False, 1, True, False)
+    for node, count in ((0, 3), (3, 5)):
+        for _ in range(count):
+            eng.node_q[node].append(eng._new_record(0, 0, 1))
+            eng.lens[node] += 1
+    eng.class_arrivals[0] = eng.arrivals_cum = 8
+    eng.bank.deposit(np.array([3, 2, 2]))
+    eng.keys_total = 7
+    eng.misc_rng = mock.Mock(permutation=lambda m: np.array(order))
+    eng._serve_nodes(0)
+    assert eng.bank.consumed_total.tolist() == sent
+    assert eng.class_delivered[0] == sent[0]  # node 1 is the class's destination
+    assert {u: [rec.id for rec in eng.node_q[u]] for u in held} == held
+    eng._check_invariants(0)
 
 
 @pytest.mark.parametrize("corrupt", ["held+1", "held-1", "unmade+1"])

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -329,6 +330,16 @@ def test_an_absurd_cap_costs_no_memory():
     sampler = _one_link(KeySpec(k_max=10**6), 0.5, seed=5)
     assert len(sampler.thresholds) < 100
     assert sampler.sample_batch(1_000).max() < 15
+
+
+@pytest.mark.parametrize("eta", [1e19, 1e300])
+def test_a_huge_key_rate_draws_k_max_every_slot(eta):
+    # the row bound rate + 12 sqrt(rate) used to overflow its int64 cast
+    # above about 9.2e18, and such a link drew 0 keys in every slot
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        counts = _one_link(KeySpec(k_max=20), eta, seed=4).sample_batch(1_000)
+    assert (counts == 20).all()
 
 
 def test_counts_above_a_byte_do_not_wrap():

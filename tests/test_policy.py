@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from qkdsim import policy
 from qkdsim.config import GraphConfig
 from qkdsim.engine import _Router, simulate
 from qkdsim.keying import KeySpec
@@ -150,40 +151,51 @@ def _flat(table):
     return [x for row in table for x in row]
 
 
-def _activations(table, g, kappa, class_ids, order=None, live=None):
-    """The kernel called as ``_serve_nodes`` calls it: the class-major queue
-    table (one row per class id, one column per node) as an array, the
-    live lengths as a flat list.  Yields (edge id, class id, count), and
-    checks that each activation's flat key is its link's tail queue."""
+def _activations(table, g, kappa, class_ids, order=None):
+    """The kernel called as ``_serve_nodes`` calls it, on the class-major
+    queue table (one row per class id, one column per node).  Returns its
+    walk as (edge id, class id, cap) triples, and checks that each flat key
+    is its link's tail queue."""
     tails, heads, gamma = (np.array([getattr(e, f) for e in g.edges]) for f in ("u", "v", "gamma"))
     order = np.arange(g.m) if order is None else np.asarray(order)
-    acts = backpressure_activations(np.array(table, dtype=np.int64), tails, heads, np.minimum(gamma, kappa),
-                                    class_ids, order, _flat(table) if live is None else live)
-    for eid, key, n in acts:
+    walk, keys, caps = backpressure_activations(np.array(table, dtype=np.int64), tails, heads,
+                                                np.minimum(gamma, kappa), class_ids, order)
+    acts = []
+    for eid, key, k in zip(walk, keys, caps):
         c, u = divmod(key, g.n)
         assert u == g.edges[eid].u
-        yield eid, c, n
+        acts.append((eid, c, k))
+    return acts
 
 
 def test_backpressure_no_transmission_on_equal_backlog():
     g = _line_graph()
     table = [[5, 5, 0]]
-    acts = list(_activations(table, g, kappa=[9] * g.m, class_ids=[0]))
+    acts = _activations(table, g, kappa=[9] * g.m, class_ids=[0])
     assert all(g.edges[e].u != 0 or g.edges[e].v != 1 for e, _, _ in acts)
 
 
 def test_backpressure_forwards_downhill():
     g = _line_graph()
     table = [[10, 0, 0]]
-    acts = list(_activations(table, g, kappa=[9] * g.m, class_ids=[0]))
+    acts = _activations(table, g, kappa=[9] * g.m, class_ids=[0])
     assert (edge_between(g, 0, 1), 0, 1) in acts
 
 
 def test_backpressure_respects_gamma_and_keys():
     g = build_graph(2, [EdgeSpec(0, 1, gamma=3)])
     table = [[10, 0]]
-    acts = list(_activations(table, g, kappa=[2, 2], class_ids=[0]))
+    acts = _activations(table, g, kappa=[2, 2], class_ids=[0])
     assert acts == [(edge_between(g, 0, 1), 0, 2)]
+
+
+def test_backpressure_picks_every_link_on_the_snapshot():
+    # two links leave node 0 and both pick class 0 on the snapshot, each up
+    # to its cap: the kernel reads no live queue (the engine's walk clamps,
+    # see test_engine's test_backpressure_walk_clamps_each_send_by_the_live_source_queue)
+    g = build_graph(3, [EdgeSpec(0, 1, gamma=2, directed=True), EdgeSpec(0, 2, gamma=2, directed=True)])
+    snapshot = [[3, 0, 0], [0, 0, 0]]
+    assert _activations(snapshot, g, kappa=[5, 5], class_ids=[0, 1]) == [(0, 0, 2), (1, 0, 2)]
 
 
 def test_backpressure_commodity_choice_exhaustive():
@@ -192,7 +204,7 @@ def test_backpressure_commodity_choice_exhaustive():
     for q0 in range(4):
         for q1 in range(4):
             table = [[q0, 0], [q1, 0]]
-            acts = list(_activations(table, g, kappa=[5], class_ids=[0, 1]))
+            acts = _activations(table, g, kappa=[5], class_ids=[0, 1])
             expect_cls = None
             if q0 or q1:
                 expect_cls = 0 if q0 >= q1 else 1
@@ -200,20 +212,6 @@ def test_backpressure_commodity_choice_exhaustive():
                 assert acts == []
             else:
                 assert acts == [(0, expect_cls, 1)]
-
-
-def test_backpressure_picks_on_snapshot_and_clamps_by_live_queue():
-    # two links leave node 0; both pick class 0 on the snapshot, and the
-    # second is clamped by what the first left in the live source queue
-    g = build_graph(3, [EdgeSpec(0, 1, gamma=2, directed=True), EdgeSpec(0, 2, gamma=2, directed=True)])
-    snapshot = [[3, 0, 0], [0, 0, 0]]
-    live = _flat(snapshot)
-    acts = []
-    for eid, c, n in _activations(snapshot, g, kappa=[5, 5], class_ids=[0, 1], live=live):
-        acts.append((eid, c, n))
-        live[c * g.n + g.edges[eid].u] -= n
-        live[1 * g.n + 0] += 1  # a live change the commodity choice must not see
-    assert acts == [(0, 0, 2), (1, 0, 1)]
 
 
 class _ByNode:
@@ -244,19 +242,34 @@ def _serve(activations, g, live, dest, queue_cap):
     return out
 
 
+def _clamped(walk, g, live):
+    """The kernel's walk as ``_serve_nodes`` sends it: each link's cap
+    clamped by its source queue's live length, read as the link is reached;
+    a drained source sends nothing."""
+    for eid, c, k in walk:
+        held = live[c * g.n + g.edges[eid].u]
+        if held:
+            yield eid, c, min(k, held)
+
+
 def _both_scans(g, class_ids, table, kappa, order, dest, queue_cap):
     """(activations, final flat live table) of the scalar oracle, then of the
-    kernel.  The oracle reads the table node-major, as it always has."""
+    kernel's walk clamped as the engine clamps it.  The oracle reads the
+    table node-major, as it always has."""
     runs = []
     for vector in (False, True):
         live = _flat(table)
         if vector:
-            acts = _activations(table, g, kappa, class_ids, order, live)
+            acts = _clamped(_activations(table, g, kappa, class_ids, order), g, live)
         else:
             by_node = [list(col) for col in zip(*table)]
             acts = backpressure_scan(by_node, g, kappa, class_ids, order, _ByNode(live, g.n))
         runs.append((_serve(acts, g, live, dest, queue_cap), live))
     return runs
+
+
+# one-row chunks, chunks of a few rows (with a partial last chunk) and the default
+_CHUNK_BOUNDS = (1, 7, policy._PICK_CELLS)
 
 
 def test_backpressure_refilled_source_sends_more_than_its_snapshot():
@@ -280,13 +293,37 @@ def test_backpressure_ties_go_to_the_lowest_id_at_every_class_count(k):
     for c in ids:
         table[c] = [4, 1, 4]
     table[ids[-1]] = [4, 6, 3]
-    acts = list(_activations(table, g, kappa=[9] * g.m, class_ids=ids[::-1]))
-    if k == 1:
-        assert acts == [(1, ids[0], 6), (2, ids[0], 4)]
-    else:
-        assert acts == [(0, ids[0], 4), (1, ids[-1], 6), (2, ids[-1], 4)]
-    oracle, vector = _both_scans(g, ids, table, [9] * g.m, range(g.m), {c: 2 for c in ids}, queue_cap=10)
-    assert vector == oracle
+    for cells in _CHUNK_BOUNDS:
+        with mock.patch.object(policy, "_PICK_CELLS", cells):
+            acts = _activations(table, g, kappa=[9] * g.m, class_ids=ids[::-1])
+            # each link sends up to its cap, 9, of the source queue's snapshot length
+            if k == 1:
+                assert acts == [(1, ids[0], 9), (2, ids[0], 9)]
+                assert list(_clamped(acts, g, _flat(table))) == [(1, ids[0], 6), (2, ids[0], 4)]
+            else:
+                assert acts == [(0, ids[0], 9), (1, ids[-1], 9), (2, ids[-1], 9)]
+                assert list(_clamped(acts, g, _flat(table))) == [(0, ids[0], 4), (1, ids[-1], 6), (2, ids[-1], 4)]
+            oracle, vector = _both_scans(g, ids, table, [9] * g.m, range(g.m), {c: 2 for c in ids}, queue_cap=10)
+            assert vector == oracle
+
+
+@pytest.mark.parametrize("cells", [1, 9, 12, policy._PICK_CELLS])
+def test_backpressure_unused_class_rows_never_win(cells):
+    # ids 1, 4 and 5 on a six-row table: with three links a 9-cell bound
+    # takes rows 1-3 then 4-5 (unused rows end a chunk), a 12-cell bound rows
+    # 1-4 then 5 (unused rows inside a chunk).  An unused row encodes 0, so on
+    # 0->2, where every class's differential is negative, no class is picked
+    g = build_graph(3, [EdgeSpec(0, 1, gamma=9, directed=True), EdgeSpec(1, 0, gamma=9, directed=True),
+                        EdgeSpec(0, 2, gamma=9, directed=True)])
+    table = [[0, 0, 0] for _ in range(6)]
+    table[1] = [3, 1, 5]  # 0->1 by two
+    table[4] = [5, 2, 6]  # 0->1 by three: it wins
+    table[5] = [0, 4, 1]  # 1->0 by four
+    with mock.patch.object(policy, "_PICK_CELLS", cells):
+        acts = _activations(table, g, kappa=[9] * g.m, class_ids=[5, 1, 4])
+        assert acts == [(0, 4, 9), (1, 5, 9)]
+        oracle, vector = _both_scans(g, [1, 4, 5], table, [9] * g.m, [2, 1, 0], {1: 2, 4: 2, 5: 0}, queue_cap=9)
+        assert vector == oracle
 
 
 def test_backpressure_kernel_handles_queues_near_2_to_the_40():
@@ -302,7 +339,7 @@ def test_backpressure_kernel_handles_queues_near_2_to_the_40():
     table[14] = [big + 6, big + 5]  # 0->1 by one, a higher id
     table[18] = [big - 3, big]  # 1->0 by three
     table[2] = [big - 1, big + 2]  # 1->0 by three, a lower id: it wins the tie
-    acts = list(_activations(table, g, kappa=[5, 5], class_ids=ids))
+    acts = _activations(table, g, kappa=[5, 5], class_ids=ids)
     assert acts == [(0, 6, 3), (1, 2, 3)]
     oracle, vector = _both_scans(g, ids, table, [5, 5], [1, 0], {c: 1 for c in ids}, queue_cap=2**41)
     assert vector == oracle
@@ -333,8 +370,10 @@ def _backpressure_slots(draw):
 @given(_backpressure_slots())
 @settings(max_examples=400, deadline=None)
 def test_backpressure_kernel_matches_scalar_scan(slot):
-    oracle, vector = _both_scans(*slot)
-    assert vector == oracle
+    for cells in _CHUNK_BOUNDS:
+        with mock.patch.object(policy, "_PICK_CELLS", cells):
+            oracle, vector = _both_scans(*slot)
+        assert vector == oracle
 
 
 # ---------------------------------------------------------------------------

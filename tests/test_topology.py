@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -78,6 +79,15 @@ def test_bad_gamma_and_eta_rejected():
         build_graph(2, [EdgeSpec(0, 1, eta=0.0)])
 
 
+@pytest.mark.parametrize("eta", [math.inf, math.nan])
+def test_a_keyed_link_needs_a_finite_key_rate(eta):
+    # an infinite rate's keys used to be drawn as 0 every slot
+    with pytest.raises(TopologyError, match=r"^edges\[1\]: edge \(1,2\): eta must be finite and > 0 on QKD edges, got "):
+        build_graph(3, [EdgeSpec(0, 1), EdgeSpec(1, 2, eta=eta)])
+    # a keyless link's rate is never read
+    assert build_graph(2, [EdgeSpec(0, 1, eta=eta, has_qkd=False)]).m == 2
+
+
 def test_undirected_edge_mirrors():
     g = build_graph(2, [EdgeSpec(0, 1, gamma=2, eta=0.7)])
     assert g.m == 2
@@ -153,9 +163,11 @@ def test_erdos_renyi_parameter_validation():
     ({"gamma": 1.5}, r"^gamma: must be a whole number, got 1\.5"),
     ({"eta_range": (0.5, 0.1)}, r"^eta_range: need 0 < low <= high, got \[0\.5, 0\.1\]"),
     ({"eta_range": (0.1, 0.2, 0.3)}, r"^eta_range: expected \[low, high\], got \[0\.1, 0\.2, 0\.3\]"),
+    ({"eta_range": (0.5, math.inf)}, r"^eta_range: the bounds must be finite, got \[0\.5, inf\]"),
     ({"qkd_fraction": 2.5}, r"^qkd_fraction: must be in \[0, 1\], got 2\.5"),
     ({"qkd_fraction": -1.0}, r"^qkd_fraction: must be in \[0, 1\], got -1\.0"),
-], ids=["p", "gamma", "fractional-gamma", "eta-range", "eta-range-three-values", "qkd-fraction-above-1",
+], ids=["p", "gamma", "fractional-gamma", "eta-range", "eta-range-three-values", "eta-range-infinite",
+        "qkd-fraction-above-1",
         "qkd-fraction-negative"])
 def test_erdos_renyi_errors_name_the_parameter(fields, error):
     # qkd_fraction 2.5 used to key every link, and gamma 0 was named as edges[0]
