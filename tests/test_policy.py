@@ -269,7 +269,7 @@ def _both_scans(g, class_ids, table, kappa, order, dest, queue_cap):
 
 
 # one-row chunks, chunks of a few rows (with a partial last chunk) and the default
-_CHUNK_BOUNDS = (1, 7, policy._PICK_CELLS)
+_CHUNK_BOUNDS = (1, 7, 20, policy._PICK_CELLS)
 
 
 def test_backpressure_refilled_source_sends_more_than_its_snapshot():
